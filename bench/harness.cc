@@ -1,5 +1,6 @@
 #include "bench/harness.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,8 +156,15 @@ parseArgs(int argc, char **argv, double default_scale)
                 std::printf("%s\n", w.c_str());
             std::printf("trace:<path>\n");
             std::exit(0);
-        } else if (!scale_seen) {
-            opt.scale = std::atof(arg);
+        } else if (!scale_seen && std::strncmp(arg, "--", 2) != 0) {
+            char *end = nullptr;
+            const double v = std::strtod(arg, &end);
+            if (end == arg || *end != '\0' || !std::isfinite(v) ||
+                v <= 0.0)
+                sim::fatal("bad scale '%s' (expected a finite number "
+                           "> 0)",
+                           arg);
+            opt.scale = v;
             scale_seen = true;
         } else {
             sim::fatal("unexpected argument '%s' (usage: bench "

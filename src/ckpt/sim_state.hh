@@ -71,23 +71,6 @@ restore(StateReader &r, sim::BinnedHistogram &h)
 }
 
 inline void
-save(StateWriter &w, const sim::ResourceTimeline &t)
-{
-    const sim::ResourceTimeline::State st = t.snapshot();
-    w.u64(st.nextFree);
-    w.u64(st.busyTotal);
-}
-
-inline void
-restore(StateReader &r, sim::ResourceTimeline &t)
-{
-    sim::ResourceTimeline::State st;
-    st.nextFree = r.u64();
-    st.busyTotal = r.u64();
-    t.restore(st);
-}
-
-inline void
 save(StateWriter &w, const sim::PriorityTimeline &t)
 {
     const sim::PriorityTimeline::State st = t.snapshot();

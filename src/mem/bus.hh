@@ -53,6 +53,12 @@ busTrafficName(BusTraffic cls)
 class Bus
 {
   public:
+    /** @param clock bounds the arbitration timeline's prune horizon */
+    explicit Bus(const sim::EventQueue *clock = nullptr)
+        : timeline_(clock)
+    {
+    }
+
     /**
      * Reserve the bus for one phase.  Processor-originated traffic
      * (demand and processor-prefetch) has priority over ULMT pushes

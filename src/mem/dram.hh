@@ -43,11 +43,14 @@ struct DramStats
 class Dram
 {
   public:
-    explicit Dram(const TimingParams &tp)
+    /** @param clock bounds the timelines' prune horizon */
+    explicit Dram(const TimingParams &tp,
+                  const sim::EventQueue *clock = nullptr)
         : tp_(tp),
           banks_(static_cast<std::size_t>(tp.dramChannels) *
-                 tp.dramBanksPerChannel),
-          channels_(tp.dramChannels)
+                     tp.dramBanksPerChannel,
+                 Bank{sim::PriorityTimeline(clock)}),
+          channels_(tp.dramChannels, sim::PriorityTimeline(clock))
     {
     }
 

@@ -105,7 +105,8 @@ class MemorySystem
         std::function<void(sim::Cycle, sim::Addr, unsigned core)>;
 
     MemorySystem(sim::EventQueue &eq, const TimingParams &tp)
-        : eq_(eq), tp_(tp), dram_(tp), filter_(tp.filterEntries)
+        : eq_(eq), tp_(tp), bus_(&eq), dram_(tp, &eq),
+          filter_(tp.filterEntries)
     {
     }
 

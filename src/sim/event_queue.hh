@@ -366,64 +366,6 @@ class EventQueue
 };
 
 /**
- * A shared resource that is busy for an interval per grant, e.g. a bus
- * or a DRAM bank.  Requests are granted first-come-first-served in
- * event order: a request that becomes ready at cycle R is granted at
- * max(R, nextFree) and the resource is then busy for the stated
- * duration.
- *
- * Because the event queue processes requests in time order, the
- * timeline only ever moves forward and captures contention from every
- * earlier-granted request.
- */
-class ResourceTimeline
-{
-  public:
-    /** Reserve the resource; returns the grant (start) cycle. */
-    Cycle
-    acquire(Cycle ready, Cycle duration)
-    {
-        Cycle start = ready > nextFree_ ? ready : nextFree_;
-        nextFree_ = start + duration;
-        busyTotal_ += duration;
-        return start;
-    }
-
-    /** First cycle at which the resource is idle. */
-    Cycle nextFree() const { return nextFree_; }
-
-    /** Total busy time accumulated. */
-    Cycle busyTotal() const { return busyTotal_; }
-
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        busyTotal_ = 0;
-    }
-
-    /** Complete serializable state (checkpointing). */
-    struct State
-    {
-        Cycle nextFree = 0;
-        Cycle busyTotal = 0;
-    };
-
-    State snapshot() const { return State{nextFree_, busyTotal_}; }
-
-    void
-    restore(const State &s)
-    {
-        nextFree_ = s.nextFree;
-        busyTotal_ = s.busyTotal;
-    }
-
-  private:
-    Cycle nextFree_ = 0;
-    Cycle busyTotal_ = 0;
-};
-
-/**
  * A shared resource with two priority classes, modeling the paper's
  * rule that prefetch traffic (queue 3) has lower priority than demand
  * traffic (queue 1).
@@ -441,6 +383,12 @@ class ResourceTimeline
 class PriorityTimeline
 {
   public:
+    PriorityTimeline() = default;
+
+    /** A timeline that keeps its prune horizon behind @p clock's
+     *  simulated time (see prune()). */
+    explicit PriorityTimeline(const EventQueue *clock) : clock_(clock) {}
+
     /** One booked busy interval on the resource. */
     struct Interval
     {
@@ -454,23 +402,37 @@ class PriorityTimeline
     acquire(Cycle ready, Cycle duration, bool high_priority)
     {
         SIM_ASSERT(duration > 0, "zero-length resource reservation");
+        SIM_ASSERT(ready >= pruneBefore_,
+                   "ready %llu is behind the prune horizon %llu: "
+                   "event-order skew exceeded the prune margin",
+                   (unsigned long long)ready,
+                   (unsigned long long)pruneBefore_);
         busyTotal_ += duration;
         prune(ready);
 
-        // Start the gap search from the cached cursor instead of the
-        // front of the list.  Invariant: every booking before cursor_
-        // ends at or before cursorReady_, so for a request with
-        // ready >= cursorReady_ the search would skip all of them
-        // (their end <= ready <= t).  Ready times arrive almost
-        // monotonically in event order; the rare out-of-order request
-        // falls back to a full scan.
-        std::size_t pos = 0;
+        // Skip the prefix of bookings that end at or before the ready
+        // time; the gap search would only step past them.  Ready times
+        // arrive almost monotonically in event order, so most requests
+        // resume from the cached cursor.  Invariant: every booking in
+        // [head_, cursor_) ends at or before cursorReady_.
+        std::size_t pos;
         if (ready >= cursorReady_) {
-            pos = cursor_;
+            pos = std::max(cursor_, head_);
             while (pos < bookings_.size() && bookings_[pos].end <= ready)
                 ++pos;
             cursor_ = pos;
             cursorReady_ = ready;
+        } else {
+            // An out-of-order request binary-searches instead: no
+            // booking lasts longer than maxDuration_, so one with
+            // start + maxDuration_ <= ready has ended, and bookings
+            // sorted by start put all of those in a prefix.
+            const auto it = std::partition_point(
+                bookings_.begin() + static_cast<std::ptrdiff_t>(head_),
+                bookings_.end(), [&](const Interval &b) {
+                    return b.start + maxDuration_ <= ready;
+                });
+            pos = static_cast<std::size_t>(it - bookings_.begin());
         }
 
         Cycle t = ready;
@@ -491,13 +453,15 @@ class PriorityTimeline
         }
         // Insert keeping the list sorted by start (overcommit from
         // displaced low bookings can make it non-disjoint, which the
-        // gap search tolerates).
+        // gap search tolerates).  Grants land near the tail, so the
+        // insert moves less than one booking on average.
         std::size_t at = bookings_.size();
-        while (at > 0 && bookings_[at - 1].start > t)
+        while (at > head_ && bookings_[at - 1].start > t)
             --at;
         bookings_.insert(bookings_.begin() +
                              static_cast<std::ptrdiff_t>(at),
                          Interval{t, t + duration, high_priority});
+        maxDuration_ = std::max(maxDuration_, duration);
         // The new booking ends after its ready time, so it may violate
         // the cursor invariant if it landed inside the skipped prefix.
         if (at < cursor_)
@@ -511,8 +475,10 @@ class PriorityTimeline
     reset()
     {
         bookings_.clear();
+        head_ = 0;
         pruneBefore_ = 0;
         busyTotal_ = 0;
+        maxDuration_ = 0;
         cursor_ = 0;
         cursorReady_ = 0;
     }
@@ -525,56 +491,76 @@ class PriorityTimeline
         Cycle busyTotal = 0;
     };
 
+    /** The live bookings only: pruned ones are not part of the state. */
     State
     snapshot() const
     {
-        return State{bookings_, pruneBefore_, busyTotal_};
+        return State{{bookings_.begin() +
+                          static_cast<std::ptrdiff_t>(head_),
+                      bookings_.end()},
+                     pruneBefore_, busyTotal_};
     }
 
     void
     restore(const State &s)
     {
+        reset();
         bookings_ = s.bookings;
         pruneBefore_ = s.pruneBefore;
         busyTotal_ = s.busyTotal;
-        // The cursor is a pure search accelerator; restarting it from
-        // the front changes placement decisions not at all.
-        cursor_ = 0;
-        cursorReady_ = 0;
+        // Only bounds the out-of-order search, so the longest restored
+        // booking serves as well as the longest ever made.
+        for (const Interval &b : bookings_)
+            maxDuration_ = std::max(maxDuration_, b.end - b.start);
     }
 
   private:
     /**
-     * Drop bookings that can no longer affect placement: event-order
-     * skew is bounded by how far components pre-book (well under the
-     * margin).
+     * Drop bookings that end a margin behind the newest ready time;
+     * acquire() asserts that no request arrives behind that horizon.
+     * Event-order skew is well under the margin, but a component may
+     * book much further ahead of the clock (a ULMT page-remap sweep
+     * books DRAM hundreds of thousands of cycles out).  With a clock
+     * the horizon therefore never passes the simulated time, before
+     * which no request can be ready.  Dropping only advances head_;
+     * the dead prefix is compacted away once it is more than half the
+     * vector, so each booking is moved at most once more after it
+     * dies.
      */
     void
     prune(Cycle ready)
     {
         constexpr Cycle margin = 16384;
+        if (clock_)
+            ready = std::min(ready, clock_->now() + margin);
         if (ready <= margin || ready - margin <= pruneBefore_)
             return;
         pruneBefore_ = ready - margin;
-        std::size_t keep = 0;
-        while (keep < bookings_.size() &&
-               bookings_[keep].end <= pruneBefore_)
-            ++keep;
-        if (keep > 0) {
+        while (head_ < bookings_.size() &&
+               bookings_[head_].end <= pruneBefore_)
+            ++head_;
+        if (head_ > bookings_.size() / 2) {
             bookings_.erase(bookings_.begin(),
                             bookings_.begin() +
-                                static_cast<std::ptrdiff_t>(keep));
-            cursor_ = cursor_ > keep ? cursor_ - keep : 0;
+                                static_cast<std::ptrdiff_t>(head_));
+            cursor_ = cursor_ > head_ ? cursor_ - head_ : 0;
+            head_ = 0;
         }
     }
 
+    /** Sorted by start; [0, head_) are pruned bookings awaiting
+     *  compaction. */
     std::vector<Interval> bookings_;
+    std::size_t head_ = 0;
     Cycle pruneBefore_ = 0;
     Cycle busyTotal_ = 0;
-    /** Gap-search resume point: bookings_[0..cursor_) all end at or
-     *  before cursorReady_. */
+    /** No live booking is longer (bounds the out-of-order search). */
+    Cycle maxDuration_ = 0;
+    /** Gap-search resume point for in-order readies. */
     std::size_t cursor_ = 0;
     Cycle cursorReady_ = 0;
+    /** Bounds the prune horizon; nullptr: only the ready times do. */
+    const EventQueue *clock_ = nullptr;
 };
 
 } // namespace sim

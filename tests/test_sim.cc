@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue, resource
- * timelines, RNG determinism, statistics containers, logging helpers.
+ * Unit tests for the simulation kernel: event queue, the priority
+ * timeline (with a differential test against its old version), RNG
+ * determinism, statistics containers, logging helpers.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+#include "ref_priority_timeline.hh"
 
 namespace {
 
@@ -62,15 +64,6 @@ TEST(EventQueue, EventLimitStopsRun)
     eq.schedule(0, forever);
     EXPECT_FALSE(eq.run(100));
     EXPECT_EQ(eq.executed(), 100u);
-}
-
-TEST(ResourceTimeline, SerializesOverlappingRequests)
-{
-    sim::ResourceTimeline tl;
-    EXPECT_EQ(tl.acquire(0, 10), 0u);
-    EXPECT_EQ(tl.acquire(5, 10), 10u);   // busy until 10
-    EXPECT_EQ(tl.acquire(50, 10), 50u);  // idle gap
-    EXPECT_EQ(tl.busyTotal(), 30u);
 }
 
 TEST(EventQueue, LargeCaptureFallsBackToHeap)
@@ -142,14 +135,27 @@ TEST(PriorityTimeline, OvercommittedBookingsStayConsistent)
     EXPECT_EQ(tl.busyTotal(), 10u + 10u + 10u + 10u + 5u);
 }
 
-TEST(PriorityTimeline, OutOfOrderReadyFallsBackToFullScan)
+TEST(PriorityTimeline, OutOfOrderReadySearchesFromFirstUnendedBooking)
 {
     // Advance the gap-search cursor far ahead, then issue a request
-    // with an earlier ready time: it must still see the old bookings.
+    // with an earlier ready time: its binary search must stop at the
+    // first booking that may not have ended, so it still sees [0,10).
     sim::PriorityTimeline tl;
     EXPECT_EQ(tl.acquire(0, 10, true), 0u);       // [0,10)
     EXPECT_EQ(tl.acquire(1000, 10, true), 1000u); // cursor past [0,10)
     EXPECT_EQ(tl.acquire(0, 10, true), 10u);      // not 0: slot taken
+}
+
+TEST(PriorityTimeline, OutOfOrderGrantBehindCursorStaysVisible)
+{
+    // An out-of-order high request that displaces unstarted low
+    // bookings can land before the cursor yet end after its ready
+    // time; the cursor must move back so in-order requests see it.
+    sim::PriorityTimeline tl;
+    EXPECT_EQ(tl.acquire(100, 10, false), 100u);  // low, [100,110)
+    EXPECT_EQ(tl.acquire(120, 10, false), 120u);  // low, cursor past 1st
+    EXPECT_EQ(tl.acquire(50, 100, true), 50u);    // high, [50,150)
+    EXPECT_EQ(tl.acquire(120, 10, true), 150u);   // waits for it
 }
 
 TEST(PriorityTimeline, PruneMarginBoundary)
@@ -176,9 +182,9 @@ TEST(PriorityTimeline, PruneMarginBoundary)
         EXPECT_EQ(tl.acquire(margin + 20, 10, true), margin + 50);
     }
     {
-        // Prune must shift the cached cursor along with the erased
-        // prefix; otherwise later same-ready requests would be placed
-        // against the wrong bookings and overlap.
+        // The cached cursor must stay valid across the pruned prefix
+        // and its compaction; otherwise later same-ready requests
+        // would be placed against the wrong bookings and overlap.
         sim::PriorityTimeline tl;
         for (sim::Cycle r = 0; r < 8; ++r)
             EXPECT_EQ(tl.acquire(r * 100, 10, true), r * 100);
@@ -186,6 +192,98 @@ TEST(PriorityTimeline, PruneMarginBoundary)
         EXPECT_EQ(tl.acquire(far, 10, true), far);  // prunes prefix
         EXPECT_EQ(tl.acquire(far, 10, true), far + 10);
         EXPECT_EQ(tl.acquire(far, 10, true), far + 20);
+    }
+}
+
+TEST(PriorityTimeline, ClockKeepsHorizonBehindSimulatedTime)
+{
+    // A booking made far ahead of the clock (a ULMT page-remap sweep
+    // books DRAM hundreds of thousands of cycles out) must not prune
+    // bookings that requests made now still collide with.
+    constexpr sim::Cycle margin = 16384;
+    sim::EventQueue eq;
+    sim::PriorityTimeline tl(&eq);
+    EXPECT_EQ(tl.acquire(100, 50, true), 100u);  // [100,150)
+    EXPECT_EQ(tl.acquire(10 * margin, 10, false), 10 * margin);
+    EXPECT_EQ(tl.acquire(120, 10, true), 150u);  // still sees [100,150)
+}
+
+TEST(PriorityTimelineDeathTest, RefusesReadyBehindPruneHorizon)
+{
+    // Without a clock the far booking prunes [100,150); a request that
+    // could collide with it is refused instead of misplaced.
+    constexpr sim::Cycle margin = 16384;
+    sim::PriorityTimeline tl;
+    EXPECT_EQ(tl.acquire(100, 50, true), 100u);
+    EXPECT_EQ(tl.acquire(10 * margin, 10, false), 10 * margin);
+    EXPECT_DEATH(tl.acquire(120, 10, true), "prune horizon");
+}
+
+void
+expectSameState(const sim::PriorityTimeline::State &got,
+                const ref::RefPriorityTimeline::State &want)
+{
+    EXPECT_EQ(got.pruneBefore, want.pruneBefore);
+    EXPECT_EQ(got.busyTotal, want.busyTotal);
+    ASSERT_EQ(got.bookings.size(), want.bookings.size());
+    for (std::size_t i = 0; i < got.bookings.size(); ++i) {
+        EXPECT_EQ(got.bookings[i].start, want.bookings[i].start) << i;
+        EXPECT_EQ(got.bookings[i].end, want.bookings[i].end) << i;
+        EXPECT_EQ(got.bookings[i].high, want.bookings[i].high) << i;
+    }
+}
+
+TEST(PriorityTimeline, MatchesReferenceOnRandomStreams)
+{
+    // Drive the optimized timeline and a verbatim copy of the old one
+    // with the same seeded request streams.  The streams look like a
+    // contended bus: a clock that advances ~50 cycles per request at
+    // ~70% load, readies mostly just ahead of it but up to ~4k cycles
+    // behind or ahead (the skew a four-core run shows), durations of
+    // 1-67 cycles, rare bookings longer than the prune margin and rare
+    // far jumps that prune everything.  Halfway through, both are
+    // snapshotted and restored into fresh timelines.
+    constexpr sim::Cycle margin = 16384;
+    constexpr int requests = 20000;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed);
+        auto tl = std::make_unique<sim::PriorityTimeline>();
+        auto ref = std::make_unique<ref::RefPriorityTimeline>();
+        sim::Cycle now = 4096;
+        for (int i = 0; i < requests; ++i) {
+            now += rng.below(100);
+            if (rng.chance(0.0005))
+                now += margin * rng.range(1, 4);
+            sim::Cycle ready = now + rng.below(64);
+            const std::uint64_t kind = rng.below(10);
+            if (kind < 2)
+                ready = now - rng.below(4096);
+            else if (kind == 2)
+                ready = now + rng.below(4096);
+            const sim::Cycle duration = rng.chance(0.001)
+                                            ? margin + rng.range(1, 4096)
+                                            : rng.range(1, 67);
+            const bool high = rng.chance(0.5);
+            const sim::Cycle got = tl->acquire(ready, duration, high);
+            ASSERT_EQ(got, ref->acquire(ready, duration, high))
+                << "request " << i;
+            ASSERT_EQ(tl->busyTotal(), ref->busyTotal());
+            if (i % 256 == 0 || i == requests / 2) {
+                expectSameState(tl->snapshot(), ref->snapshot());
+                if (HasFatalFailure())
+                    return;
+            }
+            if (i == requests / 2) {
+                const auto tl_state = tl->snapshot();
+                const auto ref_state = ref->snapshot();
+                tl = std::make_unique<sim::PriorityTimeline>();
+                ref = std::make_unique<ref::RefPriorityTimeline>();
+                tl->restore(tl_state);
+                ref->restore(ref_state);
+            }
+        }
+        expectSameState(tl->snapshot(), ref->snapshot());
     }
 }
 
