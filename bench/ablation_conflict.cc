@@ -23,9 +23,10 @@
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    // The figure fixes its application list.
+    const bench::Options bopt =
+        bench::parseArgs(argc, argv, 1.0, {"--apps"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("ablation_conflict", bopt);
 
     const std::vector<std::string> apps = {"Sparse", "Tree", "Mcf"};

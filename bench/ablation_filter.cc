@@ -21,9 +21,10 @@
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.5);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    // The figure fixes its application list.
+    const bench::Options bopt =
+        bench::parseArgs(argc, argv, 0.5, {"--apps"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("ablation_filter", bopt);
 
     const std::vector<std::uint32_t> sizes = {0, 8, 32, 128};

@@ -48,12 +48,13 @@ coverageOf(const driver::RunResult &r)
 }
 
 driver::RunResult
-runSolo(const std::string &app, double scale, std::uint32_t rows)
+runSolo(const std::string &app, const driver::ExperimentOptions &opt,
+        std::uint32_t rows)
 {
     workloads::WorkloadParams wp;
-    wp.scale = scale;
+    wp.scale = opt.scale;
     auto wl = workloads::makeWorkload(app, wp);
-    driver::SystemConfig cfg;
+    driver::SystemConfig cfg = opt.machine;
     cfg.ulmt.algo = core::UlmtAlgo::Repl;
     cfg.ulmt.numRows = rows;
     cfg.label = "Repl";
@@ -62,14 +63,14 @@ runSolo(const std::string &app, double scale, std::uint32_t rows)
 }
 
 driver::RunResult
-runShared(const std::string &a, const std::string &b, double scale,
-          std::uint32_t rows)
+runShared(const std::string &a, const std::string &b,
+          const driver::ExperimentOptions &opt, std::uint32_t rows)
 {
     workloads::WorkloadParams wp;
-    wp.scale = scale;
+    wp.scale = opt.scale;
     workloads::InterleavedWorkload both(
         workloads::makeWorkload(a, wp), workloads::makeWorkload(b, wp));
-    driver::SystemConfig cfg;
+    driver::SystemConfig cfg = opt.machine;
     cfg.ulmt.algo = core::UlmtAlgo::Repl;
     cfg.ulmt.numRows = rows;
     cfg.label = "Repl(shared)";
@@ -82,18 +83,24 @@ runShared(const std::string &a, const std::string &b, double scale,
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.25);
-    const double scale = bopt.scale;
+    // One interleaved trace on one core, built here rather than by
+    // driver::runOne, so the core count and the per-run hooks are
+    // fixed; the rest of the base machine applies.
+    const bench::Options bopt = bench::parseArgs(
+        argc, argv, 0.25,
+        {"--apps", "--cores", "--ulmt-mode", "--trace-events",
+         "--checkpoint-at", "--checkpoint-to", "--restore-from"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("ablation_multiprog", bopt);
 
     const std::string a = "Mcf", b = "Gap";
     const std::uint32_t rows = 32 * 1024;  // Mcf's Table 2 size
 
     const std::vector<std::function<driver::RunResult()>> tasks = {
-        [&] { return runSolo(a, scale, rows); },
-        [&] { return runSolo(b, scale, rows); },
-        [&] { return runShared(a, b, scale, rows); },
-        [&] { return runShared(a, b, scale, 2 * rows); },
+        [&] { return runSolo(a, opt, rows); },
+        [&] { return runSolo(b, opt, rows); },
+        [&] { return runShared(a, b, opt, rows); },
+        [&] { return runShared(a, b, opt, 2 * rows); },
     };
     const std::vector<driver::RunResult> results =
         driver::runTasks(tasks);

@@ -21,9 +21,10 @@
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.5);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    // The figure fixes its application list.
+    const bench::Options bopt =
+        bench::parseArgs(argc, argv, 0.5, {"--apps"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("ablation_numlevels", bopt);
 
     const std::vector<std::string> apps = {"MST", "Mcf", "Tree"};

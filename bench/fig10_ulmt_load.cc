@@ -33,8 +33,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("fig10_ulmt_load", bopt);
 
     struct Variant
@@ -51,7 +50,7 @@ main(int argc, char **argv)
          mem::MemProcPlacement::NorthBridge},
     };
 
-    const auto &apps = workloads::applicationNames();
+    const std::vector<std::string> apps = bopt.appList();
     std::vector<driver::Job> jobs;
     for (const std::string &app : apps) {
         for (const Variant &v : variants) {

@@ -23,8 +23,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("fig11_bus_util", bopt);
 
     struct Entry
@@ -40,7 +39,7 @@ main(int argc, char **argv)
         {"Conven4+ReplMC", 0, 0, 0},
     };
 
-    const auto &apps = workloads::applicationNames();
+    const std::vector<std::string> apps = bopt.appList();
     std::vector<driver::Job> jobs;
     for (const std::string &app : apps) {
         for (const Entry &e : entries) {

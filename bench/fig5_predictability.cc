@@ -113,13 +113,11 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("fig5_predictability", bopt);
 
     const auto algos = algorithms();
-    const std::vector<std::string> apps =
-        workloads::applicationNames();
+    const std::vector<std::string> apps = bopt.appList();
 
     const std::vector<driver::RunResult> captures =
         driver::captureMissStreamRuns(apps, opt);

@@ -23,11 +23,10 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("fig7_exec_time", bopt);
 
-    const auto &apps = workloads::applicationNames();
+    const std::vector<std::string> apps = bopt.appList();
     std::vector<driver::Job> jobs;
     for (const std::string &app : apps) {
         jobs.push_back({app, driver::noPrefConfig(opt), opt});

@@ -112,14 +112,13 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("fig9_effectiveness", bopt);
 
     const std::vector<std::string> configs = {
         "Base", "Chain", "Repl", "Conven4+Repl", "Conven4+ReplMC"};
 
-    const auto &apps = bopt.appList();
+    const std::vector<std::string> apps = bopt.appList();
     std::vector<driver::Job> jobs;
     for (const std::string &app : apps) {
         jobs.push_back({app, driver::noPrefConfig(opt), opt});

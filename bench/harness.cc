@@ -1,6 +1,5 @@
 #include "bench/harness.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,205 +13,108 @@
 #include "driver/experiment.hh"
 #include "driver/runner.hh"
 #include "sim/logging.hh"
-#include "workloads/workload.hh"
 
 namespace bench {
 
-const std::vector<std::string> &
-Options::appList() const
-{
-    return apps.empty() ? workloads::applicationNames() : apps;
-}
-
 Options
-parseArgs(int argc, char **argv, double default_scale)
+parseArgs(int argc, char **argv, double default_scale,
+          std::initializer_list<const char *> refused)
 {
     Options opt;
-    opt.scale = default_scale;
+    driver::ExperimentOptions &exp = opt.experiment;
+    exp.scale = default_scale;
     bool scale_seen = false;
-    bool cores_seen = false;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            char *end = nullptr;
-            const long v = std::strtol(arg + 7, &end, 10);
-            if (*end != '\0' || v < 1 || v > 1024)
-                sim::fatal("bad --jobs value '%s'", arg + 7);
-            opt.jobs = static_cast<unsigned>(v);
-        } else if (std::strncmp(arg, "--apps=", 7) == 0) {
-            std::string cur;
-            for (const char *p = arg + 7;; ++p) {
-                if (*p == ',' || *p == '\0') {
-                    if (!cur.empty())
-                        opt.apps.push_back(cur);
-                    cur.clear();
-                    if (*p == '\0')
-                        break;
-                } else {
-                    cur += *p;
-                }
-            }
-            if (opt.apps.empty())
-                sim::fatal("empty --apps list");
-        } else if (std::strncmp(arg, "--trace-events=", 15) == 0) {
-            if (arg[15] == '\0')
-                sim::fatal("empty --trace-events path");
-            opt.traceEvents = arg + 15;
-        } else if (std::strncmp(arg, "--metrics-interval=", 19) == 0) {
-            char *end = nullptr;
-            const long long v = std::strtoll(arg + 19, &end, 10);
-            if (*end != '\0' || v < 0)
-                sim::fatal("bad --metrics-interval value '%s'",
-                           arg + 19);
-            opt.metricsInterval = v;
-        } else if (std::strcmp(arg, "--check") == 0 ||
-                   std::strcmp(arg, "--check=basic") == 0) {
-            opt.check.mode = check::CheckMode::Basic;
-        } else if (std::strcmp(arg, "--check=deep") == 0) {
-            opt.check.mode = check::CheckMode::Deep;
-        } else if (std::strncmp(arg, "--check=", 8) == 0) {
-            sim::fatal("bad --check mode '%s' (expected basic or deep)",
-                       arg + 8);
-        } else if (std::strncmp(arg, "--check-interval=", 17) == 0) {
-            char *end = nullptr;
-            const long long v = std::strtoll(arg + 17, &end, 10);
-            if (*end != '\0' || v < 1)
-                sim::fatal("bad --check-interval value '%s'", arg + 17);
-            opt.check.everyEvents = static_cast<std::uint64_t>(v);
-        } else if (std::strcmp(arg, "--audit=on") == 0) {
-            opt.audit = 1;
-        } else if (std::strcmp(arg, "--audit=off") == 0) {
-            opt.audit = 0;
-        } else if (std::strncmp(arg, "--audit", 7) == 0) {
-            sim::fatal("bad --audit value '%s' (expected on or off)",
-                       arg);
-        } else if (std::strncmp(arg, "--checkpoint-at=", 16) == 0) {
-            if (arg[16] == '\0')
-                sim::fatal("empty --checkpoint-at spec");
-            opt.checkpointAt = arg + 16;
-        } else if (std::strncmp(arg, "--checkpoint-to=", 16) == 0) {
-            if (arg[16] == '\0')
-                sim::fatal("empty --checkpoint-to directory");
-            opt.checkpointTo = arg + 16;
-        } else if (std::strncmp(arg, "--restore-from=", 15) == 0) {
-            if (arg[15] == '\0')
-                sim::fatal("empty --restore-from path");
-            opt.restoreFrom = arg + 15;
-        } else if (std::strcmp(arg, "--vm=on") == 0) {
-            opt.vm.enabled = true;
-            opt.vmSet = true;
-        } else if (std::strcmp(arg, "--vm=off") == 0) {
-            opt.vm.enabled = false;
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--vm", 4) == 0 &&
-                   (arg[4] == '\0' || arg[4] == '=')) {
-            sim::fatal("bad --vm value '%s' (expected on or off)", arg);
-        } else if (std::strncmp(arg, "--page-size=", 12) == 0) {
-            try {
-                opt.vm.pageBytes = vm::parsePageSize(arg + 12);
-            } catch (const std::invalid_argument &e) {
-                sim::fatal("%s", e.what());
-            }
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--remap-rate=", 13) == 0) {
-            char *end = nullptr;
-            const double v = std::strtod(arg + 13, &end);
-            if (*end != '\0' || !(v >= 0.0) || v > 1e6)
-                sim::fatal("bad --remap-rate value '%s' (remaps per "
-                           "million cycles, >= 0)",
-                           arg + 13);
-            opt.vm.remapRate = v;
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--table-cache=", 14) == 0) {
-            // <entries>[,<assoc>]; entries 0 disables the cache.
-            char *end = nullptr;
-            const long e = std::strtol(arg + 14, &end, 10);
-            long a = opt.tableCache.assoc;
-            if (*end == ',')
-                a = std::strtol(end + 1, &end, 10);
-            if (*end != '\0' || e < 0 || e > (1 << 20) || a < 1 ||
-                a > 64 || (e > 0 && e % a != 0))
-                sim::fatal("bad --table-cache value '%s' (expected "
-                           "<entries>[,<assoc>], entries divisible by "
-                           "assoc, 0 disables)",
-                           arg + 14);
-            opt.tableCache.entries = static_cast<std::uint32_t>(e);
-            opt.tableCache.assoc = static_cast<std::uint32_t>(a);
-            opt.tableCacheSet = true;
-        } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-            char *end = nullptr;
-            const long v = std::strtol(arg + 8, &end, 10);
-            if (*end != '\0' || v < 1 ||
-                v > static_cast<long>(sim::maxCores))
-                sim::fatal("bad --cores value '%s' (expected 1..%u)",
-                           arg + 8, unsigned(sim::maxCores));
-            opt.cores = static_cast<unsigned>(v);
-            cores_seen = true;
-        } else if (std::strncmp(arg, "--ulmt-mode=", 12) == 0) {
-            opt.ulmtMode = core::parseUlmtMode(arg + 12);
-            cores_seen = true;
-        } else if (std::strcmp(arg, "--list-workloads") == 0) {
-            for (const std::string &w : driver::listWorkloads())
-                std::printf("%s\n", w.c_str());
-            std::printf("trace:<path>\n");
-            std::exit(0);
-        } else if (!scale_seen && std::strncmp(arg, "--", 2) != 0) {
-            char *end = nullptr;
-            const double v = std::strtod(arg, &end);
-            if (end == arg || *end != '\0' || !std::isfinite(v) ||
-                v <= 0.0)
-                sim::fatal("bad scale '%s' (expected a finite number "
-                           "> 0)",
+        for (const char *r : refused) {
+            const std::size_t n = std::strlen(r);
+            if (std::strncmp(arg, r, n) == 0 &&
+                (arg[n] == '\0' || arg[n] == '='))
+                sim::fatal("this bench sets %s itself; refusing '%s'", r,
                            arg);
-            opt.scale = v;
-            scale_seen = true;
-        } else {
-            sim::fatal("unexpected argument '%s' (usage: bench "
-                       "[scale] [--jobs=N] [--apps=A,B,...] "
-                       "[--trace-events=PATH] [--metrics-interval=N] "
-                       "[--check[=basic|deep]] [--check-interval=N] "
-                       "[--audit=on|off] "
-                       "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
-                       "[--restore-from=PATH] [--cores=N] "
-                       "[--ulmt-mode=shared|percore|sharded] "
-                       "[--vm=on|off] [--page-size=4k|2m] "
-                       "[--remap-rate=R] "
-                       "[--table-cache=<entries>[,<assoc>]] "
-                       "[--list-workloads])",
-                       arg);
+        }
+        // Machine-flag and scale parsers throw; refuse the value.
+        try {
+            if (driver::parseMachineFlag(arg, exp.machine))
+                continue;
+            if (std::strncmp(arg, "--jobs=", 7) == 0) {
+                char *end = nullptr;
+                const long v = std::strtol(arg + 7, &end, 10);
+                if (*end != '\0' || v < 1 || v > 1024)
+                    sim::fatal("bad --jobs value '%s'", arg + 7);
+                opt.jobs = static_cast<unsigned>(v);
+            } else if (std::strncmp(arg, "--apps=", 7) == 0) {
+                std::string cur;
+                for (const char *p = arg + 7;; ++p) {
+                    if (*p == ',' || *p == '\0') {
+                        if (!cur.empty())
+                            opt.apps.push_back(cur);
+                        cur.clear();
+                        if (*p == '\0')
+                            break;
+                    } else {
+                        cur += *p;
+                    }
+                }
+                if (opt.apps.empty())
+                    sim::fatal("empty --apps list");
+            } else if (std::strncmp(arg, "--trace-events=", 15) == 0) {
+                if (arg[15] == '\0')
+                    sim::fatal("empty --trace-events path");
+                try {
+                    exp.traceEvents =
+                        std::make_shared<sim::TraceEventWriter>(arg + 15);
+                } catch (const std::runtime_error &e) {
+                    sim::fatal("--trace-events: %s", e.what());
+                }
+            } else if (std::strncmp(arg, "--checkpoint-at=", 16) == 0) {
+                if (arg[16] == '\0')
+                    sim::fatal("empty --checkpoint-at spec");
+                exp.checkpointAt = arg + 16;
+            } else if (std::strncmp(arg, "--checkpoint-to=", 16) == 0) {
+                if (arg[16] == '\0')
+                    sim::fatal("empty --checkpoint-to directory");
+                exp.checkpointTo = arg + 16;
+            } else if (std::strncmp(arg, "--restore-from=", 15) == 0) {
+                if (arg[15] == '\0')
+                    sim::fatal("empty --restore-from path");
+                exp.restoreFrom = arg + 15;
+                // Validate up front so a bad path or corrupt snapshot
+                // fails before the sweep starts, with a clean message.
+                try {
+                    (void)ckpt::CheckpointImage::readHeader(
+                        exp.restoreFrom);
+                } catch (const ckpt::CkptError &e) {
+                    sim::fatal("--restore-from: %s", e.what());
+                }
+            } else if (std::strcmp(arg, "--list-workloads") == 0) {
+                for (const std::string &w : driver::listWorkloads())
+                    std::printf("%s\n", w.c_str());
+                std::printf("trace:<path>\n");
+                std::exit(0);
+            } else if (!scale_seen && std::strncmp(arg, "--", 2) != 0) {
+                exp.scale = driver::parseScale(arg);
+                scale_seen = true;
+            } else {
+                sim::fatal(
+                    "unexpected argument '%s' (usage: bench [scale] "
+                    "[--jobs=N] [--apps=A,B,...] [--trace-events=PATH] "
+                    "[--metrics-interval=N] [--check[=basic|deep]] "
+                    "[--check-interval=N] [--audit=on|off] "
+                    "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
+                    "[--restore-from=PATH] [--cores=N] "
+                    "[--ulmt-mode=shared|percore|sharded] "
+                    "[--vm=on|off] [--page-size=4k|2m] [--remap-rate=R] "
+                    "[--table-cache=<entries>[,<assoc>]] "
+                    "[--list-workloads])",
+                    arg);
+            }
+        } catch (const std::invalid_argument &e) {
+            sim::fatal("%s", e.what());
         }
     }
     if (opt.jobs)
         driver::setRunnerJobs(opt.jobs);
-    if (!opt.traceEvents.empty())
-        driver::setTraceEventsPath(opt.traceEvents);
-    if (opt.metricsInterval >= 0)
-        driver::setMetricsIntervalOverride(
-            static_cast<sim::Cycle>(opt.metricsInterval));
-    if (opt.check.enabled())
-        driver::setCheckOverride(opt.check);
-    if (opt.audit >= 0)
-        driver::setAuditOverride(opt.audit != 0);
-    if (!opt.checkpointAt.empty())
-        driver::setCheckpointAt(opt.checkpointAt);
-    if (!opt.checkpointTo.empty())
-        driver::setCheckpointTo(opt.checkpointTo);
-    if (cores_seen)
-        driver::setCoresOverride(opt.cores, opt.ulmtMode);
-    if (opt.vmSet)
-        driver::setVmOverride(opt.vm);
-    if (opt.tableCacheSet)
-        driver::setTableCacheOverride(opt.tableCache);
-    if (!opt.restoreFrom.empty()) {
-        // Validate up front so a bad path or corrupt snapshot fails
-        // before the sweep starts, with a clean diagnostic.
-        try {
-            (void)ckpt::CheckpointImage::readHeader(opt.restoreFrom);
-        } catch (const ckpt::CkptError &e) {
-            sim::fatal("--restore-from: %s", e.what());
-        }
-        driver::setRestoreFrom(opt.restoreFrom);
-    }
     return opt;
 }
 
@@ -468,7 +370,7 @@ Harness::writeJson() const
     appendEscaped(out, name_);
     out += ",\n";
     out += sim::strformat("  \"jobs\": %u,\n", driver::runnerJobs());
-    out += "  \"scale\": " + jsonNumber(opt_.scale) + ",\n";
+    out += "  \"scale\": " + jsonNumber(opt_.experiment.scale) + ",\n";
     out += "  \"wall_seconds_total\": " + jsonNumber(total) + ",\n";
     out += provenanceJson();
 
@@ -607,9 +509,10 @@ Harness::writeJson() const
     out += first_metric ? "}\n" : "\n  }\n";
     out += "}\n";
 
-    // A bench owns the process-wide trace file: close it here so the
-    // JSON epilogue lands even when main never returns normally.
-    driver::finishTraceEvents();
+    // Close the bench's trace file here so its JSON epilogue lands
+    // even when main never returns normally.
+    if (opt_.experiment.traceEvents)
+        opt_.experiment.traceEvents->finish();
 
     std::string path = "BENCH_" + name_ + ".json";
     if (const char *dir = std::getenv("ULMT_BENCH_DIR")) {
@@ -654,7 +557,7 @@ Harness::writeThroughputJson() const
         appendEscaped(out, r.label);
         // Self-identifying rows: a throughput archive mixes many bench
         // invocations, so each row carries its machine shape.
-        out += ", \"scale\": " + jsonNumber(opt_.scale);
+        out += ", \"scale\": " + jsonNumber(opt_.experiment.scale);
         out += sim::strformat(", \"cores\": %u", r.cores);
         out += ", \"ulmt_mode\": ";
         appendEscaped(out, r.ulmtMode.empty() ? "shared" : r.ulmtMode);

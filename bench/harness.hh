@@ -41,99 +41,61 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "driver/system.hh"
+#include "driver/experiment.hh"
 
 namespace bench {
 
 /**
  * Common bench CLI: `bench [scale] [--jobs=N] [--apps=A,B,...]
- * [--trace-events=PATH] [--metrics-interval=N]
- * [--check[=basic|deep]] [--check-interval=N] [--audit=on|off]
- * [--checkpoint-at=SPEC] [--checkpoint-to=DIR] [--restore-from=PATH]
- * [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]
- * [--table-cache=<entries>[,<assoc>]] [--list-workloads]`.
+ * [--trace-events=PATH] [--checkpoint-at=SPEC] [--checkpoint-to=DIR]
+ * [--restore-from=PATH] [machine flags] [--list-workloads]`, where the
+ * machine flags are those of driver::parseMachineFlag.
  */
 struct Options
 {
-    double scale = 1.0;
     unsigned jobs = 0;  //!< 0 = resolve via driver::runnerJobs()
     /** Workload list override (names or trace:<path>); empty = the
      *  bench's default set (usually the nine paper applications). */
     std::vector<std::string> apps;
-    /** Chrome trace-event output path; empty = tracing off. */
-    std::string traceEvents;
-    /** Sampling-interval override in cycles (-1 = config default,
-     *  0 = sampling off). */
-    long long metricsInterval = -1;
-    /** Runtime invariant checking for every run (DESIGN.md sect. 10):
-     *  `--check`/`--check=basic` walks structural invariants,
-     *  `--check=deep` adds the lockstep reference models.  Off by
-     *  default; never perturbs simulated timing. */
-    check::CheckOptions check;
-    /** Checkpoint trigger spec ("<N>" misses or "<N>c"); empty = off. */
-    std::string checkpointAt;
-    /** Directory for triggered snapshots (empty = "."). */
-    std::string checkpointTo;
-    /** Restore every run from this snapshot; empty = off. */
-    std::string restoreFrom;
-    /** Lifecycle auditing for every run (`--audit=on|off`; the
-     *  SystemConfig default -- on -- when unset).  Passive. */
-    int audit = -1;
-    /** Main processors per simulated machine (`--cores=N`). */
-    unsigned cores = 1;
-    /** ULMT serving mode (`--ulmt-mode=shared|percore|sharded`). */
-    core::UlmtMode ulmtMode = core::UlmtMode::Shared;
-    /** VM layer for every run (`--vm=on|off`, `--page-size=4k|2m`,
-     *  `--remap-rate=R` remaps/Mcycle).  The defaults describe the
-     *  pre-VM machine: vm.on() false, nothing built. */
-    vm::VmSpec vm;
-    /** True when any of the VM flags was given. */
-    bool vmSet = false;
-    /** Memory-side table cache for every run
-     *  (`--table-cache=<entries>[,<assoc>]`; 0 -- the default --
-     *  keeps the pre-MSCache table path, bit-identical). */
-    mem::TableCacheSpec tableCache;
-    /** True when --table-cache was given. */
-    bool tableCacheSet = false;
+    /** Scale, base machine, checkpoint/restore and trace-event sink:
+     *  every run of the bench starts from a copy of these. */
+    driver::ExperimentOptions experiment;
 
-    /** The bench's workload list: the override, or the nine apps. */
-    const std::vector<std::string> &appList() const;
+    /** The bench's workload list: the override, or @p defaults. */
+    std::vector<std::string>
+    appList(std::vector<std::string> defaults =
+                workloads::applicationNames()) const
+    {
+        return apps.empty() ? defaults : apps;
+    }
 };
 
 /**
  * Parse the common CLI.  A bare positional argument is the workload
- * scale; `--jobs=N` overrides the worker count for this process (it
- * takes precedence over ULMT_JOBS); `--apps=A,B,...` replaces the
- * default workload set with any mix of application names and
- * `trace:<path>` corpora; `--trace-events=PATH` streams Chrome trace
- * events from every run into PATH; `--metrics-interval=N` overrides
- * the time-series sampling interval (0 disables sampling);
- * `--check` (or `--check=basic`) runs the invariant checker on every
- * run, `--check=deep` additionally diffs the lockstep reference
- * models, and `--check-interval=N` sets the cadence in executed
- * events (default 2048);
- * `--audit=on|off` forces the (passive, on-by-default) prefetch
- * lifecycle auditor for every run;
+ * scale (a finite number > 0); `--jobs=N` overrides the worker count
+ * for this process (it takes precedence over ULMT_JOBS);
+ * `--apps=A,B,...` replaces the default workload set with any mix of
+ * application names and `trace:<path>` corpora; `--trace-events=PATH`
+ * streams Chrome trace events from every run into PATH;
  * `--checkpoint-at=SPEC` snapshots every run after SPEC ("<N>" demand
  * L2 misses, "<N>c" at cycle N) into `--checkpoint-to=DIR`;
- * `--restore-from=PATH` resumes every run from a snapshot;
- * `--cores=N` runs every configuration on an N-core machine and
- * `--ulmt-mode=shared|percore|sharded` picks how its memory-side
- * service is shared among the cores;
- * `--vm=on` forces address translation on for every run,
- * `--page-size=4k|2m` picks the page size and `--remap-rate=R` sets
- * the page-migration churn in remaps per million cycles (any VM flag
- * that leaves the spec non-default builds the VM layer);
- * `--table-cache=<entries>[,<assoc>]` puts an SRAM cache of that
- * geometry in front of the correlation table's DRAM traffic (0
- * disables it, the default);
- * `--list-workloads` prints the registered workload names and exits.
+ * `--restore-from=PATH` resumes every run from a snapshot; every
+ * machine flag (`--cores`, `--vm`, `--table-cache`, `--audit`,
+ * `--check`, `--metrics-interval`, ...) sets the base machine all of
+ * the bench's configurations start from; `--list-workloads` prints the
+ * registered workload names and exits.
+ *
+ * @param refused flags this bench fixes or sweeps itself (e.g.
+ *        "--cores"); passing one is a fatal error, as is any
+ *        malformed or unknown argument.
  */
-Options parseArgs(int argc, char **argv, double default_scale);
+Options parseArgs(int argc, char **argv, double default_scale,
+                  std::initializer_list<const char *> refused = {});
 
 /** Collects per-run perf data and metrics; writes BENCH_<name>.json. */
 class Harness

@@ -71,9 +71,9 @@ obsDropped(const driver::RunResult &r)
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.05);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const bench::Options bopt =
+        bench::parseArgs(argc, argv, 0.05, {"--cores", "--ulmt-mode"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("multicore", bopt);
 
     // Sparse is the workload whose misses actually repeat, so it also
@@ -81,9 +81,7 @@ main(int argc, char **argv)
     // tenants; the pointer-chasing three mostly contend for queue 1,
     // the bus and DRAM.
     const std::vector<std::string> apps =
-        bopt.apps.empty() ? std::vector<std::string>{"MST", "Tree",
-                                                     "CG", "Sparse"}
-                          : bopt.apps;
+        bopt.appList({"MST", "Tree", "CG", "Sparse"});
     const std::vector<unsigned> coreCounts = {1, 2, 4, 8};
     const std::vector<core::UlmtMode> modes = {
         core::UlmtMode::Shared, core::UlmtMode::PerCore,

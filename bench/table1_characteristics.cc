@@ -101,7 +101,13 @@ measure(core::CorrelationPrefetcher &algo, std::uint32_t num_rows)
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
+    // Host-side only: no simulated machine or run to configure.
+    const bench::Options bopt = bench::parseArgs(
+        argc, argv, 1.0,
+        {"--apps", "--trace-events", "--checkpoint-at", "--checkpoint-to",
+         "--restore-from", "--cores", "--ulmt-mode", "--vm",
+         "--page-size", "--remap-rate", "--table-cache", "--audit",
+         "--check", "--check-interval", "--metrics-interval"});
     bench::Harness harness("table1_characteristics", bopt);
 
     constexpr std::uint32_t rows = 8192;

@@ -55,12 +55,10 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt = bench::parseArgs(argc, argv, 1.0);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("table2_sizing", bopt);
 
-    const std::vector<std::string> apps =
-        workloads::applicationNames();
+    const std::vector<std::string> apps = bopt.appList();
     const std::vector<driver::RunResult> captures =
         driver::captureMissStreamRuns(apps, opt);
     harness.recordAll(captures);

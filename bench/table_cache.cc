@@ -55,17 +55,15 @@ hitRate(const driver::RunResult &r)
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.25);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const bench::Options bopt =
+        bench::parseArgs(argc, argv, 0.25, {"--table-cache"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("table_cache", bopt);
 
     // Pointer-chasing workloads with large correlation tables: their
     // table rows are re-touched often enough for locality to matter.
     const std::vector<std::string> apps =
-        bopt.apps.empty()
-            ? std::vector<std::string>{"MST", "Tree", "Sparse"}
-            : bopt.apps;
+        bopt.appList({"MST", "Tree", "Sparse"});
     const std::vector<Geometry> geometries = {
         {0, 4},    {256, 4},  {256, 8},  {1024, 4},
         {1024, 8}, {4096, 4}, {4096, 8},

@@ -53,16 +53,14 @@ tlbMissRate(const driver::RunResult &r)
 int
 main(int argc, char **argv)
 {
-    const bench::Options bopt = bench::parseArgs(argc, argv, 0.25);
-    driver::ExperimentOptions opt;
-    opt.scale = bopt.scale;
+    const bench::Options bopt = bench::parseArgs(
+        argc, argv, 0.25, {"--vm", "--page-size", "--remap-rate"});
+    const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("vm_churn", bopt);
 
     // MST is the paper's strongest correlation workload, so its
     // coverage is the most sensitive to table staleness.
-    const std::vector<std::string> apps =
-        bopt.apps.empty() ? std::vector<std::string>{"MST"}
-                          : bopt.apps;
+    const std::vector<std::string> apps = bopt.appList({"MST"});
     const std::vector<core::UlmtAlgo> algos = {core::UlmtAlgo::Base,
                                                core::UlmtAlgo::Chain,
                                                core::UlmtAlgo::Repl};

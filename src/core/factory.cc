@@ -1,5 +1,7 @@
 #include "core/factory.hh"
 
+#include <stdexcept>
+
 #include "core/adaptive.hh"
 #include "core/conflict_aware.hh"
 #include "core/base_chain.hh"
@@ -79,9 +81,9 @@ parseUlmtMode(const std::string &name)
         if (to_string(m) == name)
             return m;
     }
-    sim::fatal("unknown ULMT serving mode '%s' (expected shared, "
-               "percore or sharded)",
-               name.c_str());
+    throw std::invalid_argument("unknown ULMT serving mode '" + name +
+                                "' (expected shared, percore or "
+                                "sharded)");
 }
 
 namespace {

@@ -51,7 +51,8 @@ enum class UlmtMode : std::uint8_t {
 /** Printable mode name ("shared", "percore", "sharded"). */
 std::string to_string(UlmtMode mode);
 
-/** Parse a serving-mode name. */
+/** Parse a serving-mode name.
+ *  @throws std::invalid_argument on an unknown name. */
 UlmtMode parseUlmtMode(const std::string &name);
 
 /** Full specification of a ULMT (algorithm + table geometry + mode). */

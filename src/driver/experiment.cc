@@ -1,8 +1,13 @@
 #include "driver/experiment.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "workloads/offset.hh"
@@ -14,26 +19,10 @@ namespace {
 SystemConfig
 baseConfig(const ExperimentOptions &opt)
 {
-    SystemConfig cfg;
+    SystemConfig cfg = opt.machine;
     cfg.timing.placement = opt.placement;
     return cfg;
 }
-
-// Shared trace writer + sampling override.  Guarded by a mutex only
-// for pointer swaps; writeProcess serializes internally.
-std::mutex obsMutex;
-std::unique_ptr<sim::TraceEventWriter> traceWriter;
-std::optional<sim::Cycle> metricsOverride;
-std::optional<check::CheckOptions> checkOverride;
-std::optional<bool> auditOverride;
-std::optional<std::pair<unsigned, core::UlmtMode>> coresOverride;
-std::optional<vm::VmSpec> vmOverride;
-std::optional<mem::TableCacheSpec> tableCacheOverride;
-
-// Process-wide checkpoint hooks (same pattern as the trace writer).
-std::string ckptAtSpec;
-std::string ckptToDir;
-std::string restoreFromPath;
 
 /** Per-run snapshot file name: path-hostile characters in app names
  *  ("trace:/x/y.ulmttrace") and labels become underscores. */
@@ -48,114 +37,133 @@ snapshotName(const std::string &app, const std::string &label)
     return n + ".ulmtckp";
 }
 
+/** Refuse @p value of machine flag @p flag. */
+[[noreturn]] void
+badValue(const std::string &flag, const std::string &value,
+         const char *expected)
+{
+    throw std::invalid_argument("bad " + flag + " value '" + value +
+                                "' (expected " + expected + ")");
+}
+
+/** The whole of @p v as a base-10 integer in [lo, hi]. */
+long long
+intValue(const std::string &flag, const std::string &v, long long lo,
+         long long hi, const char *expected)
+{
+    char *end = nullptr;
+    const long long n = std::strtoll(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || n < lo || n > hi)
+        badValue(flag, v, expected);
+    return n;
+}
+
 } // namespace
 
-void
-setTraceEventsPath(const std::string &path)
+bool
+parseMachineFlag(const std::string &arg, SystemConfig &cfg)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    traceWriter.reset();
-    if (!path.empty())
-        traceWriter = std::make_unique<sim::TraceEventWriter>(path);
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const bool has_value = eq != std::string::npos;
+    const std::string v = has_value ? arg.substr(eq + 1) : "";
+    if (flag == "--check" && !has_value) {
+        cfg.check.mode = check::CheckMode::Basic;
+        return true;
+    }
+    static const char *const owned[] = {
+        "--cores", "--ulmt-mode", "--vm", "--page-size", "--remap-rate",
+        "--table-cache", "--audit", "--check", "--check-interval",
+        "--metrics-interval"};
+    if (std::find(std::begin(owned), std::end(owned), flag) ==
+        std::end(owned))
+        return false;
+    if (!has_value)
+        throw std::invalid_argument(flag + " needs a value");
+
+    if (flag == "--cores") {
+        cfg.cores = static_cast<unsigned>(
+            intValue(flag, v, 1, sim::maxCores,
+                     ("1.." + std::to_string(sim::maxCores)).c_str()));
+    } else if (flag == "--ulmt-mode") {
+        try {
+            cfg.ulmtMode = core::parseUlmtMode(v);
+        } catch (const std::invalid_argument &) {
+            badValue(flag, v, "shared, percore or sharded");
+        }
+    } else if (flag == "--vm") {
+        if (v != "on" && v != "off")
+            badValue(flag, v, "on or off");
+        cfg.vm.enabled = v == "on";
+    } else if (flag == "--page-size") {
+        try {
+            cfg.vm.pageBytes = vm::parsePageSize(v);
+        } catch (const std::invalid_argument &) {
+            badValue(flag, v, "4k or 2m");
+        }
+    } else if (flag == "--remap-rate") {
+        char *end = nullptr;
+        const double r = std::strtod(v.c_str(), &end);
+        if (v.empty() || *end != '\0' || !(r >= 0.0) || r > 1e6)
+            badValue(flag, v, "remaps per million cycles, 0..1e6");
+        cfg.vm.remapRate = r;
+    } else if (flag == "--table-cache") {
+        const char *expected = "<entries>[,<assoc>], entries 0..1048576 "
+                               "divisible by assoc 1..64, 0 disables";
+        const std::size_t comma = v.find(',');
+        const long long e = intValue(flag, v.substr(0, comma), 0, 1 << 20,
+                                     expected);
+        const long long a =
+            comma == std::string::npos
+                ? cfg.tableCache.assoc
+                : intValue(flag, v.substr(comma + 1), 1, 64, expected);
+        if (e > 0 && e % a != 0)
+            badValue(flag, v, expected);
+        cfg.tableCache.entries = static_cast<std::uint32_t>(e);
+        cfg.tableCache.assoc = static_cast<std::uint32_t>(a);
+    } else if (flag == "--audit") {
+        if (v != "on" && v != "off")
+            badValue(flag, v, "on or off");
+        cfg.audit = v == "on";
+    } else if (flag == "--check") {
+        if (v == "basic")
+            cfg.check.mode = check::CheckMode::Basic;
+        else if (v == "deep")
+            cfg.check.mode = check::CheckMode::Deep;
+        else
+            badValue(flag, v, "basic or deep");
+    } else if (flag == "--check-interval") {
+        cfg.check.everyEvents = static_cast<std::uint64_t>(
+            intValue(flag, v, 1, LLONG_MAX, "an event count >= 1"));
+    } else {
+        cfg.metricsInterval = static_cast<sim::Cycle>(
+            intValue(flag, v, 0, LLONG_MAX, "a cycle count >= 0"));
+    }
+    return true;
 }
 
-sim::TraceEventWriter *
-traceEventWriter()
+double
+parseScale(const std::string &text)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    return traceWriter.get();
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+        throw std::invalid_argument("bad scale '" + text +
+                                    "' (expected a finite number > 0)");
+    return v;
 }
 
-void
-finishTraceEvents()
+std::uint64_t
+parseSeed(const std::string &text)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    if (traceWriter)
-        traceWriter->finish();
-}
-
-void
-setMetricsIntervalOverride(sim::Cycle interval)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    metricsOverride = interval;
-}
-
-void
-clearMetricsIntervalOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    metricsOverride.reset();
-}
-
-void
-setCheckOverride(const check::CheckOptions &opts)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    checkOverride = opts;
-}
-
-void
-clearCheckOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    checkOverride.reset();
-}
-
-void
-setAuditOverride(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    auditOverride = enabled;
-}
-
-void
-clearAuditOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    auditOverride.reset();
-}
-
-void
-setCoresOverride(unsigned cores, core::UlmtMode mode)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    coresOverride = {cores, mode};
-}
-
-void
-clearCoresOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    coresOverride.reset();
-}
-
-void
-setVmOverride(const vm::VmSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    vmOverride = spec;
-}
-
-void
-clearVmOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    vmOverride.reset();
-}
-
-void
-setTableCacheOverride(const mem::TableCacheSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    tableCacheOverride = spec;
-}
-
-void
-clearTableCacheOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    tableCacheOverride.reset();
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument("bad seed '" + text +
+                                    "' (expected a non-negative integer)");
+    return v;
 }
 
 std::vector<std::unique_ptr<workloads::Workload>>
@@ -248,27 +256,6 @@ customConfig(const ExperimentOptions &opt, const std::string &app,
     return cfg;
 }
 
-void
-setCheckpointAt(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    ckptAtSpec = spec;
-}
-
-void
-setCheckpointTo(const std::string &dir)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    ckptToDir = dir;
-}
-
-void
-setRestoreFrom(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    restoreFromPath = path;
-}
-
 const std::vector<std::string> &
 listWorkloads()
 {
@@ -317,19 +304,6 @@ runSampled(const SystemConfig &cfg, const std::string &ckpt_path)
     const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(ckpt_path);
 
     SystemConfig effective = cfg;
-    {
-        std::lock_guard<std::mutex> lock(obsMutex);
-        if (metricsOverride)
-            effective.metricsInterval = *metricsOverride;
-        if (checkOverride)
-            effective.check = *checkOverride;
-        if (auditOverride)
-            effective.audit = *auditOverride;
-        if (vmOverride)
-            effective.vm = *vmOverride;
-        if (tableCacheOverride)
-            effective.tableCache = *tableCacheOverride;
-    }
     effective.cores = h.cores;
     if (h.ulmtMode >
         static_cast<std::uint32_t>(core::UlmtMode::Sharded)) {
@@ -348,41 +322,17 @@ RunResult
 runOne(const std::string &app, const SystemConfig &cfg,
        const ExperimentOptions &opt)
 {
-    SystemConfig effective = cfg;
-    sim::TraceEventWriter *writer = nullptr;
-    std::string ckpt_at, ckpt_dir, restore_from;
-    {
-        std::lock_guard<std::mutex> lock(obsMutex);
-        if (metricsOverride)
-            effective.metricsInterval = *metricsOverride;
-        if (checkOverride)
-            effective.check = *checkOverride;
-        if (auditOverride)
-            effective.audit = *auditOverride;
-        if (coresOverride) {
-            effective.cores = coresOverride->first;
-            effective.ulmtMode = coresOverride->second;
-        }
-        if (vmOverride)
-            effective.vm = *vmOverride;
-        if (tableCacheOverride)
-            effective.tableCache = *tableCacheOverride;
-        writer = traceWriter.get();
-        ckpt_at = ckptAtSpec;
-        ckpt_dir = ckptToDir;
-        restore_from = restoreFromPath;
-    }
-
-    BuiltSystem b = buildSystem(effective, app, opt.seed, opt.scale);
+    BuiltSystem b = buildSystem(cfg, app, opt.seed, opt.scale);
     System &sys = *b.sys;
-    if (!restore_from.empty())
-        sys.restoreCheckpoint(restore_from);
-    if (!ckpt_at.empty()) {
-        const std::string dir = ckpt_dir.empty() ? "." : ckpt_dir;
+    if (!opt.restoreFrom.empty())
+        sys.restoreCheckpoint(opt.restoreFrom);
+    if (!opt.checkpointAt.empty()) {
+        const std::string dir =
+            opt.checkpointTo.empty() ? "." : opt.checkpointTo;
         sys.setCheckpointTrigger(
-            ckpt_at, dir + "/" + snapshotName(app, effective.label));
+            opt.checkpointAt, dir + "/" + snapshotName(app, cfg.label));
     }
-    if (!writer)
+    if (!opt.traceEvents)
         return sys.run();
 
     // Per-run buffer, flushed as its own trace process so a parallel
@@ -390,7 +340,7 @@ runOne(const std::string &app, const SystemConfig &cfg,
     sim::TraceEventBuffer buf;
     sys.setTraceEvents(&buf);
     RunResult r = sys.run();
-    writer->writeProcess(app + "/" + effective.label, buf);
+    opt.traceEvents->writeProcess(app + "/" + cfg.label, buf);
     return r;
 }
 

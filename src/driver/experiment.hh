@@ -7,6 +7,7 @@
 #ifndef DRIVER_EXPERIMENT_HH
 #define DRIVER_EXPERIMENT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,53 @@ struct ExperimentOptions
     double scale = 1.0;            //!< workload size multiplier
     std::uint64_t seed = 0xA11CE;  //!< workload structure seed
     mem::MemProcPlacement placement = mem::MemProcPlacement::InDram;
+    /**
+     * The machine every config builder starts from.  The CLIs' machine
+     * flags (parseMachineFlag) land here; a builder then sets only what
+     * its configuration is about, and a bench that sets a field itself
+     * afterwards wins.  Defaults are the paper's machine; its
+     * timing.placement is replaced by placement above.
+     */
+    SystemConfig machine;
+    /** One-shot checkpoint trigger for every run: "<N>" demand L2
+     *  misses or "<N>c" at cycle N; empty = off.  Each run writes
+     *  `<checkpointTo>/<app>-<label>.ulmtckp`. */
+    std::string checkpointAt;
+    /** Directory for triggered snapshots (empty = "."). */
+    std::string checkpointTo;
+    /** Restore every run from this snapshot before running (empty =
+     *  off).  Its configuration fingerprint must match the run's. */
+    std::string restoreFrom;
+    /** Shared Chrome trace-event file; each run lands in it as its own
+     *  trace process.  Null = tracing off. */
+    std::shared_ptr<sim::TraceEventWriter> traceEvents;
 };
+
+/**
+ * Apply one machine flag to @p cfg: `--cores=N`,
+ * `--ulmt-mode=shared|percore|sharded`, `--vm=on|off`,
+ * `--page-size=4k|2m`, `--remap-rate=R` (remaps per million cycles),
+ * `--table-cache=<entries>[,<assoc>]` (0 entries = off),
+ * `--audit=on|off`, `--check[=basic|deep]`, `--check-interval=N` and
+ * `--metrics-interval=N` (0 = sampling off).
+ *
+ * @return false when @p arg is not a machine flag (@p cfg untouched).
+ * @throws std::invalid_argument naming the flag on a bad value.
+ */
+bool parseMachineFlag(const std::string &arg, SystemConfig &cfg);
+
+/**
+ * The workload scale of a CLI: all of @p text must be a finite number
+ * > 0.  @throws std::invalid_argument otherwise.
+ */
+double parseScale(const std::string &text);
+
+/**
+ * A workload seed (decimal, or hex with 0x): all of @p text must be a
+ * non-negative integer that fits 64 bits.
+ * @throws std::invalid_argument otherwise.
+ */
+std::uint64_t parseSeed(const std::string &text);
 
 /** No prefetching at all. */
 SystemConfig noPrefConfig(const ExperimentOptions &opt);
@@ -50,95 +97,12 @@ SystemConfig conven4PlusUlmtConfig(const ExperimentOptions &opt,
 SystemConfig customConfig(const ExperimentOptions &opt,
                           const std::string &app, bool &customized);
 
-/** Construct the workload and run one configuration to completion. */
+/**
+ * Construct the workload and run one configuration to completion,
+ * honouring @p opt's checkpoint, restore and trace-event settings.
+ */
 RunResult runOne(const std::string &app, const SystemConfig &cfg,
                  const ExperimentOptions &opt);
-
-// --- Process-wide observability hooks --------------------------------
-//
-// Every experiment funnel (runOne) honours these, so enabling the
-// trace-event file or overriding the sampling interval covers an
-// entire sweep -- including runs dispatched through the parallel
-// runner, each of which lands in the shared file as its own trace
-// process.
-
-/**
- * Start writing Chrome trace events from all subsequent runs to
- * @p path (empty string turns tracing back off).
- * @throws std::runtime_error when the file cannot be created.
- */
-void setTraceEventsPath(const std::string &path);
-
-/** The active shared writer, or nullptr when tracing is off. */
-sim::TraceEventWriter *traceEventWriter();
-
-/** Finalize and close the shared trace file (idempotent). */
-void finishTraceEvents();
-
-/**
- * Override SystemConfig::metricsInterval for all subsequent runOne
- * calls (0 disables sampling); pass through without calling to keep
- * each config's own value.
- */
-void setMetricsIntervalOverride(sim::Cycle interval);
-
-/** Drop the metrics-interval override. */
-void clearMetricsIntervalOverride();
-
-/**
- * Override SystemConfig::check for all subsequent runOne / runSampled
- * calls (the bench harness's `--check` flags).  Checking is passive,
- * so results are bit-identical with it on or off.
- */
-void setCheckOverride(const check::CheckOptions &opts);
-
-/** Drop the check override. */
-void clearCheckOverride();
-
-/**
- * Override SystemConfig::audit for all subsequent runOne / runSampled
- * calls (the bench harness's `--audit=on|off` flag).  Auditing is
- * passive, so fingerprints and cycle counts are bit-identical with it
- * on or off.
- */
-void setAuditOverride(bool enabled);
-
-/** Drop the audit override. */
-void clearAuditOverride();
-
-/**
- * Override SystemConfig::cores / ulmtMode for all subsequent runOne
- * calls (the bench harness's `--cores` / `--ulmt-mode` flags), so an
- * entire sweep of single-core configurations runs on a multicore
- * machine without touching each config.
- */
-void setCoresOverride(unsigned cores, core::UlmtMode mode);
-
-/** Drop the cores override. */
-void clearCoresOverride();
-
-/**
- * Override SystemConfig::vm for all subsequent runOne / runSampled
- * calls (the bench harness's `--vm` / `--page-size` / `--remap-rate`
- * flags).  Unlike the passive observability overrides, the VM layer
- * shapes simulated behaviour, so only runs that opt in share a
- * fingerprint.
- */
-void setVmOverride(const vm::VmSpec &spec);
-
-/** Drop the VM override. */
-void clearVmOverride();
-
-/**
- * Override SystemConfig::tableCache for all subsequent runOne /
- * runSampled calls (the bench harness's `--table-cache` flag).  Like
- * the VM layer it shapes simulated behaviour, so only runs that opt
- * in share a fingerprint.
- */
-void setTableCacheOverride(const mem::TableCacheSpec &spec);
-
-/** Drop the table-cache override. */
-void clearTableCacheOverride();
 
 /**
  * The per-core workload set of a multicore run: core 0 replays the
@@ -149,26 +113,6 @@ void clearTableCacheOverride();
 std::vector<std::unique_ptr<workloads::Workload>>
 makeCoreWorkloads(const std::string &app, std::uint64_t seed,
                   double scale, unsigned cores);
-
-// --- Checkpointing ---------------------------------------------------
-
-/**
- * Arm a one-shot checkpoint in all subsequent runOne calls: @p spec is
- * "<N>" (after N demand L2 misses) or "<N>c" (at cycle N); empty
- * disarms.  Each run writes `<dir>/<app>-<label>.ulmtckp` where dir is
- * set by setCheckpointTo (default ".").
- */
-void setCheckpointAt(const std::string &spec);
-
-/** Directory for triggered snapshots (empty = current directory). */
-void setCheckpointTo(const std::string &dir);
-
-/**
- * Restore every subsequent runOne call from @p path before running
- * (empty disarms).  The checkpoint's configuration fingerprint must
- * match the run's config, so this is for single-config invocations.
- */
-void setRestoreFrom(const std::string &path);
 
 /**
  * The sampled-run mode (warmup + measure): rebuild the workload from

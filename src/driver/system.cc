@@ -36,25 +36,6 @@ effectiveCheckOptions(const SystemConfig &cfg)
     return opts;
 }
 
-/**
- * The config's audit flag, unless the ULMT_AUDIT environment variable
- * overrides it process-wide (0/off disables, 1/on enables) -- the same
- * escape hatch pattern as ULMT_CHECK, e.g. for an A/B passivity sweep
- * over an unmodified benchmark binary.
- */
-bool
-effectiveAuditEnabled(const SystemConfig &cfg)
-{
-    if (const char *env = std::getenv("ULMT_AUDIT")) {
-        const std::string v(env);
-        if (v == "0" || v == "off")
-            return false;
-        if (v == "1" || v == "on")
-            return true;
-    }
-    return cfg.audit;
-}
-
 /** Section name of core/engine @p i: instance 0 keeps the
  *  pre-multicore unsuffixed name. */
 std::string
@@ -197,7 +178,7 @@ System::init()
         }
     }
 
-    if (effectiveAuditEnabled(cfg_)) {
+    if (cfg_.audit) {
         audit_ = std::make_unique<mem::PrefetchAudit>(
             cfg_.cores,
             static_cast<unsigned>(std::max<std::size_t>(

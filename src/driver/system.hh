@@ -92,8 +92,7 @@ struct SystemConfig
      * attribution (DESIGN.md section 12).  On by default; passive like
      * metricsInterval and check -- simulated timing and determinism
      * fingerprints are bit-identical with it on or off, so it is
-     * excluded from configFingerprint().  The ULMT_AUDIT environment
-     * variable (0/off or 1/on) overrides this field process-wide.
+     * excluded from configFingerprint().
      */
     bool audit = true;
     /**

@@ -4,14 +4,12 @@
  * passivity (bit-identical fingerprints with auditing on or off, single
  * and multicore), the taxonomy identities against the pre-existing
  * hierarchy counters, lifecycle conservation, the lead-time histogram,
- * the blocked_by interference matrix, the ULMT_AUDIT environment
- * override, and the composed observability run (time series + trace
- * events + audit at --cores=4).
+ * the blocked_by interference matrix, and the composed observability
+ * run (time series + trace events + audit at --cores=4).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -95,19 +93,6 @@ TEST(AuditPassivityTest, ComposedObservabilityMulticore)
     for (const std::string &ch : composed.metrics.channels)
         has_cov = has_cov || ch == "audit.coverage";
     EXPECT_TRUE(has_cov);
-}
-
-TEST(AuditPassivityTest, EnvOverrideDisablesAndEnables)
-{
-    ::setenv("ULMT_AUDIT", "0", 1);
-    const driver::RunResult off = runMcf(true);
-    ::setenv("ULMT_AUDIT", "1", 1);
-    const driver::RunResult on = runMcf(false);
-    ::unsetenv("ULMT_AUDIT");
-    EXPECT_FALSE(off.audit.enabled);
-    EXPECT_TRUE(on.audit.enabled);
-    EXPECT_EQ(driver::resultFingerprint(off),
-              driver::resultFingerprint(on));
 }
 
 // ---------------------------------------------------------------------

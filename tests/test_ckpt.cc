@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -562,6 +563,14 @@ struct SystemCase
     const char *app;
     core::UlmtAlgo algo;
 };
+
+// Without this, gtest prints the case as raw bytes, pointer included, so
+// the listed test name would change with the binary's string layout.
+void
+PrintTo(const SystemCase &c, std::ostream *os)
+{
+    *os << c.app << "/" << core::to_string(c.algo);
+}
 
 class SystemRoundTrip : public ::testing::TestWithParam<SystemCase>
 {

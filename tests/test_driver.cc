@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests for the driver layer: configuration builders (incl. the Table
- * 5 customizations), the algorithm factory, report formatting, and the
- * profiling ULMT.
+ * 5 customizations), the machine-flag parser shared by every CLI, the
+ * algorithm factory, report formatting, and the profiling ULMT.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/factory.hh"
 #include "core/profiler.hh"
@@ -91,6 +95,149 @@ TEST(Experiment, ConfigBuilders)
     EXPECT_EQ(c.label, "Conven4+Repl");
     EXPECT_TRUE(c.conven4);
     EXPECT_EQ(c.ulmt.numRows, 8u * 1024u);
+}
+
+/** The configuration fingerprint of @p flags applied to the default
+ *  machine, as the benches build it (a Repl config on MST). */
+std::uint64_t
+flagFingerprint(const std::vector<std::string> &flags)
+{
+    driver::ExperimentOptions o;
+    o.scale = 0.01;
+    for (const std::string &f : flags)
+        EXPECT_TRUE(driver::parseMachineFlag(f, o.machine)) << f;
+    const driver::SystemConfig cfg =
+        driver::ulmtConfig(o, core::UlmtAlgo::Repl, "MST");
+    workloads::WorkloadParams wp;
+    wp.scale = o.scale;
+    auto wl = workloads::makeWorkload("MST", wp);
+    return driver::System(cfg, *wl).configFingerprint();
+}
+
+TEST(MachineFlags, DocumentedOffStatesKeepTheFlaglessMachine)
+{
+    const std::uint64_t flagless = flagFingerprint({});
+    const std::vector<std::vector<std::string>> off = {
+        {"--cores=1"},
+        {"--ulmt-mode=shared"},
+        {"--vm=off"},
+        {"--page-size=4k"},
+        {"--remap-rate=0"},
+        {"--table-cache=0"},
+        {"--audit=on"},
+        {"--cores=1", "--ulmt-mode=shared", "--vm=off", "--page-size=4k",
+         "--remap-rate=0", "--table-cache=0", "--audit=on"},
+    };
+    for (const auto &flags : off)
+        EXPECT_EQ(flagFingerprint(flags), flagless) << flags[0];
+    EXPECT_NE(flagFingerprint({"--table-cache=1024"}), flagless);
+    EXPECT_NE(flagFingerprint({"--vm=on"}), flagless);
+}
+
+TEST(MachineFlags, EveryFlagSetsItsField)
+{
+    struct Case
+    {
+        const char *arg;
+        bool (*holds)(const driver::SystemConfig &);
+    };
+    const Case cases[] = {
+        {"--cores=4", [](const driver::SystemConfig &c) {
+             return c.cores == 4;
+         }},
+        {"--ulmt-mode=sharded", [](const driver::SystemConfig &c) {
+             return c.ulmtMode == core::UlmtMode::Sharded;
+         }},
+        {"--vm=on", [](const driver::SystemConfig &c) {
+             return c.vm.enabled;
+         }},
+        {"--page-size=2m", [](const driver::SystemConfig &c) {
+             return c.vm.pageBytes == 2u << 20;
+         }},
+        {"--remap-rate=12.5", [](const driver::SystemConfig &c) {
+             return c.vm.remapRate == 12.5;
+         }},
+        {"--table-cache=1024,8", [](const driver::SystemConfig &c) {
+             return c.tableCache.entries == 1024 &&
+                    c.tableCache.assoc == 8;
+         }},
+        {"--table-cache=256", [](const driver::SystemConfig &c) {
+             return c.tableCache.entries == 256 &&
+                    c.tableCache.assoc == 4;
+         }},
+        {"--audit=off", [](const driver::SystemConfig &c) {
+             return !c.audit;
+         }},
+        {"--check", [](const driver::SystemConfig &c) {
+             return c.check.mode == check::CheckMode::Basic;
+         }},
+        {"--check=basic", [](const driver::SystemConfig &c) {
+             return c.check.mode == check::CheckMode::Basic;
+         }},
+        {"--check=deep", [](const driver::SystemConfig &c) {
+             return c.check.mode == check::CheckMode::Deep;
+         }},
+        {"--check-interval=512", [](const driver::SystemConfig &c) {
+             return c.check.everyEvents == 512;
+         }},
+        {"--metrics-interval=0", [](const driver::SystemConfig &c) {
+             return c.metricsInterval == 0;
+         }},
+    };
+    for (const Case &c : cases) {
+        driver::SystemConfig cfg;
+        ASSERT_TRUE(driver::parseMachineFlag(c.arg, cfg)) << c.arg;
+        EXPECT_TRUE(c.holds(cfg)) << c.arg;
+    }
+}
+
+TEST(MachineFlags, BadValuesThrowNamingTheFlag)
+{
+    const std::vector<std::string> bad = {
+        "--cores=0", "--cores=abc", "--cores=", "--cores", "--cores=65",
+        "--cores=2x", "--ulmt-mode=bogus", "--ulmt-mode=",
+        "--vm=garbage", "--vm", "--vm=", "--page-size=8k",
+        "--page-size=", "--remap-rate=-5", "--remap-rate=abc",
+        "--remap-rate=", "--remap-rate=nan", "--remap-rate=2e6",
+        "--table-cache=abc", "--table-cache=-1", "--table-cache=100,8",
+        "--table-cache=1024,0", "--table-cache=1024,65",
+        "--table-cache=1024,", "--table-cache=2097152",
+        "--table-cache=", "--audit=maybe", "--audit", "--check=full",
+        "--check=", "--check-interval=0", "--check-interval=x",
+        "--metrics-interval=-1", "--metrics-interval=1k",
+        "--metrics-interval="};
+    for (const std::string &arg : bad) {
+        driver::SystemConfig cfg;
+        const std::string flag = arg.substr(0, arg.find('='));
+        try {
+            driver::parseMachineFlag(arg, cfg);
+            ADD_FAILURE() << arg << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << arg << ": " << e.what();
+        }
+    }
+}
+
+TEST(MachineFlags, ForeignArgumentsAreNotOwned)
+{
+    for (const char *arg :
+         {"--jobs=2", "--apps=MST", "--scale=0.5", "--core=3",
+          "--coresx=2", "--checkpoint-at=200", "--audits=on", "0.5"}) {
+        driver::SystemConfig cfg;
+        EXPECT_FALSE(driver::parseMachineFlag(arg, cfg)) << arg;
+    }
+}
+
+TEST(MachineFlags, ScaleAndSeedParseWholeStrings)
+{
+    EXPECT_EQ(driver::parseScale("0.25"), 0.25);
+    EXPECT_EQ(driver::parseSeed("42"), 42u);
+    EXPECT_EQ(driver::parseSeed("0xA11CE"), 0xA11CEu);
+    for (const char *s : {"abc", "-1", "0", "nan", "inf", "0.5x", ""})
+        EXPECT_THROW(driver::parseScale(s), std::invalid_argument) << s;
+    for (const char *s : {"xyz", "-1", "12ab", "", "99999999999999999999"})
+        EXPECT_THROW(driver::parseSeed(s), std::invalid_argument) << s;
 }
 
 TEST(Report, TextTableAligns)

@@ -449,19 +449,16 @@ TEST(ObservabilityDeterminismTest, ParallelRunnerSamplingInvariant)
     const std::vector<std::string> apps = {"Tree", "Mcf"};
 
     auto sweep = [&](sim::Cycle interval) {
-        driver::setMetricsIntervalOverride(interval);
         std::vector<std::function<driver::RunResult()>> tasks;
         for (const std::string &app : apps) {
             tasks.push_back([&, app] {
-                return driver::runOne(
-                    app,
-                    driver::conven4PlusUlmtConfig(
-                        opt, core::UlmtAlgo::Repl, app),
-                    opt);
+                driver::SystemConfig cfg = driver::conven4PlusUlmtConfig(
+                    opt, core::UlmtAlgo::Repl, app);
+                cfg.metricsInterval = interval;
+                return driver::runOne(app, cfg, opt);
             });
         }
         auto results = driver::runTasks(tasks, 2);
-        driver::clearMetricsIntervalOverride();
         std::string fp;
         for (const auto &r : results)
             fp += driver::resultFingerprint(r) + "\n";

@@ -3,15 +3,16 @@
  * ulmt-ckpt: create, inspect and compare checkpoint snapshots.
  *
  *   ulmt-ckpt create <app> <out.ulmtckp> [--algo=NAME] [--at=SPEC]
- *                    [--scale=S] [--seed=N] [--conven4] [--cores=N]
- *                    [--ulmt-mode=shared|percore|sharded]
- *                    [--vm=on|off] [--page-size=4k|2m]
- *                    [--remap-rate=R]
+ *                    [--scale=S] [--seed=N] [--conven4]
+ *                    [machine flags]
  *       Run <app> under the named ULMT algorithm (default Repl;
  *       "None" = no ULMT), snapshotting after SPEC ("<N>" demand L2
  *       misses, default 1000, or "<N>c" at cycle N), and report the
- *       run's result fingerprint.  --cores/--ulmt-mode snapshot a
- *       multicore machine; restoring needs the same shape.
+ *       run's result fingerprint.  The machine flags are the benches'
+ *       (driver::parseMachineFlag: --cores, --ulmt-mode, --vm,
+ *       --page-size, --remap-rate, --table-cache, ...); restoring
+ *       needs the same machine shape.  A bad value exits 1 and writes
+ *       no snapshot.
  *
  *   ulmt-ckpt info <file>
  *       Print header provenance (including the machine shape and the
@@ -94,50 +95,20 @@ cmdCreate(const std::vector<std::string> &args)
     std::string algo_name = "Repl";
     std::string at = "1000";
     bool conven4 = false;
-    unsigned cores = 1;
-    core::UlmtMode mode = core::UlmtMode::Shared;
-    vm::VmSpec vmSpec;
-    mem::TableCacheSpec tcacheSpec;
     for (std::size_t i = 2; i < args.size(); ++i) {
+        if (driver::parseMachineFlag(args[i], opt.machine))
+            continue;
         if (const char *v = flagValue(args[i].c_str(), "--algo="))
             algo_name = v;
         else if (const char *a = flagValue(args[i].c_str(), "--at="))
             at = a;
         else if (const char *s = flagValue(args[i].c_str(), "--scale="))
-            opt.scale = std::atof(s);
+            opt.scale = driver::parseScale(s);
         else if (const char *n = flagValue(args[i].c_str(), "--seed="))
-            opt.seed = std::strtoull(n, nullptr, 0);
+            opt.seed = driver::parseSeed(n);
         else if (args[i] == "--conven4")
             conven4 = true;
-        else if (const char *c = flagValue(args[i].c_str(), "--cores="))
-            cores = unsigned(std::strtoul(c, nullptr, 10));
-        else if (const char *m =
-                     flagValue(args[i].c_str(), "--ulmt-mode="))
-            mode = core::parseUlmtMode(m);
-        else if (const char *vmv = flagValue(args[i].c_str(), "--vm="))
-            vmSpec.enabled = std::strcmp(vmv, "on") == 0;
-        else if (const char *ps =
-                     flagValue(args[i].c_str(), "--page-size="))
-            vmSpec.pageBytes = vm::parsePageSize(ps);
-        else if (const char *rr =
-                     flagValue(args[i].c_str(), "--remap-rate="))
-            vmSpec.remapRate = std::atof(rr);
-        else if (const char *tc =
-                     flagValue(args[i].c_str(), "--table-cache=")) {
-            char *end = nullptr;
-            tcacheSpec.entries =
-                std::uint32_t(std::strtoul(tc, &end, 10));
-            if (*end == ',')
-                tcacheSpec.assoc =
-                    std::uint32_t(std::strtoul(end + 1, &end, 10));
-            if (*end != '\0' || tcacheSpec.assoc == 0 ||
-                (tcacheSpec.entries != 0 &&
-                 tcacheSpec.entries % tcacheSpec.assoc != 0))
-                throw ckpt::CkptError(
-                    "bad --table-cache value (expected "
-                    "<entries>[,<assoc>], entries divisible by "
-                    "assoc, 0 disables)");
-        } else
+        else
             badFlag(args[i].c_str());
     }
 
@@ -149,13 +120,9 @@ cmdCreate(const std::vector<std::string> &args)
                        : driver::ulmtConfig(opt, algo, app));
     if (algo == core::UlmtAlgo::None && conven4)
         cfg = driver::conven4Config(opt);
-    cfg.cores = cores;
-    cfg.ulmtMode = mode;
-    cfg.vm = vmSpec;
-    cfg.tableCache = tcacheSpec;
 
     auto ws =
-        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cores);
+        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
     const std::string name = ws[0]->name();
     driver::System sys(cfg, std::move(ws), name);
     sys.setCheckpointMeta(app, opt.seed, opt.scale);

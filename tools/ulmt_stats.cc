@@ -4,11 +4,9 @@
  * statistic registry as JSON.
  *
  *   ulmt-stats dump <app> [--config=NAME] [--scale=S] [--seed=N]
- *                   [--placement=dram|nb] [--metrics-interval=N]
- *                   [--trace-events=PATH] [--cores=N]
- *                   [--ulmt-mode=shared|percore|sharded]
- *                   [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]
- *                   [--core=ID] [--filter=GLOB] [--json|--table]
+ *                   [--placement=dram|nb] [--trace-events=PATH]
+ *                   [machine flags] [--core=ID] [--filter=GLOB]
+ *                   [--json|--table]
  *       Run <app> (an application name or trace:<path>) under the
  *       named configuration and print every registered statistic --
  *       counters, gauges, samples and histograms -- as one JSON
@@ -18,6 +16,11 @@
  *   --config accepts: nopref, conven4, custom, or an algorithm name
  *   (Base, Chain, Repl, Seq1, Seq4, Seq1+Repl, Seq4+Repl) optionally
  *   prefixed with "conven4+".  Default: conven4+Repl.
+ *
+ *   The machine flags are the benches' (driver::parseMachineFlag):
+ *   --cores, --ulmt-mode, --vm, --page-size, --remap-rate,
+ *   --table-cache, --audit, --check[=...], --check-interval and
+ *   --metrics-interval.  A bad value exits 1 with a message.
  *
  *   --cores/--ulmt-mode simulate a multicore machine; its per-core
  *   statistics land under "cpu.<id>.*", "ulmt.<id>.*" and
@@ -37,16 +40,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/factory.hh"
 #include "driver/experiment.hh"
 #include "sim/stat_registry.hh"
-#include "sim/types.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -61,6 +64,8 @@ usage(const char *argv0)
         "       [--trace-events=PATH] [--cores=N]\n"
         "       [--ulmt-mode=shared|percore|sharded]\n"
         "       [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]\n"
+        "       [--table-cache=<entries>[,<assoc>]] [--audit=on|off]\n"
+        "       [--check[=basic|deep]] [--check-interval=N]\n"
         "       [--core=ID] [--filter=GLOB] [--json|--table]\n"
         "  filter: *?-glob (e.g. vm.*); a trailing '.' anchors a\n"
         "  subtree prefix exactly (vm.core.1. excludes vm.core.12.*)\n"
@@ -180,10 +185,6 @@ cmdDump(const std::vector<std::string> &args)
     }
     const std::string &app = args[0];
     std::string config = "conven4+Repl";
-    std::string trace_path;
-    unsigned cores = 1;
-    core::UlmtMode mode = core::UlmtMode::Shared;
-    vm::VmSpec vmSpec;
     std::vector<std::string> core_ids;
     std::vector<std::string> globs;
     bool table = false;
@@ -192,12 +193,14 @@ cmdDump(const std::vector<std::string> &args)
 
     for (std::size_t i = 1; i < args.size(); ++i) {
         const char *arg = args[i].c_str();
+        if (driver::parseMachineFlag(args[i], opt.machine))
+            continue;
         if (const char *v = flagValue(arg, "--config=")) {
             config = v;
         } else if (const char *v2 = flagValue(arg, "--scale=")) {
-            opt.scale = std::atof(v2);
+            opt.scale = driver::parseScale(v2);
         } else if (const char *v3 = flagValue(arg, "--seed=")) {
-            opt.seed = std::strtoull(v3, nullptr, 0);
+            opt.seed = driver::parseSeed(v3);
         } else if (const char *v4 = flagValue(arg, "--placement=")) {
             if (std::strcmp(v4, "dram") == 0)
                 opt.placement = mem::MemProcPlacement::InDram;
@@ -206,40 +209,12 @@ cmdDump(const std::vector<std::string> &args)
             else
                 throw std::invalid_argument(
                     "bad --placement (want dram or nb): " + args[i]);
-        } else if (const char *v5 =
-                       flagValue(arg, "--metrics-interval=")) {
-            driver::setMetricsIntervalOverride(
-                std::strtoull(v5, nullptr, 10));
         } else if (const char *v6 = flagValue(arg, "--trace-events=")) {
-            trace_path = v6;
-        } else if (const char *v7 = flagValue(arg, "--cores=")) {
-            const unsigned long n = std::strtoul(v7, nullptr, 10);
-            if (n < 1 || n > sim::maxCores)
-                throw std::invalid_argument(
-                    "bad --cores (want 1.." +
-                    std::to_string(sim::maxCores) + "): " + args[i]);
-            cores = unsigned(n);
-        } else if (const char *v8 = flagValue(arg, "--ulmt-mode=")) {
-            mode = core::parseUlmtMode(v8);
+            opt.traceEvents = std::make_shared<sim::TraceEventWriter>(v6);
         } else if (const char *v9 = flagValue(arg, "--core=")) {
             core_ids.emplace_back(v9);
         } else if (const char *v10 = flagValue(arg, "--filter=")) {
             globs.emplace_back(v10);
-        } else if (const char *v11 = flagValue(arg, "--vm=")) {
-            if (std::strcmp(v11, "on") == 0)
-                vmSpec.enabled = true;
-            else if (std::strcmp(v11, "off") == 0)
-                vmSpec.enabled = false;
-            else
-                throw std::invalid_argument(
-                    "bad --vm (want on or off): " + args[i]);
-        } else if (const char *v12 = flagValue(arg, "--page-size=")) {
-            vmSpec.pageBytes = vm::parsePageSize(v12);
-        } else if (const char *v13 = flagValue(arg, "--remap-rate=")) {
-            vmSpec.remapRate = std::atof(v13);
-            if (vmSpec.remapRate < 0.0)
-                throw std::invalid_argument(
-                    "bad --remap-rate (want >= 0): " + args[i]);
         } else if (std::strcmp(arg, "--json") == 0) {
             table = false;  // the default; accepted for symmetry
         } else if (std::strcmp(arg, "--table") == 0) {
@@ -250,25 +225,19 @@ cmdDump(const std::vector<std::string> &args)
         }
     }
 
-    driver::SystemConfig cfg = configByName(config, opt, app);
-    cfg.cores = cores;
-    cfg.ulmtMode = mode;
-    cfg.vm = vmSpec;
-    if (!trace_path.empty())
-        driver::setTraceEventsPath(trace_path);
-
+    const driver::SystemConfig cfg = configByName(config, opt, app);
     auto ws =
-        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cores);
+        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
     const std::string name = ws[0]->name();
     driver::System sys(cfg, std::move(ws), name);
 
     sim::TraceEventBuffer buf;
-    if (driver::traceEventWriter())
+    if (opt.traceEvents)
         sys.setTraceEvents(&buf);
     sys.run();
-    if (sim::TraceEventWriter *w = driver::traceEventWriter()) {
-        w->writeProcess(app + "/" + cfg.label, buf);
-        driver::finishTraceEvents();
+    if (opt.traceEvents) {
+        opt.traceEvents->writeProcess(app + "/" + cfg.label, buf);
+        opt.traceEvents->finish();
     }
 
     const bool unfiltered = core_ids.empty() && globs.empty();
