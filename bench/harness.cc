@@ -127,15 +127,9 @@ Harness::Harness(std::string name, const Options &opt)
 void
 Harness::record(const driver::RunResult &r)
 {
-    const unsigned cores = r.cores ? r.cores : 1u;
-    runs_.push_back(Run{r.workload, r.label, r.source, r.wallSeconds,
-                        r.eventsExecuted, r.cycles, r.ckptSaveSeconds,
-                        r.ckptRestoreSeconds, r.ckptBytes, cores,
-                        r.ulmtMode, r.audit, r.metrics, r.vmOn,
-                        r.vmPageBytes, r.vmRemapRate, r.vmRemaps,
-                        r.vmTlbHits, r.vmTlbMisses, r.vmWalkCycles,
-                        r.vmPagesMapped, r.tcacheOn, r.tcacheEntries,
-                        r.tcacheAssoc, r.tcache});
+    // No BENCH key reads the miss stream, which can be large.
+    runs_.push_back(r);
+    std::vector<sim::Addr>().swap(runs_.back().missStream);
 }
 
 void
@@ -376,7 +370,7 @@ Harness::writeJson() const
 
     out += "  \"runs\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const Run &r = runs_[i];
+        const driver::RunResult &r = runs_[i];
         out += i ? ",\n    " : "\n    ";
         out += "{\"workload\": ";
         appendEscaped(out, r.workload);
@@ -386,14 +380,10 @@ Harness::writeJson() const
         appendEscaped(out, r.source);
         out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
         out += sim::strformat(", \"events\": %llu",
-                              (unsigned long long)r.events);
-        out += ", \"events_per_sec\": " +
-               jsonNumber(r.wallSeconds > 0.0
-                              ? static_cast<double>(r.events) /
-                                    r.wallSeconds
-                              : 0.0);
+                              (unsigned long long)r.eventsExecuted);
+        out += ", \"events_per_sec\": " + jsonNumber(r.eventsPerSec());
         out += sim::strformat(", \"sim_cycles\": %llu",
-                              (unsigned long long)r.simCycles);
+                              (unsigned long long)r.cycles);
         // Core count only on multicore runs, so single-core benches
         // keep the established schema byte-for-byte.
         if (r.cores > 1)
@@ -464,14 +454,14 @@ Harness::writeJson() const
     // Per-run sampled time series (runs with sampling off are
     // skipped).
     bool any_series = false;
-    for (const Run &r : runs_)
+    for (const driver::RunResult &r : runs_)
         any_series = any_series || !r.metrics.empty();
     if (any_series) {
         out += first_metric ? "\n    " : ",\n    ";
         first_metric = false;
         out += "\"series\": [";
         bool first_run = true;
-        for (const Run &r : runs_) {
+        for (const driver::RunResult &r : runs_) {
             if (r.metrics.empty())
                 continue;
             out += first_run ? "\n      " : ",\n      ";
@@ -547,8 +537,8 @@ Harness::writeThroughputJson() const
     out += provenanceJson();
     out += "  \"throughput\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const Run &r = runs_[i];
-        total_events += r.events;
+        const driver::RunResult &r = runs_[i];
+        total_events += r.eventsExecuted;
         total_wall += r.wallSeconds;
         out += i ? ",\n    " : "\n    ";
         out += "{\"workload\": ";
@@ -560,15 +550,11 @@ Harness::writeThroughputJson() const
         out += ", \"scale\": " + jsonNumber(opt_.experiment.scale);
         out += sim::strformat(", \"cores\": %u", r.cores);
         out += ", \"ulmt_mode\": ";
-        appendEscaped(out, r.ulmtMode.empty() ? "shared" : r.ulmtMode);
+        appendEscaped(out, r.ulmtMode);
         out += sim::strformat(", \"events\": %llu",
-                              (unsigned long long)r.events);
+                              (unsigned long long)r.eventsExecuted);
         out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
-        out += ", \"events_per_sec\": " +
-               jsonNumber(r.wallSeconds > 0.0
-                              ? static_cast<double>(r.events) /
-                                    r.wallSeconds
-                              : 0.0);
+        out += ", \"events_per_sec\": " + jsonNumber(r.eventsPerSec());
         out += "}";
     }
     out += runs_.empty() ? "],\n" : "\n  ],\n";

@@ -40,7 +40,6 @@
 #define BENCH_HARNESS_HH
 
 #include <chrono>
-#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -123,43 +122,13 @@ class Harness
     std::string writeJson() const;
 
   private:
-    struct Run
-    {
-        std::string workload;
-        std::string label;
-        std::string source;
-        double wallSeconds;
-        std::uint64_t events;
-        std::uint64_t simCycles;
-        double ckptSaveSeconds;
-        double ckptRestoreSeconds;
-        std::uint64_t ckptBytes;
-        unsigned cores;
-        std::string ulmtMode;
-        mem::AuditReport audit;
-        sim::TimeSeriesData metrics;
-        // VM fields (all zero / false when the layer was off).
-        bool vmOn;
-        std::uint32_t vmPageBytes;
-        double vmRemapRate;
-        std::uint64_t vmRemaps;
-        std::uint64_t vmTlbHits;
-        std::uint64_t vmTlbMisses;
-        std::uint64_t vmWalkCycles;
-        std::uint64_t vmPagesMapped;
-        // Table-cache fields (all zero / false when --table-cache=0).
-        bool tcacheOn;
-        std::uint32_t tcacheEntries;
-        std::uint32_t tcacheAssoc;
-        mem::TableCacheStats tcache;
-    };
-
     void writeThroughputJson() const;
 
     std::string name_;
     Options opt_;
     std::chrono::steady_clock::time_point start_;
-    std::vector<Run> runs_;
+    /** The recorded runs, without their miss streams. */
+    std::vector<driver::RunResult> runs_;
     std::vector<std::pair<std::string, double>> metrics_;
 };
 

@@ -159,6 +159,7 @@ InvariantChecker::runChecks()
 void
 InvariantChecker::registerStats(sim::StatRegistry &reg) const
 {
+    const sim::StatRegistry::PassiveScope passive(reg);
     reg.addCounter("check.passes", &passes_);
 }
 

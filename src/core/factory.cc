@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/adaptive.hh"
 #include "core/conflict_aware.hh"
 #include "core/base_chain.hh"
 #include "core/composite.hh"
@@ -35,8 +34,6 @@ to_string(UlmtAlgo algo)
         return "Seq4+Repl";
       case UlmtAlgo::Seq1Repl:
         return "Seq1+Repl";
-      case UlmtAlgo::Adaptive:
-        return "Adaptive";
       case UlmtAlgo::ReplCA:
         return "Repl+CA";
       case UlmtAlgo::Profile:
@@ -51,8 +48,8 @@ parseUlmtAlgo(const std::string &name)
     for (UlmtAlgo a :
          {UlmtAlgo::None, UlmtAlgo::Base, UlmtAlgo::Chain, UlmtAlgo::Repl,
           UlmtAlgo::Seq1, UlmtAlgo::Seq4, UlmtAlgo::Seq4Base,
-          UlmtAlgo::Seq4Repl, UlmtAlgo::Seq1Repl, UlmtAlgo::Adaptive,
-          UlmtAlgo::ReplCA, UlmtAlgo::Profile}) {
+          UlmtAlgo::Seq4Repl, UlmtAlgo::Seq1Repl, UlmtAlgo::ReplCA,
+          UlmtAlgo::Profile}) {
         if (to_string(a) == name)
             return a;
     }
@@ -158,10 +155,6 @@ makeAlgorithm(const UlmtSpec &spec, std::uint64_t table_base)
                                                    spec.numLevels))),
                        /*short_circuit=*/true);
       }
-      case UlmtAlgo::Adaptive:
-        return std::make_unique<AdaptivePrefetcher>(
-            seqParams(4), based(chainReplDefaults(spec.numRows,
-                                                  spec.numLevels)));
       case UlmtAlgo::ReplCA:
         // Conflict-elimination customization (Section 7): Replicated
         // with pushes into saturated L2 sets suppressed.

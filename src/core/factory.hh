@@ -27,7 +27,6 @@ enum class UlmtAlgo {
     Seq4Base,  //!< Figure 5 combination
     Seq4Repl,  //!< Figure 5 combination
     Seq1Repl,  //!< the CG customization (Table 5)
-    Adaptive,  //!< extension: on-the-fly algorithm selection
     ReplCA,    //!< extension: Repl + conflict-aware push filtering
     Profile    //!< extension: observe-only profiling ULMT
 };

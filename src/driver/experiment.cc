@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/logging.hh"
 #include "workloads/offset.hh"
 
 namespace driver {
@@ -324,8 +325,15 @@ runOne(const std::string &app, const SystemConfig &cfg,
 {
     BuiltSystem b = buildSystem(cfg, app, opt.seed, opt.scale);
     System &sys = *b.sys;
-    if (!opt.restoreFrom.empty())
-        sys.restoreCheckpoint(opt.restoreFrom);
+    if (!opt.restoreFrom.empty()) {
+        // A snapshot of another machine shape is a refused input, not
+        // a crash: fail the whole sweep with the reason.
+        try {
+            sys.restoreCheckpoint(opt.restoreFrom);
+        } catch (const ckpt::CkptError &e) {
+            sim::fatal("--restore-from: %s", e.what());
+        }
+    }
     if (!opt.checkpointAt.empty()) {
         const std::string dir =
             opt.checkpointTo.empty() ? "." : opt.checkpointTo;

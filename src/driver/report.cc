@@ -80,202 +80,20 @@ mean(const std::vector<double> &v)
            static_cast<double>(v.size());
 }
 
-namespace {
-
-/** Appends "key=value " pairs; doubles use exact hex-float form. */
-class Fingerprint
-{
-  public:
-    void
-    add(const char *key, std::uint64_t v)
-    {
-        out_ += sim::strformat("%s=%llu ", key,
-                               (unsigned long long)v);
-    }
-
-    void
-    add(const char *key, double v)
-    {
-        out_ += sim::strformat("%s=%a ", key, v);
-    }
-
-    void
-    add(const char *key, const std::string &v)
-    {
-        out_ += key;
-        out_ += '=';
-        out_ += v;
-        out_ += ' ';
-    }
-
-    void
-    add(const char *key, const sim::SampleStat &s)
-    {
-        out_ += sim::strformat("%s=(%llu,%a,%a,%a) ", key,
-                               (unsigned long long)s.count(), s.sum(),
-                               s.min(), s.max());
-    }
-
-    std::string take() { return std::move(out_); }
-
-  private:
-    std::string out_;
-};
-
-} // namespace
-
 std::string
 resultFingerprint(const RunResult &r)
 {
-    Fingerprint fp;
-    fp.add("workload", r.workload);
-    fp.add("label", r.label);
-    fp.add("cycles", r.cycles);
-    fp.add("busyCycles", r.busyCycles);
-    fp.add("uptoL2Stall", r.uptoL2Stall);
-    fp.add("beyondL2Stall", r.beyondL2Stall);
-    fp.add("records", r.records);
-    fp.add("eventsExecuted", r.eventsExecuted);
-
-    const cpu::ProcessorStats &p = r.proc;
-    fp.add("proc.ops", p.ops);
-    fp.add("proc.stallDependence", p.stallDependence);
-    fp.add("proc.stallLoadWindow", p.stallLoadWindow);
-    fp.add("proc.stallStoreWindow", p.stallStoreWindow);
-    fp.add("proc.stallDrain", p.stallDrain);
-    fp.add("proc.beyondWaits", p.beyondWaits);
-    fp.add("proc.uptoWaits", p.uptoWaits);
-
-    const cpu::HierarchyStats &h = r.hier;
-    fp.add("hier.loads", h.loads);
-    fp.add("hier.stores", h.stores);
-    fp.add("hier.l1Hits", h.l1Hits);
-    fp.add("hier.l1Misses", h.l1Misses);
-    fp.add("hier.l2Hits", h.l2Hits);
-    fp.add("hier.l2Misses", h.l2Misses);
-    fp.add("hier.l2MshrMerges", h.l2MshrMerges);
-    fp.add("hier.ulmtHits", h.ulmtHits);
-    fp.add("hier.ulmtDelayedHits", h.ulmtDelayedHits);
-    fp.add("hier.nonPrefMisses", h.nonPrefMisses);
-    fp.add("hier.ulmtReplaced", h.ulmtReplaced);
-    fp.add("hier.pushRedundantPresent", h.pushRedundantPresent);
-    fp.add("hier.pushRedundantWb", h.pushRedundantWb);
-    fp.add("hier.pushDroppedMshrFull", h.pushDroppedMshrFull);
-    fp.add("hier.pushDroppedSetPending", h.pushDroppedSetPending);
-    fp.add("hier.pushInstalled", h.pushInstalled);
-    fp.add("hier.delayedHitSavedCycles", h.delayedHitSavedCycles);
-    fp.add("hier.cpuPfIssued", h.cpuPfIssued);
-    fp.add("hier.cpuPfToMemory", h.cpuPfToMemory);
-    fp.add("hier.cpuPfUseful", h.cpuPfUseful);
-    fp.add("hier.cpuPfTimely", h.cpuPfTimely);
-    fp.add("hier.cpuPfReplaced", h.cpuPfReplaced);
-
-    const core::UlmtStats &u = r.ulmt;
-    fp.add("ulmt.missesObserved", u.missesObserved);
-    fp.add("ulmt.missesProcessed", u.missesProcessed);
-    fp.add("ulmt.missesDroppedQueueFull", u.missesDroppedQueueFull);
-    fp.add("ulmt.prefetchesGenerated", u.prefetchesGenerated);
-    fp.add("ulmt.responseTime", u.responseTime);
-    fp.add("ulmt.occupancyTime", u.occupancyTime);
-    fp.add("ulmt.responseBusy", u.responseBusy);
-    fp.add("ulmt.responseMem", u.responseMem);
-    fp.add("ulmt.occupancyBusy", u.occupancyBusy);
-    fp.add("ulmt.occupancyMem", u.occupancyMem);
-    fp.add("ulmt.busyCycles", u.busyCycles);
-    fp.add("ulmt.memStallCycles", u.memStallCycles);
-    fp.add("ulmt.instructions", u.instructions);
-
-    const mem::MemorySystemStats &m = r.memsys;
-    fp.add("mem.demandFetches", m.demandFetches);
-    fp.add("mem.cpuPrefetchFetches", m.cpuPrefetchFetches);
-    fp.add("mem.writebacks", m.writebacks);
-    fp.add("mem.ulmtPrefetchesIssued", m.ulmtPrefetchesIssued);
-    fp.add("mem.ulmtPrefetchesDroppedFilter",
-           m.ulmtPrefetchesDroppedFilter);
-    fp.add("mem.ulmtPrefetchesDroppedQueueFull",
-           m.ulmtPrefetchesDroppedQueueFull);
-    fp.add("mem.ulmtPrefetchesDroppedDemandMatch",
-           m.ulmtPrefetchesDroppedDemandMatch);
-    fp.add("mem.ulmtPrefetchesDroppedCpuPfMatch",
-           m.ulmtPrefetchesDroppedCpuPfMatch);
-    fp.add("mem.tableReads", m.tableReads);
-    fp.add("mem.tableWrites", m.tableWrites);
-
-    fp.add("dram.accesses", r.dram.accesses);
-    fp.add("dram.rowHits", r.dram.rowHits);
-    fp.add("dram.rowMisses", r.dram.rowMisses);
-
-    fp.add("busBusyTotal", r.busBusyTotal);
-    fp.add("busBusyPrefetch", r.busBusyPrefetch);
-
-    for (std::size_t i = 0; i < r.missGapFractions.size(); ++i)
-        fp.add(sim::strformat("missGap%zu", i).c_str(),
-               r.missGapFractions[i]);
-
-    fp.add("missStream.size",
-           static_cast<std::uint64_t>(r.missStream.size()));
     std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
     for (sim::Addr a : r.missStream) {
         hash ^= a;
         hash *= 1099511628211ULL;
     }
-    fp.add("missStream.hash", hash);
-
-    // Per-core and per-engine slices are populated only on multicore
-    // machines, so single-core fingerprints stay what they always
-    // were.
-    for (std::size_t c = 0; c < r.coreProc.size(); ++c) {
-        const std::string pre = sim::strformat("core%zu.", c);
-        fp.add((pre + "cycles").c_str(), r.coreProc[c].totalCycles);
-        fp.add((pre + "ops").c_str(), r.coreProc[c].ops);
-        fp.add((pre + "records").c_str(), r.coreProc[c].records);
-    }
-    for (std::size_t c = 0; c < r.coreHier.size(); ++c) {
-        const std::string pre = sim::strformat("core%zu.", c);
-        fp.add((pre + "l1Misses").c_str(), r.coreHier[c].l1Misses);
-        fp.add((pre + "l2Misses").c_str(), r.coreHier[c].l2Misses);
-        fp.add((pre + "pushInstalled").c_str(),
-               r.coreHier[c].pushInstalled);
-        fp.add((pre + "ulmtHits").c_str(), r.coreHier[c].ulmtHits);
-    }
-    for (std::size_t i = 0; i < r.engineUlmt.size(); ++i) {
-        const std::string pre = sim::strformat("engine%zu.", i);
-        fp.add((pre + "missesObserved").c_str(),
-               r.engineUlmt[i].missesObserved);
-        fp.add((pre + "missesProcessed").c_str(),
-               r.engineUlmt[i].missesProcessed);
-        fp.add((pre + "prefetchesGenerated").c_str(),
-               r.engineUlmt[i].prefetchesGenerated);
-    }
-    if (r.coreQos.size() > 1) {
-        for (std::size_t c = 0; c < r.coreQos.size(); ++c) {
-            const std::string pre = sim::strformat("qos%zu.", c);
-            fp.add((pre + "demandFetches").c_str(),
-                   r.coreQos[c].demandFetches);
-            fp.add((pre + "pfIssued").c_str(),
-                   r.coreQos[c].ulmtPrefetchesIssued);
-            fp.add((pre + "q1WaitSum").c_str(),
-                   std::uint64_t(r.coreQos[c].q1Wait.sum()));
-            fp.add((pre + "q1WaitCount").c_str(),
-                   r.coreQos[c].q1Wait.count());
-        }
-    }
-
-    // VM leaves only when the layer ran, so pre-VM fingerprints stay
-    // byte-identical (the --remap-rate=0 --page-size=4k default never
-    // builds the layer).
-    if (r.vmOn) {
-        fp.add("vm.pageBytes", std::uint64_t(r.vmPageBytes));
-        fp.add("vm.remaps", r.vmRemaps);
-        fp.add("vm.tlbHits", r.vmTlbHits);
-        fp.add("vm.tlbMisses", r.vmTlbMisses);
-        fp.add("vm.walkCycles", r.vmWalkCycles);
-        fp.add("vm.pagesMapped", r.vmPagesMapped);
-        fp.add("mem.ulmtPrefetchesDroppedPageCross",
-               m.ulmtPrefetchesDroppedPageCross);
-        fp.add("hier.cpuPfDroppedPageCross", h.cpuPfDroppedPageCross);
-    }
-    return fp.take();
+    return "workload=" + r.workload + " label=" + r.label +
+           sim::strformat(" eventsExecuted=%llu ",
+                          (unsigned long long)r.eventsExecuted) +
+           r.statLeaves +
+           sim::strformat("missStream.size=%zu missStream.hash=%llu",
+                          r.missStream.size(), (unsigned long long)hash);
 }
 
 } // namespace driver

@@ -46,13 +46,15 @@ std::string fmtPercent(double v, int digits = 1);
 double mean(const std::vector<double> &v);
 
 /**
- * Serialize every deterministic field of a RunResult (all counters,
- * sample statistics with exact hex-float encoding, miss-gap fractions
- * and a hash of the miss stream) into one string.  Two runs of the
- * same (app, config, seed) must produce byte-identical fingerprints
- * regardless of worker count -- the determinism regression tests and
- * golden comparisons rely on this.  Host-side timing (wallSeconds) is
- * deliberately excluded.
+ * The run's determinism record: workload, label, executed events, the
+ * canonical text of every behavioural stat-registry leaf captured at
+ * the end of the run (RunResult::statLeaves) and a hash of the miss
+ * stream.  Two runs of the same (app, config, seed) must produce
+ * byte-identical fingerprints regardless of worker count, restore
+ * point, or whether auditing, checking and sampling ran -- the
+ * determinism tests and golden comparisons rely on this.  Passive
+ * registry entries (audit, checker, host checkpoint costs) and
+ * host-side timing (wallSeconds) are not part of it.
  */
 std::string resultFingerprint(const RunResult &r);
 

@@ -264,12 +264,15 @@ System::initObservability()
     }
 
     // Host-side checkpoint costs (0 until a save/restore happens).
-    registry_.addGauge("ckpt.save_seconds",
-                       [this] { return ckptSaveSeconds_; });
-    registry_.addGauge("ckpt.restore_seconds",
-                       [this] { return ckptRestoreSeconds_; });
-    registry_.addGauge("ckpt.snapshot_bytes",
-                       [this] { return double(ckptBytes_); });
+    {
+        const sim::StatRegistry::PassiveScope passive(registry_);
+        registry_.addGauge("ckpt.save_seconds",
+                           [this] { return ckptSaveSeconds_; });
+        registry_.addGauge("ckpt.restore_seconds",
+                           [this] { return ckptRestoreSeconds_; });
+        registry_.addGauge("ckpt.snapshot_bytes",
+                           [this] { return double(ckptBytes_); });
+    }
 
     if (cfg_.metricsInterval == 0)
         return;
@@ -828,6 +831,7 @@ System::run()
     r.workload = workloadName_;
     r.label = cfg_.label;
     r.source = workloadSource_;
+    r.statLeaves = registry_.behaviourText();
     r.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
     r.eventsExecuted = eq_.executed();

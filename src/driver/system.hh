@@ -201,6 +201,11 @@ struct RunResult
      *  [200,280) [280,inf). */
     std::vector<double> missGapFractions;
 
+    /** The end-of-run canonical text of every behavioural registry
+     *  entry (sim::StatRegistry::behaviourText): the determinism
+     *  record resultFingerprint() carries. */
+    std::string statLeaves;
+
     /** Demand L2 miss stream (only when recordMissStream was set). */
     std::vector<sim::Addr> missStream;
 

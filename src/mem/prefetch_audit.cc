@@ -279,6 +279,9 @@ PrefetchAudit::registerStats(
     sim::StatRegistry &reg,
     std::function<std::uint64_t(unsigned)> non_pref_misses)
 {
+    // The audit only observes the run: every leaf it publishes,
+    // including the interference matrix, is passive.
+    const sim::StatRegistry::PassiveScope passive(reg);
     for (unsigned c = 0; c < numCores_; ++c) {
         CoreAudit &a = cores_[c];
         const std::string p = "audit.core." + std::to_string(c) + ".";

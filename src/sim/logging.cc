@@ -1,6 +1,7 @@
 #include "sim/logging.hh"
 
 #include <cstdlib>
+#include <mutex>
 #include <vector>
 
 namespace sim {
@@ -78,6 +79,10 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     std::string s = vformat(fmt, args);
     va_end(args);
+    // Parallel runner workers can fail together (every job restoring
+    // one bad snapshot); the first exits, the rest wait for it.
+    static std::mutex exiting;
+    exiting.lock();
     flushSinkForExit();
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
     std::exit(1);

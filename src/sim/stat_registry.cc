@@ -17,6 +17,7 @@ StatRegistry::insert(Entry e)
         throw std::invalid_argument(
             "stat registry: duplicate statistic name '" + e.name +
             "'");
+    e.passive = passive_;
     entries_.push_back(std::move(e));
 }
 
@@ -70,7 +71,7 @@ StatRegistry::addHistogram(const std::string &name,
 void
 StatRegistry::visit(StatVisitor &v) const
 {
-    visit(v, [](const std::string &) { return true; });
+    walk(v, [](const Entry &) { return true; });
 }
 
 void
@@ -78,10 +79,17 @@ StatRegistry::visit(
     StatVisitor &v,
     const std::function<bool(const std::string &)> &keep) const
 {
+    walk(v, [&keep](const Entry &e) { return keep(e.name); });
+}
+
+void
+StatRegistry::walk(StatVisitor &v,
+                   const std::function<bool(const Entry &)> &keep) const
+{
     std::vector<const Entry *> order;
     order.reserve(entries_.size());
     for (const Entry &e : entries_) {
-        if (keep(e.name))
+        if (keep(e))
             order.push_back(&e);
     }
     std::sort(order.begin(), order.end(),
@@ -211,7 +219,58 @@ class JsonDumper : public StatVisitor
     std::string out_;
 };
 
+/** Renders entries as space-separated canonical `name=value` leaves. */
+class TextDumper : public StatVisitor
+{
+  public:
+    void
+    counter(const std::string &name, std::uint64_t value) override
+    {
+        out_ += strformat("%s=%llu ", name.c_str(),
+                          (unsigned long long)value);
+    }
+
+    void
+    gauge(const std::string &name, double value) override
+    {
+        out_ += strformat("%s=%a ", name.c_str(), value);
+    }
+
+    void
+    sampleStat(const std::string &name, const SampleStat &s) override
+    {
+        out_ += strformat("%s=(%llu,%a,%a,%a) ", name.c_str(),
+                          (unsigned long long)s.count(), s.sum(),
+                          s.min(), s.max());
+    }
+
+    void
+    histogram(const std::string &name,
+              const BinnedHistogram &h) override
+    {
+        out_ += strformat("%s=[%llu;", name.c_str(),
+                          (unsigned long long)h.below());
+        for (std::size_t i = 0; i < h.numBins(); ++i)
+            out_ += strformat(i ? ",%llu" : "%llu",
+                              (unsigned long long)h.binCount(i));
+        out_ += "] ";
+    }
+
+    std::string take() { return std::move(out_); }
+
+  private:
+    std::string out_;
+};
+
 } // namespace
+
+std::string
+StatRegistry::behaviourText() const
+{
+    TextDumper d;
+    walk(d, [](const Entry &e) { return !e.passive; });
+    return d.take();
+}
 
 std::string
 StatRegistry::dumpJson() const

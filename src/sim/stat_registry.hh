@@ -10,10 +10,17 @@
  * component's live stats -- there is no double bookkeeping and no
  * per-update cost; the registry is only walked when somebody asks.
  *
- * Consumers traverse the registry through StatVisitor; the single
- * built-in visitor renders everything as one JSON object (used by
- * `tools/ulmt-stats dump` and available to any embedder).  Names are
- * visited in byte order so dumps are stable across registration order.
+ * Consumers traverse the registry through StatVisitor; the built-in
+ * visitors render everything as one JSON object (used by
+ * `tools/ulmt-stats dump` and available to any embedder) and the
+ * behavioural entries as canonical text (the run's determinism
+ * record).  Names are visited in byte order so dumps are stable
+ * across registration order.
+ *
+ * An entry is *behavioural* unless its registrar declares it passive
+ * with a PassiveScope: passive entries observe the run (lifecycle
+ * audit, invariant checker, host-side costs) and may differ between
+ * runs whose simulated behaviour is identical.
  */
 
 #ifndef SIM_STAT_REGISTRY_HH
@@ -48,6 +55,27 @@ class StatVisitor
 class StatRegistry
 {
   public:
+    /**
+     * While alive, every entry registered on @p reg is passive: still
+     * visited and dumped, but left out of behaviourText().
+     */
+    class PassiveScope
+    {
+      public:
+        explicit PassiveScope(StatRegistry &reg)
+            : reg_(reg), outer_(reg.passive_)
+        {
+            reg_.passive_ = true;
+        }
+        ~PassiveScope() { reg_.passive_ = outer_; }
+        PassiveScope(const PassiveScope &) = delete;
+        PassiveScope &operator=(const PassiveScope &) = delete;
+
+      private:
+        StatRegistry &reg_;
+        bool outer_;
+    };
+
     /**
      * Register a monotonically updated counter.  @p value must outlive
      * the registry.
@@ -96,6 +124,15 @@ class StatRegistry
     std::string
     dumpJson(const std::function<bool(const std::string &)> &keep) const;
 
+    /**
+     * Canonical text of every behavioural entry, in byte order of the
+     * names: space-separated `name=value` leaves, counters in decimal,
+     * gauges in exact hex-float (`%a`), samples as
+     * (count,sum,min,max) and histograms as [below;counts...].  Runs
+     * that behave identically produce equal texts.
+     */
+    std::string behaviourText() const;
+
   private:
     enum class Kind { Counter, Gauge, Sample, Histogram };
 
@@ -107,12 +144,19 @@ class StatRegistry
         std::function<double()> gauge;
         const SampleStat *sample = nullptr;
         const BinnedHistogram *hist = nullptr;
+        bool passive = false;
     };
 
     void insert(Entry e);
 
+    /** Visit the entries @p keep accepts, in byte order of names. */
+    void walk(StatVisitor &v,
+              const std::function<bool(const Entry &)> &keep) const;
+
     std::vector<Entry> entries_;
     std::unordered_set<std::string> names_;
+    /** Set while a PassiveScope is alive. */
+    bool passive_ = false;
 };
 
 } // namespace sim

@@ -49,14 +49,19 @@ memProcCyclesToMain(Cycle mem_proc_cycles)
 // With --cores=N every miss/prefetch in flight below the L2 belongs to
 // one core.  Rather than widening every map, event argument and filter
 // key with a second field, the core id is packed into the upper bits of
-// the line address: real addresses never reach bit 56 (workload address
-// spaces sit below 2^42), so bits [63:56] are free.  Core 0's key is
+// the line address: real addresses never reach bit 56 (core slices sit
+// below maxCores * coreAddrStride = 2^46, VM frames start at
+// vm::physFrameBase = 2^47), so bits [63:56] are free.  Core 0's key is
 // numerically identical to the raw line address, which keeps every
 // single-core data structure, event payload and checkpoint byte
 // bit-identical to the pre-multicore simulator.
 
 /** Maximum number of main processors (--cores). */
 inline constexpr unsigned maxCores = 64;
+
+/** Address-space stride between per-core workload copies: core c's
+ *  trace is offset by c * coreAddrStride. */
+inline constexpr Addr coreAddrStride = Addr(1) << 40;
 
 /** Bit position of the core-id tag inside a packed (core,line) key. */
 inline constexpr unsigned coreKeyShift = 56;

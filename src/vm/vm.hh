@@ -29,8 +29,9 @@
  * touch counters (SplitMix64 from VmSpec::seed breaks cold ties), and
  * remap events are ordinary tagged events on the global queue.
  *
- * Physical frames start at 2^40, far above every workload's virtual
- * range and safely below the core-id bits of sim::packCoreLine (bit
+ * Physical frames start at 2^47, above every core's virtual slice
+ * (core * sim::coreAddrStride = core * 2^40, for up to sim::maxCores
+ * cores) and safely below the core-id bits of sim::packCoreLine (bit
  * 56), so virtual and physical addresses can never collide.
  */
 
@@ -50,8 +51,14 @@
 
 namespace vm {
 
-/** First physical byte handed out by the frame allocator (2^40). */
-inline constexpr sim::Addr physFrameBase = 1ULL << 40;
+/** First physical byte handed out by the frame allocator (2^47):
+ *  above every core's virtual slice, below the core-id bits of packed
+ *  (core, line) keys. */
+inline constexpr sim::Addr physFrameBase = 1ULL << 47;
+static_assert(sim::maxCores * sim::coreAddrStride <= physFrameBase,
+              "core address slices overlap the physical frames");
+static_assert(physFrameBase < (sim::Addr(1) << sim::coreKeyShift),
+              "physical frames overlap the packed core-id bits");
 
 /** Main cycles charged for a page-table walk on a TLB miss. */
 inline constexpr sim::Cycle pageWalkCycles = 120;

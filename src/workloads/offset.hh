@@ -9,7 +9,8 @@
  * the same addresses -- they would simply also share DRAM rows and
  * bus slots in ways a multiprogrammed mix does not.  To model the
  * paper's multiprogrammed setting, OffsetWorkload shifts every
- * reference of the wrapped workload by core * 2^40 bytes: far above
+ * reference of the wrapped workload by core * sim::coreAddrStride
+ * (2^40) bytes: far above
  * any synthetic footprint (they live below 2^42... in fact below
  * 2^36) and far below the core-tag bits at bit 56 and the table
  * address ranges at 2^38, keeping every simulated address disjoint
@@ -27,16 +28,13 @@
 
 namespace workloads {
 
-/** Address-space stride between per-core workload copies. */
-inline constexpr sim::Addr coreAddrStride = sim::Addr(1) << 40;
-
 /** A workload translated into core @p core's address slice. */
 class OffsetWorkload : public Workload
 {
   public:
     OffsetWorkload(std::unique_ptr<Workload> inner, unsigned core)
         : inner_(std::move(inner)),
-          offset_(sim::Addr(core) * coreAddrStride)
+          offset_(sim::Addr(core) * sim::coreAddrStride)
     {
     }
 

@@ -1,9 +1,11 @@
 #!/bin/sh
 # A bench refuses the flags for settings it fixes or sweeps itself (a
 # non-zero exit with a "fatal:" message and no BENCH_*.json), and a
-# bench that takes --apps runs exactly the listed applications.
+# bench that takes --apps runs exactly the listed applications.  A
+# --restore-from snapshot of another machine shape exits 1 with a
+# "fatal: --restore-from:" line, serially and in parallel.
 #
-#   sh tests/bench_flag_refusal.sh build/bench
+#   sh tests/bench_flag_refusal.sh build/bench   (uses build/tools too)
 set -u
 bench=$1
 dir=$(mktemp -d)
@@ -51,4 +53,30 @@ if [ "$apps" != '"workload": "Tree"' ]; then
     echo "fig7_exec_time --apps=Tree ran: $apps"
     failed=1
 fi
+# A table-cache snapshot does not restore into fig7's cache-less
+# machines: a clean refusal, never an abort.
+rm -f "$dir"/BENCH_*.json
+if ! "$bench/../tools/ulmt-ckpt" create MST "$dir/tc.ulmtckp" --algo=Repl \
+    --at=100 --scale=0.01 --table-cache=256,4 >"$dir/stdout" 2>&1; then
+    echo "ulmt-ckpt create failed:"
+    cat "$dir/stdout"
+    failed=1
+fi
+for jobs in 1 4; do
+    ULMT_BENCH_DIR=$dir "$bench/fig7_exec_time" 0.01 --apps=MST \
+        --restore-from="$dir/tc.ulmtckp" --jobs=$jobs \
+        >"$dir/stdout" 2>"$dir/stderr"
+    status=$?
+    if [ "$status" -ne 1 ] ||
+        ! grep -q '^fatal: --restore-from: ' "$dir/stderr"; then
+        echo "fig7 --restore-from mismatch --jobs=$jobs: status $status:"
+        cat "$dir/stderr"
+        failed=1
+    fi
+    if [ -n "$(find "$dir" -name 'BENCH_*.json')" ]; then
+        echo "fig7 --restore-from mismatch --jobs=$jobs wrote a BENCH file"
+        rm -f "$dir"/BENCH_*.json
+        failed=1
+    fi
+done
 exit $failed

@@ -542,7 +542,7 @@ INSTANTIATE_TEST_SUITE_P(Algos, AlgoRestore,
 TEST(AlgoRestore, UncheckpointableAlgorithmRefusesLoudly)
 {
     core::UlmtSpec spec;
-    spec.algo = core::UlmtAlgo::Adaptive;
+    spec.algo = core::UlmtAlgo::ReplCA;
     spec.numRows = 64;
     auto algo = core::makeAlgorithm(spec);
     ckpt::StateWriter w;

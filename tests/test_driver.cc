@@ -25,7 +25,7 @@ TEST(Factory, NamesRoundTrip)
           core::UlmtAlgo::Repl, core::UlmtAlgo::Seq1,
           core::UlmtAlgo::Seq4, core::UlmtAlgo::Seq4Base,
           core::UlmtAlgo::Seq4Repl, core::UlmtAlgo::Seq1Repl,
-          core::UlmtAlgo::Adaptive, core::UlmtAlgo::Profile}) {
+          core::UlmtAlgo::Profile}) {
         EXPECT_EQ(core::parseUlmtAlgo(core::to_string(a)), a);
         core::UlmtSpec spec;
         spec.algo = a;

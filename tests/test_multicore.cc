@@ -155,7 +155,7 @@ TEST(Multicore, OffsetWorkloadShiftsEveryReference)
         if (a.addr == sim::invalidAddr)
             EXPECT_EQ(b.addr, sim::invalidAddr);
         else
-            EXPECT_EQ(b.addr, a.addr + 2 * workloads::coreAddrStride);
+            EXPECT_EQ(b.addr, a.addr + 2 * sim::coreAddrStride);
     }
 }
 

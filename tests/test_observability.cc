@@ -468,6 +468,73 @@ TEST(ObservabilityDeterminismTest, ParallelRunnerSamplingInvariant)
     EXPECT_EQ(sweep(0), sweep(4096));
 }
 
+/** Collects every registered name, in visit order. */
+class NameCollector : public sim::StatVisitor
+{
+  public:
+    std::vector<std::string> names;
+
+    void counter(const std::string &n, std::uint64_t) override
+    {
+        names.push_back(n);
+    }
+    void gauge(const std::string &n, double) override
+    {
+        names.push_back(n);
+    }
+    void sampleStat(const std::string &n, const sim::SampleStat &) override
+    {
+        names.push_back(n);
+    }
+    void histogram(const std::string &n,
+                   const sim::BinnedHistogram &) override
+    {
+        names.push_back(n);
+    }
+};
+
+/**
+ * The fingerprint is the registry: every behavioural leaf of a busy
+ * machine (2 cores, table cache, checker on) is in it, and no passive
+ * leaf (audit, checker, host checkpoint costs, interference matrix)
+ * is.
+ */
+TEST(ObservabilityDeterminismTest, FingerprintCarriesEveryBehaviouralLeaf)
+{
+    driver::ExperimentOptions opt;
+    opt.scale = 0.005;
+    driver::SystemConfig cfg =
+        driver::ulmtConfig(opt, core::UlmtAlgo::Repl, "MST");
+    cfg.cores = 2;
+    cfg.tableCache.entries = 256;
+    cfg.tableCache.assoc = 4;
+    cfg.check.mode = check::CheckMode::Basic;
+    driver::System sys(
+        cfg,
+        driver::makeCoreWorkloads("MST", opt.seed, opt.scale, cfg.cores),
+        "MST");
+    const driver::RunResult r = sys.run();
+    const std::string fp = driver::resultFingerprint(r);
+
+    NameCollector all;
+    sys.statRegistry().visit(all);
+    std::size_t passive = 0;
+    for (const std::string &name : all.names) {
+        const bool is_passive = name.rfind("audit.", 0) == 0 ||
+                                name.rfind("check.", 0) == 0 ||
+                                name.rfind("ckpt.", 0) == 0 ||
+                                name.find("blocked_by") != std::string::npos;
+        passive += is_passive;
+        EXPECT_EQ(fp.find(" " + name + "=") != std::string::npos,
+                  !is_passive)
+            << name;
+    }
+    // The run exercised both kinds, and the table cache published.
+    EXPECT_GT(passive, 0u);
+    EXPECT_LT(passive, all.names.size());
+    EXPECT_NE(fp.find(" memsys.tcache.hits="), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Trace-event export
 // ---------------------------------------------------------------------

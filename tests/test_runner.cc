@@ -4,9 +4,10 @@
  *
  * The tentpole guarantee: running a sweep through the thread pool must
  * produce byte-identical simulation results to running it serially.
- * These tests pin that down with resultFingerprint(), which serializes
- * every counter of a RunResult (hex-float encoded, wall-clock
- * excluded) plus a hash of the recorded miss stream.
+ * These tests pin that down with resultFingerprint(): every
+ * behavioural stat-registry leaf of the run (hex-float encoded,
+ * passive observability and wall-clock excluded) plus a hash of the
+ * recorded miss stream.
  */
 
 #include <gtest/gtest.h>

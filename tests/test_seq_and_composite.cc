@@ -1,17 +1,14 @@
 /**
  * @file
  * Tests for the software sequential prefetcher (Seq1/Seq4), the
- * composite algorithm (union prediction, short-circuit mode), and the
- * adaptive algorithm's mode selection.
+ * composite algorithm (union prediction, short-circuit mode).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive.hh"
 #include "core/composite.hh"
 #include "core/replicated.hh"
 #include "core/seq_prefetcher.hh"
-#include "sim/random.hh"
 
 namespace {
 
@@ -124,56 +121,6 @@ TEST(Composite, ShortCircuitSkipsBackOnStreamHit)
     // The first two misses (pre-detection) fall through to Repl; once
     // the stream is live, Repl stops learning.
     EXPECT_LE(repl_raw->insertions(), 4u);
-}
-
-TEST(Adaptive, SwitchesToSeqOnlyOnSequentialPhase)
-{
-    core::AdaptivePrefetcher adaptive(seqParams(4),
-                                      core::chainReplDefaults(4096),
-                                      /*epoch_misses=*/256);
-    for (int i = 0; i < 1200; ++i)
-        observe(adaptive, 0x100000 + i * 64);
-    EXPECT_EQ(adaptive.mode(), core::AdaptivePrefetcher::Mode::SeqOnly);
-    EXPECT_GE(adaptive.modeSwitches(), 1u);
-}
-
-TEST(Adaptive, SwitchesToReplOnlyOnIrregularPhase)
-{
-    core::AdaptivePrefetcher adaptive(seqParams(4),
-                                      core::chainReplDefaults(4096),
-                                      /*epoch_misses=*/256);
-    sim::Rng rng(7);
-    // Irregular repeating cycle of 64 scattered lines.
-    std::vector<sim::Addr> cycle;
-    for (int i = 0; i < 64; ++i)
-        cycle.push_back((rng.below(1 << 16)) * 64);
-    for (int rep = 0; rep < 24; ++rep) {
-        for (sim::Addr a : cycle)
-            observe(adaptive, a);
-    }
-    EXPECT_EQ(adaptive.mode(),
-              core::AdaptivePrefetcher::Mode::ReplOnly);
-}
-
-TEST(Adaptive, RecoversWhenPhaseChanges)
-{
-    core::AdaptivePrefetcher adaptive(seqParams(4),
-                                      core::chainReplDefaults(4096),
-                                      /*epoch_misses=*/128);
-    for (int i = 0; i < 600; ++i)
-        observe(adaptive, 0x100000 + i * 64);
-    ASSERT_EQ(adaptive.mode(),
-              core::AdaptivePrefetcher::Mode::SeqOnly);
-    sim::Rng rng(9);
-    std::vector<sim::Addr> cycle;
-    for (int i = 0; i < 50; ++i)
-        cycle.push_back(rng.below(1 << 16) * 64);
-    for (int rep = 0; rep < 16; ++rep) {
-        for (sim::Addr a : cycle)
-            observe(adaptive, a);
-    }
-    EXPECT_NE(adaptive.mode(),
-              core::AdaptivePrefetcher::Mode::SeqOnly);
 }
 
 } // namespace

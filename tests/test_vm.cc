@@ -5,12 +5,14 @@
  * accounting and eviction, hottest-page remap victim selection,
  * deterministic remap engines, save/restore round-trips, the
  * physical page-cross prefetch drop, and the end-to-end System
- * integration (fingerprint determinism, page-size restore guard).
+ * integration (fingerprint determinism, page-size restore guard,
+ * multicore remapping resume).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -423,6 +425,40 @@ TEST(VmEndToEnd, CheckpointRestoreResumesBitIdentically)
     driver::System sys(cfg, *wl);
     sys.restoreCheckpoint(path);
     const driver::RunResult resumed = sys.run();
+    EXPECT_EQ(driver::resultFingerprint(full),
+              driver::resultFingerprint(resumed));
+    std::remove(path.c_str());
+}
+
+TEST(VmEndToEnd, MulticoreRemapRunResumesBitIdentically)
+{
+    // Core i's trace sits at i * 2^40; the physical frames must start
+    // above every core's slice or translation collides with them.
+    const std::string path = "test_vm_multicore.ulmtckp";
+    driver::SystemConfig cfg = vmConfig(500.0, 4096);
+    cfg.cores = 2;
+    const std::uint64_t seed = workloads::WorkloadParams{}.seed;
+    const auto build = [&] {
+        return std::make_unique<driver::System>(
+            cfg, driver::makeCoreWorkloads("MST", seed, 0.002, 2),
+            "MST");
+    };
+
+    driver::RunResult full;
+    {
+        auto sys = build();
+        sys->setCheckpointMeta("MST", seed, 0.002);
+        sys->setCheckpointTrigger("500", path);
+        full = sys->run();
+        ASSERT_GT(full.ckptBytes, 0u);
+        for (unsigned c = 0; c < 2; ++c)
+            EXPECT_GT(sys->vm()->coreStats(c).accesses, 0u) << c;
+    }
+    EXPECT_GT(full.vmRemaps, 0u);
+
+    auto sys = build();
+    sys->restoreCheckpoint(path);
+    const driver::RunResult resumed = sys->run();
     EXPECT_EQ(driver::resultFingerprint(full),
               driver::resultFingerprint(resumed));
     std::remove(path.c_str());
