@@ -55,15 +55,19 @@ main(int argc, char **argv)
         for (std::size_t ci = 0; ci < algos.size(); ++ci) {
             const driver::RunResult &r =
                 results[ai * per_app + 1 + ci];
+            const auto n = [](const driver::RunResult &x,
+                              const char *leaf) {
+                return x.stats.counter(x.coreStat(leaf));
+            };
             const std::int64_t extra =
-                static_cast<std::int64_t>(r.hier.nonPrefMisses +
-                                          r.hier.ulmtHits +
-                                          r.hier.ulmtDelayedHits) -
-                static_cast<std::int64_t>(base.hier.l2Misses);
+                static_cast<std::int64_t>(n(r, "l2.push.non_pref_misses") +
+                                          n(r, "l2.push.hits") +
+                                          n(r, "l2.push.delayed_hits")) -
+                static_cast<std::int64_t>(n(base, "l2.misses"));
             table.addRow({apps[ai], r.label,
                           driver::fmt(r.speedup(base)),
-                          std::to_string(r.hier.ulmtHits),
-                          std::to_string(r.hier.ulmtReplaced),
+                          std::to_string(n(r, "l2.push.hits")),
+                          std::to_string(n(r, "l2.push.replaced")),
                           std::to_string(extra)});
             harness.metric("speedup_" + apps[ai] + "_" + r.label,
                            r.speedup(base));

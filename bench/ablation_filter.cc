@@ -56,9 +56,10 @@ main(int argc, char **argv)
             table.addRow(
                 {apps[ai], std::to_string(sizes[si]),
                  driver::fmt(r.speedup(base)),
-                 std::to_string(r.memsys.ulmtPrefetchesIssued),
-                 std::to_string(r.memsys.ulmtPrefetchesDroppedFilter),
-                 std::to_string(r.hier.pushRedundant())});
+                 std::to_string(r.stats.counter("memsys.queue3.issued")),
+                 std::to_string(
+                     r.stats.counter("memsys.queue3.drops.filter")),
+                 std::to_string(driver::pushRedundant(r))});
             harness.metric(sim::strformat("speedup_%s_filter%u",
                                           apps[ai].c_str(),
                                           sizes[si]),

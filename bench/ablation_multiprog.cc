@@ -37,14 +37,18 @@ struct Coverage
 Coverage
 coverageOf(const driver::RunResult &r)
 {
+    const auto n = [&r](const char *leaf) {
+        return r.stats.counter(r.coreStat(leaf));
+    };
+    const std::uint64_t hits = n("l2.push.hits");
+    const std::uint64_t delayed = n("l2.push.delayed_hits");
     const double misses = static_cast<double>(
-        r.hier.ulmtHits + r.hier.ulmtDelayedHits +
-        r.hier.nonPrefMisses);
-    return {misses > 0 ? (static_cast<double>(r.hier.ulmtHits) +
-                          static_cast<double>(r.hier.ulmtDelayedHits)) /
+        hits + delayed + n("l2.push.non_pref_misses"));
+    return {misses > 0 ? (static_cast<double>(hits) +
+                          static_cast<double>(delayed)) /
                              misses
                        : 0.0,
-            r.hier.l2Misses};
+            n("l2.misses")};
 }
 
 driver::RunResult

@@ -56,16 +56,20 @@ main(int argc, char **argv)
             const driver::RunResult &r =
                 results[ai * per_app + 1 + li];
             const double cov =
-                static_cast<double>(r.hier.ulmtHits +
-                                    r.hier.ulmtDelayedHits) /
-                static_cast<double>(base.hier.l2Misses);
+                static_cast<double>(
+                    r.stats.counter(r.coreStat("l2.push.hits")) +
+                    r.stats.counter(r.coreStat("l2.push.delayed_hits"))) /
+                static_cast<double>(
+                    base.stats.counter(base.coreStat("l2.misses")));
+            const double occ =
+                r.stats.sample(r.engineStat("occupancy_cycles")).mean();
             const double mb =
                 static_cast<double>(workloads::tableNumRows(app)) *
                 (4.0 + levels * 2 * 4.0) / (1024.0 * 1024.0);
             table.addRow({app, std::to_string(levels),
                           driver::fmt(r.speedup(base)),
                           driver::fmt(cov),
-                          driver::fmt(r.ulmt.occupancyTime.mean(), 0),
+                          driver::fmt(occ, 0),
                           driver::fmt(mb, 1)});
             harness.metric(sim::strformat("speedup_%s_levels%u",
                                           app.c_str(), levels),

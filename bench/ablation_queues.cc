@@ -56,9 +56,10 @@ main(int argc, char **argv)
             table.addRow(
                 {apps[ai], std::to_string(depths[di]),
                  driver::fmt(r.speedup(base)),
-                 std::to_string(r.ulmt.missesDroppedQueueFull),
                  std::to_string(
-                     r.memsys.ulmtPrefetchesDroppedQueueFull)});
+                     r.stats.counter(r.engineStat("queue2.drops"))),
+                 std::to_string(r.stats.counter(
+                     "memsys.queue3.drops.queue_full"))});
             harness.metric(sim::strformat("speedup_%s_depth%u",
                                           apps[ai].c_str(),
                                           depths[di]),

@@ -69,14 +69,17 @@ main(int argc, char **argv)
         for (std::size_t v = 0; v < variants.size(); ++v) {
             const driver::RunResult &r =
                 results[ai * variants.size() + v];
-            if (r.ulmt.missesProcessed == 0)
+            if (r.stats.counter(r.engineStat("misses_processed")) == 0)
                 continue;
+            const auto mean = [&r](const char *leaf) {
+                return r.stats.sample(r.engineStat(leaf)).mean();
+            };
             Load &l = loads[v];
-            l.respBusy += r.ulmt.responseBusy.mean();
-            l.respMem += r.ulmt.responseMem.mean();
-            l.occBusy += r.ulmt.occupancyBusy.mean();
-            l.occMem += r.ulmt.occupancyMem.mean();
-            l.ipc += r.ulmt.ipc();
+            l.respBusy += mean("response_busy");
+            l.respMem += mean("response_mem");
+            l.occBusy += mean("occupancy_busy");
+            l.occMem += mean("occupancy_mem");
+            l.ipc += r.stats.value(r.engineStat("ipc"));
             ++l.n;
         }
     }

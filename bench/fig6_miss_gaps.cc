@@ -39,12 +39,12 @@ main(int argc, char **argv)
 
     for (std::size_t ai = 0; ai < apps.size(); ++ai) {
         const driver::RunResult &r = results[ai];
+        const sim::BinnedHistogram &gaps =
+            r.stats.histogram(r.coreStat("l2.miss_gap_cycles"));
         std::vector<std::string> row = {apps[ai]};
-        for (int b = 0; b < 4; ++b) {
-            row.push_back(driver::fmtPercent(
-                r.missGapFractions[static_cast<std::size_t>(b)]));
-            sums[static_cast<std::size_t>(b)] +=
-                r.missGapFractions[static_cast<std::size_t>(b)];
+        for (std::size_t b = 0; b < 4; ++b) {
+            row.push_back(driver::fmtPercent(gaps.binFraction(b)));
+            sums[b] += gaps.binFraction(b);
         }
         table.addRow(row);
     }

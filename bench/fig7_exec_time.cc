@@ -66,16 +66,12 @@ main(int argc, char **argv)
 
         for (std::size_t i = 0; i < per_app; ++i) {
             const driver::RunResult &r = results[ai * per_app + i];
-            const double denom = static_cast<double>(base.cycles);
+            const std::vector<std::string> parts =
+                bench::cycleBreakdown(r, base);
             const double sp = r.speedup(base);
-            table.addRow(
-                {app, r.label, driver::fmt(r.normalizedTime(base)),
-                 driver::fmt(static_cast<double>(r.busyCycles) / denom),
-                 driver::fmt(static_cast<double>(r.uptoL2Stall) /
-                             denom),
-                 driver::fmt(static_cast<double>(r.beyondL2Stall) /
-                             denom),
-                 driver::fmt(sp)});
+            table.addRow({app, r.label,
+                          driver::fmt(r.normalizedTime(base)), parts[0],
+                          parts[1], parts[2], driver::fmt(sp)});
             if (r.label == "Conven4")
                 c4_sp.push_back(sp);
             else if (r.label == "Base")

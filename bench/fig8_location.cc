@@ -57,17 +57,12 @@ main(int argc, char **argv)
         const driver::RunResult &in_nb = results[ai * 3 + 2];
 
         for (const driver::RunResult *r : {&base, &in_dram, &in_nb}) {
-            const double denom = static_cast<double>(base.cycles);
-            table.addRow(
-                {apps[ai], r->label,
-                 driver::fmt(r->normalizedTime(base)),
-                 driver::fmt(static_cast<double>(r->busyCycles) /
-                             denom),
-                 driver::fmt(static_cast<double>(r->uptoL2Stall) /
-                             denom),
-                 driver::fmt(static_cast<double>(r->beyondL2Stall) /
-                             denom),
-                 driver::fmt(r->speedup(base))});
+            const std::vector<std::string> parts =
+                bench::cycleBreakdown(*r, base);
+            table.addRow({apps[ai], r->label,
+                          driver::fmt(r->normalizedTime(base)), parts[0],
+                          parts[1], parts[2],
+                          driver::fmt(r->speedup(base))});
         }
         dram_sp.push_back(in_dram.speedup(base));
         nb_sp.push_back(in_nb.speedup(base));

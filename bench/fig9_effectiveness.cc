@@ -77,31 +77,33 @@ struct Breakdown
 Breakdown
 breakdown(const driver::RunResult &r, const driver::RunResult &base)
 {
-    const double orig = static_cast<double>(base.hier.l2Misses);
+    const auto n = [&r](const char *leaf) {
+        return r.stats.counter(r.coreStat(leaf));
+    };
+    const double orig =
+        static_cast<double>(base.stats.counter(base.coreStat("l2.misses")));
     Breakdown b;
-    b.hits = static_cast<double>(r.hier.ulmtHits) / orig;
-    b.delayed = static_cast<double>(r.hier.ulmtDelayedHits) / orig;
-    b.nonpref = static_cast<double>(r.hier.nonPrefMisses +
-                                    r.hier.cpuPfToMemory) /
+    b.hits = static_cast<double>(n("l2.push.hits")) / orig;
+    b.delayed = static_cast<double>(n("l2.push.delayed_hits")) / orig;
+    b.nonpref = static_cast<double>(n("l2.push.non_pref_misses") +
+                                    n("cpu_pf.to_memory")) /
                 orig;
-    b.replaced = static_cast<double>(r.hier.ulmtReplaced) / orig;
-    b.redundant = static_cast<double>(r.hier.pushRedundant()) / orig;
-    if (r.audit.enabled && !r.audit.cores.empty()) {
-        mem::AuditOutcomeCounts c;
-        for (const auto &cr : r.audit.cores) {
-            c.usefulTimely += cr.push.usefulTimely;
-            c.usefulLate += cr.push.usefulLate;
-            c.droppedFilter += cr.push.droppedFilter;
-            c.droppedQueueFull += cr.push.droppedQueueFull;
-            c.droppedDemandMatch += cr.push.droppedDemandMatch;
-            c.droppedCpuPfMatch += cr.push.droppedCpuPfMatch;
+    b.replaced = static_cast<double>(n("l2.push.replaced")) / orig;
+    b.redundant = static_cast<double>(driver::pushRedundant(r)) / orig;
+    if (r.config.audit) {
+        std::uint64_t timely = 0, late = 0, dropped = 0;
+        for (unsigned c = 0; c < r.config.cores; ++c) {
+            const std::string p = "audit.core." + std::to_string(c) + ".";
+            timely += r.stats.counter(p + "useful_timely");
+            late += r.stats.counter(p + "useful_late");
+            for (const char *d :
+                 {"dropped_filter", "dropped_queue_full",
+                  "dropped_demand_match", "dropped_cpu_pf_match"})
+                dropped += r.stats.counter(p + d);
         }
-        b.useful_timely = static_cast<double>(c.usefulTimely) / orig;
-        b.useful_late = static_cast<double>(c.usefulLate) / orig;
-        b.dropped = static_cast<double>(
-                        c.droppedFilter + c.droppedQueueFull +
-                        c.droppedDemandMatch + c.droppedCpuPfMatch) /
-                    orig;
+        b.useful_timely = static_cast<double>(timely) / orig;
+        b.useful_late = static_cast<double>(late) / orig;
+        b.dropped = static_cast<double>(dropped) / orig;
     }
     return b;
 }

@@ -11,7 +11,9 @@
 
 #include "ckpt/checkpoint.hh"
 #include "driver/experiment.hh"
+#include "driver/report.hh"
 #include "driver/runner.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace bench {
@@ -118,6 +120,17 @@ parseArgs(int argc, char **argv, double default_scale,
     return opt;
 }
 
+std::vector<std::string>
+cycleBreakdown(const driver::RunResult &r, const driver::RunResult &base)
+{
+    std::vector<std::string> cells;
+    for (const char *leaf :
+         {"proc.busy_cycles", "proc.stall.upto_l2", "proc.stall.beyond_l2"})
+        cells.push_back(driver::fmt(r.stats.value(r.coreStat(leaf)) /
+                                    static_cast<double>(base.cycles)));
+    return cells;
+}
+
 Harness::Harness(std::string name, const Options &opt)
     : name_(std::move(name)), opt_(opt),
       start_(std::chrono::steady_clock::now())
@@ -146,35 +159,6 @@ Harness::metric(const std::string &key, double value)
 }
 
 namespace {
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::strformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-}
-
-std::string
-jsonNumber(double v)
-{
-    // Shortest round-trippable decimal; JSON has no inf/nan.
-    if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0)
-        return "null";
-    return sim::strformat("%.17g", v);
-}
 
 /** Series samples need far less precision than headline metrics. */
 std::string
@@ -223,21 +207,15 @@ std::string
 provenanceJson()
 {
     std::string out = "  \"provenance\": {\n";
-    out += "    \"git_sha\": ";
-    appendEscaped(out, gitSha());
-    out += ",\n    \"timestamp_utc\": ";
-    appendEscaped(out, utcTimestamp());
+    out += "    \"git_sha\": " + sim::jsonQuote(gitSha());
+    out += ",\n    \"timestamp_utc\": " + sim::jsonQuote(utcTimestamp());
     out += ",\n    \"host\": {";
     struct utsname un{};
     if (::uname(&un) == 0) {
-        out += "\"hostname\": ";
-        appendEscaped(out, un.nodename);
-        out += ", \"sysname\": ";
-        appendEscaped(out, un.sysname);
-        out += ", \"release\": ";
-        appendEscaped(out, un.release);
-        out += ", \"machine\": ";
-        appendEscaped(out, un.machine);
+        out += "\"hostname\": " + sim::jsonQuote(un.nodename);
+        out += ", \"sysname\": " + sim::jsonQuote(un.sysname);
+        out += ", \"release\": " + sim::jsonQuote(un.release);
+        out += ", \"machine\": " + sim::jsonQuote(un.machine);
         out += sim::strformat(", \"nproc\": %ld",
                               ::sysconf(_SC_NPROCESSORS_ONLN));
     }
@@ -245,109 +223,154 @@ provenanceJson()
     return out;
 }
 
-/** One push-outcome counter set as a JSON object.  The page-cross
- *  drop class exists only when the VM layer is on; emitting it
- *  conditionally keeps pre-VM BENCH files byte-identical. */
+/** Counter @p name of @p s in decimal. */
 std::string
-outcomeJson(const mem::AuditOutcomeCounts &c, bool with_page_cross)
+u64(const sim::StatSnapshot &s, const std::string &name)
 {
-    std::string out = sim::strformat(
-        "{\"issued\": %llu, \"useful_timely\": %llu, "
-        "\"useful_late\": %llu, \"evicted_unused\": %llu, "
-        "\"redundant\": %llu, \"dropped_filter\": %llu, "
-        "\"dropped_queue_full\": %llu, \"dropped_demand_match\": %llu, "
-        "\"dropped_cpu_pf_match\": %llu",
-        (unsigned long long)c.issued, (unsigned long long)c.usefulTimely,
-        (unsigned long long)c.usefulLate,
-        (unsigned long long)c.evictedUnused,
-        (unsigned long long)c.redundant,
-        (unsigned long long)c.droppedFilter,
-        (unsigned long long)c.droppedQueueFull,
-        (unsigned long long)c.droppedDemandMatch,
-        (unsigned long long)c.droppedCpuPfMatch);
-    if (with_page_cross)
-        out += sim::strformat(", \"dropped_page_cross\": %llu",
-                              (unsigned long long)c.droppedPageCross);
+    return std::to_string(s.counter(name));
+}
+
+/** The push outcome counters under @p prefix as a JSON object.  The
+ *  page-cross drop class exists only when the VM layer is on; emitting
+ *  it conditionally keeps pre-VM BENCH files byte-identical. */
+std::string
+outcomeJson(const sim::StatSnapshot &s, const std::string &prefix,
+            bool with_page_cross)
+{
+    std::string out = "{\"issued\": " + u64(s, prefix + "issued");
+    for (int i = 0; i <= int(mem::PushOutcome::DroppedPageCross); ++i) {
+        const auto o = static_cast<mem::PushOutcome>(i);
+        if (o == mem::PushOutcome::DroppedPageCross && !with_page_cross)
+            continue;
+        const std::string name = mem::pushOutcomeName(o);
+        out += ", \"" + name + "\": " + u64(s, prefix + name);
+    }
     return out + "}";
+}
+
+/** The per-tenant {demand, prefetch, other} split under @p prefix. */
+std::string
+splitJson(const sim::StatSnapshot &s, const std::string &prefix)
+{
+    return "{\"demand\": " + u64(s, prefix + "demand_cycles") +
+           ", \"prefetch\": " + u64(s, prefix + "prefetch_cycles") +
+           ", \"other\": " + u64(s, prefix + "other_cycles") + "}";
 }
 
 /**
  * The per-run "effectiveness" block: the audit layer's lifecycle
  * outcome taxonomy, lead-time histogram, per-tenant bus/DRAM split and
- * the blocked_by interference matrix.  Fully deterministic (no host
- * times), so regression gates may compare it exactly.
+ * the blocked_by interference matrix, read from the run's stats.
+ * Fully deterministic (no host times), so regression gates may
+ * compare it exactly.
  */
 std::string
-effectivenessJson(const mem::AuditReport &a, bool vm_on)
+effectivenessJson(const driver::RunResult &r)
 {
+    const sim::StatSnapshot &s = r.stats;
+    const bool vm_on = r.config.vm.on();
+    const unsigned cores = r.config.cores;
     std::string out = "{\"cores\": [";
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        const mem::AuditCoreReport &cr = a.cores[c];
+    for (unsigned c = 0; c < cores; ++c) {
+        const std::string a = "audit.core." + std::to_string(c) + ".";
+        const std::string pf = r.coreStat("cpu_pf.", c);
         out += c ? ",\n        " : "\n        ";
-        out += "{\"push\": " + outcomeJson(cr.push, vm_on);
-        out += ", \"coverage\": " + jsonNumber(cr.coverage);
-        out += ", \"accuracy\": " + jsonNumber(cr.accuracy);
-        out += ", \"timeliness\": " + jsonNumber(cr.timeliness);
-        out += sim::strformat(
-            ",\n         \"cpu_pf\": {\"issued\": %llu, "
-            "\"to_memory\": %llu, \"useful_timely\": %llu, "
-            "\"useful_late\": %llu, \"replaced\": %llu",
-            (unsigned long long)cr.cpuPfIssued,
-            (unsigned long long)cr.cpuPfToMemory,
-            (unsigned long long)cr.cpuPfUsefulTimely,
-            (unsigned long long)cr.cpuPfUsefulLate,
-            (unsigned long long)cr.cpuPfReplaced);
+        out += "{\"push\": " + outcomeJson(s, a, vm_on);
+        for (const char *ratio : {"coverage", "accuracy", "timeliness"})
+            out += std::string(", \"") + ratio +
+                   "\": " + sim::jsonNumber(s.value(a + ratio));
+        out += ",\n         \"cpu_pf\": {\"issued\": " +
+               u64(s, pf + "issued") +
+               ", \"to_memory\": " + u64(s, pf + "to_memory") +
+               ", \"useful_timely\": " + u64(s, pf + "timely") +
+               ", \"useful_late\": " +
+               std::to_string(s.counter(pf + "useful") -
+                              s.counter(pf + "timely")) +
+               ", \"replaced\": " + u64(s, pf + "replaced");
         if (vm_on)
-            out += sim::strformat(
-                ", \"dropped_page_cross\": %llu",
-                (unsigned long long)cr.cpuPfDroppedPageCross);
+            out += ", \"dropped_page_cross\": " +
+                   u64(s, pf + "dropped_page_cross");
         out += "}";
+        const sim::BinnedHistogram &lead =
+            s.histogram(a + "lead_time_cycles");
         out += ",\n         \"lead_time\": {\"edges\": [";
-        for (std::size_t i = 0; i < cr.leadEdges.size(); ++i)
-            out += (i ? ", " : "") + jsonNumber(cr.leadEdges[i]);
+        for (std::size_t i = 0; i < lead.numBins(); ++i)
+            out += (i ? ", " : "") + sim::jsonNumber(lead.binEdge(i));
         out += "], \"counts\": [";
-        for (std::size_t i = 0; i < cr.leadCounts.size(); ++i)
-            out += sim::strformat("%s%llu", i ? ", " : "",
-                                  (unsigned long long)cr.leadCounts[i]);
-        out += sim::strformat("], \"below\": %llu",
-                              (unsigned long long)cr.leadBelow);
-        out += ", \"p50\": " + jsonNumber(cr.leadP50);
-        out += ", \"p95\": " + jsonNumber(cr.leadP95) + "}";
-        out += sim::strformat(",\n         \"late\": {\"count\": %llu",
-                              (unsigned long long)cr.lateCount);
-        out += ", \"mean\": " + jsonNumber(cr.lateMean) + "}";
-        out += sim::strformat(
-            ",\n         \"bus_cycles\": {\"demand\": %llu, "
-            "\"prefetch\": %llu, \"other\": %llu}",
-            (unsigned long long)cr.busDemandCycles,
-            (unsigned long long)cr.busPrefetchCycles,
-            (unsigned long long)cr.busOtherCycles);
-        out += sim::strformat(
-            ", \"dram_cycles\": {\"demand\": %llu, "
-            "\"prefetch\": %llu, \"other\": %llu}",
-            (unsigned long long)cr.dramDemandCycles,
-            (unsigned long long)cr.dramPrefetchCycles,
-            (unsigned long long)cr.dramOtherCycles);
+        for (std::size_t i = 0; i < lead.numBins(); ++i)
+            out += (i ? ", " : "") + std::to_string(lead.binCount(i));
+        out += "], \"below\": " + std::to_string(lead.below());
+        out += ", \"p50\": " + sim::jsonNumber(lead.p50());
+        out += ", \"p95\": " + sim::jsonNumber(lead.p95()) + "}";
+        const sim::SampleStat &late = s.sample(a + "late_fill_cycles");
+        out += ",\n         \"late\": {\"count\": " +
+               std::to_string(late.count());
+        out += ", \"mean\": " + sim::jsonNumber(late.mean()) + "}";
+        out += ",\n         \"bus_cycles\": " + splitJson(s, a + "bus.");
+        out += ", \"dram_cycles\": " + splitJson(s, a + "dram.");
+        const std::string b =
+            "memsys.core." + std::to_string(c) + ".blocked_by.";
         out += ",\n         \"blocked_by\": [";
-        for (std::size_t i = 0; i < cr.blockedBy.size(); ++i)
-            out += sim::strformat("%s%llu", i ? ", " : "",
-                                  (unsigned long long)cr.blockedBy[i]);
-        out += "]}";
+        for (unsigned j = 0; j < cores; ++j)
+            out += u64(s, b + std::to_string(j)) + ", ";
+        out += u64(s, b + "ulmt") + "]}";
     }
     out += "],\n       \"engines\": [";
-    for (std::size_t e = 0; e < a.engines.size(); ++e) {
+    for (unsigned e = 0;; ++e) {
+        const std::string p = "audit.engine." + std::to_string(e) + ".";
+        if (!s.has(p + "issued"))
+            break;
         out += e ? ", " : "";
-        out += sim::strformat("{\"engine\": %u, \"push\": ",
-                              a.engines[e].engine);
-        out += outcomeJson(a.engines[e].push, vm_on) + "}";
+        out += "{\"engine\": " + std::to_string(e) +
+               ", \"push\": " + outcomeJson(s, p, vm_on) + "}";
     }
-    out += sim::strformat(
-        "],\n       \"table_dram_cycles\": %llu, "
-        "\"open_inflight\": %llu, \"open_installed\": %llu}",
-        (unsigned long long)a.tableDramCycles,
-        (unsigned long long)a.openInflight,
-        (unsigned long long)a.openInstalled);
+    out += "],\n       \"table_dram_cycles\": " +
+           u64(s, "audit.ulmt.table_dram_cycles") +
+           sim::strformat(", \"open_inflight\": %llu, "
+                          "\"open_installed\": %llu}",
+                          (unsigned long long)r.audit.openInflight,
+                          (unsigned long long)r.audit.openInstalled);
     return out;
+}
+
+/** The "vm" block: page size, remap rate and machine-wide TLB totals. */
+std::string
+vmJson(const driver::RunResult &r)
+{
+    const sim::StatSnapshot &s = r.stats;
+    std::uint64_t hits = 0, misses = 0, walk = 0, pages = 0;
+    for (unsigned c = 0; c < r.config.cores; ++c) {
+        const std::string p = "vm.core." + std::to_string(c) + ".";
+        hits += s.counter(p + "tlb.hits");
+        misses += s.counter(p + "tlb.misses");
+        walk += s.counter(p + "walk_cycles");
+        pages += static_cast<std::uint64_t>(s.value(p + "pages"));
+    }
+    return sim::strformat("{\"page_bytes\": %u", r.config.vm.pageBytes) +
+           ", \"remap_rate\": " + sim::jsonNumber(r.config.vm.remapRate) +
+           ", \"remaps\": " + u64(s, "vm.remaps") +
+           sim::strformat(", \"tlb_hits\": %llu, \"tlb_misses\": %llu, "
+                          "\"walk_cycles\": %llu, \"pages_mapped\": %llu}",
+                          (unsigned long long)hits,
+                          (unsigned long long)misses,
+                          (unsigned long long)walk,
+                          (unsigned long long)pages);
+}
+
+/** The "tcache" block: geometry and the memsys.tcache.* counters. */
+std::string
+tcacheJson(const driver::RunResult &r)
+{
+    std::string out =
+        sim::strformat("{\"entries\": %u, \"assoc\": %u",
+                       r.config.tableCache.entries,
+                       r.config.tableCache.assoc);
+    for (const char *leaf :
+         {"hits", "misses", "writebacks", "row_batched_writebacks",
+          "dirty_buf_high_water", "dram_accesses"})
+        out += std::string(", \"") + leaf + "\": " +
+               u64(r.stats, std::string("memsys.tcache.") + leaf);
+    return out + "}";
 }
 
 } // namespace
@@ -360,85 +383,50 @@ Harness::writeJson() const
                              .count();
 
     std::string out = "{\n";
-    out += "  \"bench\": ";
-    appendEscaped(out, name_);
+    out += "  \"bench\": " + sim::jsonQuote(name_);
     out += ",\n";
     out += sim::strformat("  \"jobs\": %u,\n", driver::runnerJobs());
-    out += "  \"scale\": " + jsonNumber(opt_.experiment.scale) + ",\n";
-    out += "  \"wall_seconds_total\": " + jsonNumber(total) + ",\n";
+    out += "  \"scale\": " + sim::jsonNumber(opt_.experiment.scale) + ",\n";
+    out += "  \"wall_seconds_total\": " + sim::jsonNumber(total) + ",\n";
     out += provenanceJson();
 
     out += "  \"runs\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
         const driver::RunResult &r = runs_[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{\"workload\": ";
-        appendEscaped(out, r.workload);
-        out += ", \"config\": ";
-        appendEscaped(out, r.label);
-        out += ", \"source\": ";
-        appendEscaped(out, r.source);
-        out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
+        out += "{\"workload\": " + sim::jsonQuote(r.workload);
+        out += ", \"config\": " + sim::jsonQuote(r.label);
+        out += ", \"source\": " + sim::jsonQuote(r.source);
+        out += ", \"wall_seconds\": " + sim::jsonNumber(r.wallSeconds);
         out += sim::strformat(", \"events\": %llu",
                               (unsigned long long)r.eventsExecuted);
-        out += ", \"events_per_sec\": " + jsonNumber(r.eventsPerSec());
+        out += ", \"events_per_sec\": " + sim::jsonNumber(r.eventsPerSec());
         out += sim::strformat(", \"sim_cycles\": %llu",
                               (unsigned long long)r.cycles);
         // Core count only on multicore runs, so single-core benches
         // keep the established schema byte-for-byte.
-        if (r.cores > 1)
-            out += sim::strformat(", \"cores\": %u", r.cores);
+        if (r.config.cores > 1)
+            out += sim::strformat(", \"cores\": %u", r.config.cores);
         // Checkpoint costs only when the run actually checkpointed,
         // so runs without one keep the established schema.
-        if (r.ckptSaveSeconds > 0.0 || r.ckptRestoreSeconds > 0.0 ||
-            r.ckptBytes > 0) {
-            out += ", \"ckpt_save_seconds\": " +
-                   jsonNumber(r.ckptSaveSeconds);
+        const double save_s = r.stats.value("ckpt.save_seconds");
+        const double restore_s = r.stats.value("ckpt.restore_seconds");
+        const double bytes = r.stats.value("ckpt.snapshot_bytes");
+        if (save_s > 0.0 || restore_s > 0.0 || bytes > 0.0) {
+            out += ", \"ckpt_save_seconds\": " + sim::jsonNumber(save_s);
             out += ", \"ckpt_restore_seconds\": " +
-                   jsonNumber(r.ckptRestoreSeconds);
+                   sim::jsonNumber(restore_s);
             out += sim::strformat(", \"ckpt_bytes\": %llu",
-                                  (unsigned long long)r.ckptBytes);
+                                  (unsigned long long)bytes);
         }
-        // VM layer (ISSUE 9): present only when translation ran, so
-        // every pre-VM bench keeps the established schema.
-        if (r.vmOn) {
-            out += sim::strformat(",\n     \"vm\": {\"page_bytes\": %u",
-                                  r.vmPageBytes);
-            out += ", \"remap_rate\": " + jsonNumber(r.vmRemapRate);
-            out += sim::strformat(
-                ", \"remaps\": %llu, \"tlb_hits\": %llu, "
-                "\"tlb_misses\": %llu, \"walk_cycles\": %llu, "
-                "\"pages_mapped\": %llu}",
-                (unsigned long long)r.vmRemaps,
-                (unsigned long long)r.vmTlbHits,
-                (unsigned long long)r.vmTlbMisses,
-                (unsigned long long)r.vmWalkCycles,
-                (unsigned long long)r.vmPagesMapped);
-        }
-        // Table cache (ISSUE 10): present only when --table-cache was
-        // on, so cache-off runs keep the established schema.
-        if (r.tcacheOn) {
-            out += sim::strformat(
-                ",\n     \"tcache\": {\"entries\": %u, \"assoc\": %u, "
-                "\"hits\": %llu, \"misses\": %llu, "
-                "\"writebacks\": %llu, "
-                "\"row_batched_writebacks\": %llu, "
-                "\"dirty_buf_high_water\": %llu, "
-                "\"dram_accesses\": %llu}",
-                r.tcacheEntries, r.tcacheAssoc,
-                (unsigned long long)r.tcache.hits,
-                (unsigned long long)r.tcache.misses,
-                (unsigned long long)r.tcache.writebacks,
-                (unsigned long long)r.tcache.rowBatchedWritebacks,
-                (unsigned long long)r.tcache.dirtyBufHighWater,
-                (unsigned long long)r.tcache.dramAccesses);
-        }
-        // Lifecycle audit (ISSUE 8): present only when the auditor ran,
-        // so audit-off invocations keep the established schema.
-        if (r.audit.enabled) {
-            out += ",\n     \"effectiveness\": ";
-            out += effectivenessJson(r.audit, r.vmOn);
-        }
+        // The VM, table-cache and audit blocks appear only when that
+        // layer ran, so runs without it keep the established schema.
+        if (r.config.vm.on())
+            out += ",\n     \"vm\": " + vmJson(r);
+        if (r.config.tableCache.on())
+            out += ",\n     \"tcache\": " + tcacheJson(r);
+        if (r.audit.enabled)
+            out += ",\n     \"effectiveness\": " + effectivenessJson(r);
         out += "}";
     }
     out += runs_.empty() ? "],\n" : "\n  ],\n";
@@ -448,8 +436,8 @@ Harness::writeJson() const
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
         out += first_metric ? "\n    " : ",\n    ";
         first_metric = false;
-        appendEscaped(out, metrics_[i].first);
-        out += ": " + jsonNumber(metrics_[i].second);
+        out += sim::jsonQuote(metrics_[i].first);
+        out += ": " + sim::jsonNumber(metrics_[i].second);
     }
     // Per-run sampled time series (runs with sampling off are
     // skipped).
@@ -466,10 +454,8 @@ Harness::writeJson() const
                 continue;
             out += first_run ? "\n      " : ",\n      ";
             first_run = false;
-            out += "{\"workload\": ";
-            appendEscaped(out, r.workload);
-            out += ", \"config\": ";
-            appendEscaped(out, r.label);
+            out += "{\"workload\": " + sim::jsonQuote(r.workload);
+            out += ", \"config\": " + sim::jsonQuote(r.label);
             out += sim::strformat(
                 ", \"interval_cycles\": %llu",
                 (unsigned long long)r.metrics.interval);
@@ -482,7 +468,7 @@ Harness::writeJson() const
             for (std::size_t c = 0; c < r.metrics.channels.size();
                  ++c) {
                 out += c ? ",\n         " : "\n         ";
-                appendEscaped(out, r.metrics.channels[c]);
+                out += sim::jsonQuote(r.metrics.channels[c]);
                 out += ": [";
                 const auto &vals = r.metrics.values[c];
                 for (std::size_t s = 0; s < vals.size(); ++s) {
@@ -532,7 +518,7 @@ Harness::writeThroughputJson() const
     std::uint64_t total_events = 0;
     double total_wall = 0.0;
     std::string out = "{\n  \"bench\": ";
-    appendEscaped(out, name_);
+    out += sim::jsonQuote(name_);
     out += ",\n";
     out += provenanceJson();
     out += "  \"throughput\": [";
@@ -541,28 +527,26 @@ Harness::writeThroughputJson() const
         total_events += r.eventsExecuted;
         total_wall += r.wallSeconds;
         out += i ? ",\n    " : "\n    ";
-        out += "{\"workload\": ";
-        appendEscaped(out, r.workload);
-        out += ", \"config\": ";
-        appendEscaped(out, r.label);
+        out += "{\"workload\": " + sim::jsonQuote(r.workload);
+        out += ", \"config\": " + sim::jsonQuote(r.label);
         // Self-identifying rows: a throughput archive mixes many bench
         // invocations, so each row carries its machine shape.
-        out += ", \"scale\": " + jsonNumber(opt_.experiment.scale);
-        out += sim::strformat(", \"cores\": %u", r.cores);
+        out += ", \"scale\": " + sim::jsonNumber(opt_.experiment.scale);
+        out += sim::strformat(", \"cores\": %u", r.config.cores);
         out += ", \"ulmt_mode\": ";
-        appendEscaped(out, r.ulmtMode);
+        out += sim::jsonQuote(core::to_string(r.config.ulmtMode));
         out += sim::strformat(", \"events\": %llu",
                               (unsigned long long)r.eventsExecuted);
-        out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
-        out += ", \"events_per_sec\": " + jsonNumber(r.eventsPerSec());
+        out += ", \"wall_seconds\": " + sim::jsonNumber(r.wallSeconds);
+        out += ", \"events_per_sec\": " + sim::jsonNumber(r.eventsPerSec());
         out += "}";
     }
     out += runs_.empty() ? "],\n" : "\n  ],\n";
     out += sim::strformat("  \"events_total\": %llu,\n",
                           (unsigned long long)total_events);
-    out += "  \"wall_seconds_sim\": " + jsonNumber(total_wall) + ",\n";
+    out += "  \"wall_seconds_sim\": " + sim::jsonNumber(total_wall) + ",\n";
     out += "  \"events_per_sec_overall\": " +
-           jsonNumber(total_wall > 0.0
+           sim::jsonNumber(total_wall > 0.0
                           ? static_cast<double>(total_events) /
                                 total_wall
                           : 0.0) +

@@ -96,6 +96,13 @@ struct Options
 Options parseArgs(int argc, char **argv, double default_scale,
                   std::initializer_list<const char *> refused = {});
 
+/**
+ * Core 0's Busy, UptoL2 and BeyondL2 cycles in @p r, each as a
+ * fraction of @p base's execution time (the bars of Figures 7 and 8).
+ */
+std::vector<std::string> cycleBreakdown(const driver::RunResult &r,
+                                        const driver::RunResult &base);
+
 /** Collects per-run perf data and metrics; writes BENCH_<name>.json. */
 class Harness
 {

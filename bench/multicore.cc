@@ -30,39 +30,26 @@
 
 namespace {
 
-double
-qosWaitMean(const driver::RunResult &r)
+/** ULMT prefetches issued for each tenant.  A single-core machine
+ *  has no per-tenant split: its one tenant got them all. */
+std::vector<std::uint64_t>
+pfIssued(const driver::RunResult &r)
 {
-    // Machine-wide mean queue-1 wait: merge the per-tenant samples.
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const mem::CoreQos &q : r.coreQos) {
-        sum += q.q1Wait.sum();
-        n += q.q1Wait.count();
-    }
-    return n ? sum / double(n) : 0.0;
-}
-
-/** Per-tenant ULMT prefetch service as a "min..max" range. */
-std::string
-pfSpread(const driver::RunResult &r)
-{
-    std::uint64_t lo = ~0ULL, hi = 0;
-    for (const mem::CoreQos &q : r.coreQos) {
-        lo = std::min(lo, q.ulmtPrefetchesIssued);
-        hi = std::max(hi, q.ulmtPrefetchesIssued);
-    }
-    return std::to_string(lo) + ".." + std::to_string(hi);
+    if (r.config.cores == 1)
+        return {r.stats.counter("memsys.queue3.issued")};
+    std::vector<std::uint64_t> pf;
+    for (unsigned c = 0; c < r.config.cores; ++c)
+        pf.push_back(r.stats.counter(
+            "memsys.core." + std::to_string(c) + ".pf_issued"));
+    return pf;
 }
 
 std::uint64_t
 obsDropped(const driver::RunResult &r)
 {
-    if (r.engineUlmt.empty())
-        return r.ulmt.missesDroppedQueueFull;
     std::uint64_t total = 0;
-    for (const core::UlmtStats &s : r.engineUlmt)
-        total += s.missesDroppedQueueFull;
+    for (unsigned e = 0; e < driver::numEngines(r.config); ++e)
+        total += r.stats.counter(r.engineStat("queue2.drops", e));
     return total;
 }
 
@@ -118,30 +105,33 @@ main(int argc, char **argv)
             const driver::RunResult &solo = results[idx];
             for (unsigned cores : coreCounts) {
                 const driver::RunResult &r = results[idx++];
-                const sim::Cycle core0 = r.proc.totalCycles;
+                const std::uint64_t core0 =
+                    r.stats.counter(r.coreStat("proc.total_cycles"));
+                const std::uint64_t solo0 =
+                    solo.stats.counter(solo.coreStat("proc.total_cycles"));
                 const double slowdown =
-                    solo.proc.totalCycles
-                        ? double(core0) /
-                              double(solo.proc.totalCycles)
-                        : 0.0;
+                    solo0 ? double(core0) / double(solo0) : 0.0;
+                const std::vector<std::uint64_t> pf = pfIssued(r);
+                const auto [lo, hi] =
+                    std::minmax_element(pf.begin(), pf.end());
                 const std::string mode_s = core::to_string(mode);
                 table.addRow({app, mode_s, std::to_string(cores),
                               std::to_string(core0),
                               driver::fmt(slowdown),
-                              driver::fmt(qosWaitMean(r)),
-                              pfSpread(r),
+                              driver::fmt(r.q1WaitMean),
+                              std::to_string(*lo) + ".." +
+                                  std::to_string(*hi),
                               std::to_string(obsDropped(r))});
                 const std::string key = app + "_" + mode_s + "_c" +
                                         std::to_string(cores);
                 harness.metric("core0_cycles_" + key, double(core0));
                 harness.metric("slowdown_" + key, slowdown);
-                harness.metric("q1_wait_mean_" + key, qosWaitMean(r));
+                harness.metric("q1_wait_mean_" + key, r.q1WaitMean);
                 harness.metric("obs_dropped_" + key,
                                double(obsDropped(r)));
-                std::uint64_t pf = 0;
-                for (const mem::CoreQos &q : r.coreQos)
-                    pf += q.ulmtPrefetchesIssued;
-                harness.metric("pf_issued_" + key, double(pf));
+                harness.metric(
+                    "pf_issued_" + key,
+                    double(r.stats.counter("memsys.queue3.issued")));
             }
         }
     }

@@ -46,8 +46,10 @@ struct Geometry
 double
 hitRate(const driver::RunResult &r)
 {
-    const std::uint64_t total = r.tcache.hits + r.tcache.misses;
-    return total ? double(r.tcache.hits) / double(total) : 0.0;
+    const std::uint64_t hits = r.stats.counter("memsys.tcache.hits");
+    const std::uint64_t total =
+        hits + r.stats.counter("memsys.tcache.misses");
+    return total ? double(hits) / double(total) : 0.0;
 }
 
 } // namespace
@@ -95,28 +97,32 @@ main(int argc, char **argv)
             // The off machine's table traffic all goes to DRAM; count
             // it from the memory system's request counters so the
             // DRAM column stays comparable across the sweep.
+            const sim::StatSnapshot &s = r.stats;
             const std::uint64_t dram_accesses =
-                r.tcacheOn ? r.tcache.dramAccesses
-                           : r.memsys.tableReads + r.memsys.tableWrites;
+                g.entries ? s.counter("memsys.tcache.dram_accesses")
+                          : s.counter("memsys.table.reads") +
+                                s.counter("memsys.table.writes");
+            const std::uint64_t batched =
+                g.entries ? s.counter("memsys.tcache.row_batched_writebacks")
+                          : 0;
+            const double resp =
+                s.sample(r.engineStat("response_cycles")).mean();
+            const double occ =
+                s.sample(r.engineStat("occupancy_cycles")).mean();
             table.addRow(
                 {app, std::to_string(g.entries),
                  g.entries ? std::to_string(g.assoc) : std::string("-"),
-                 driver::fmt(r.ulmt.responseTime.mean()),
-                 driver::fmt(r.ulmt.occupancyTime.mean()),
+                 driver::fmt(resp), driver::fmt(occ),
                  g.entries ? driver::fmt(hitRate(r)) : std::string("-"),
-                 std::to_string(dram_accesses),
-                 std::to_string(r.tcache.rowBatchedWritebacks)});
+                 std::to_string(dram_accesses), std::to_string(batched)});
             const std::string key = app + "_" + g.key();
-            harness.metric("response_mean_" + key,
-                           r.ulmt.responseTime.mean());
-            harness.metric("occupancy_mean_" + key,
-                           r.ulmt.occupancyTime.mean());
+            harness.metric("response_mean_" + key, resp);
+            harness.metric("occupancy_mean_" + key, occ);
             harness.metric("table_dram_accesses_" + key,
                            double(dram_accesses));
             if (g.entries) {
                 harness.metric("hit_rate_" + key, hitRate(r));
-                harness.metric("row_batched_wb_" + key,
-                               double(r.tcache.rowBatchedWritebacks));
+                harness.metric("row_batched_wb_" + key, double(batched));
             }
         }
     }

@@ -31,21 +31,24 @@
 
 namespace {
 
-/** Machine-wide push-prefetch page-cross drops. */
+/** Machine-wide sum of the per-core leaf @p prefix<c>@p leaf. */
 std::uint64_t
-pageCrossDrops(const driver::RunResult &r)
+sumCores(const driver::RunResult &r, const std::string &prefix,
+         const std::string &leaf)
 {
     std::uint64_t total = 0;
-    for (const mem::AuditCoreReport &c : r.audit.cores)
-        total += c.push.droppedPageCross;
+    for (unsigned c = 0; c < r.config.cores; ++c)
+        total += r.stats.counter(prefix + std::to_string(c) + leaf);
     return total;
 }
 
 double
 tlbMissRate(const driver::RunResult &r)
 {
-    const std::uint64_t accesses = r.vmTlbHits + r.vmTlbMisses;
-    return accesses ? double(r.vmTlbMisses) / double(accesses) : 0.0;
+    const std::uint64_t misses = sumCores(r, "vm.core.", ".tlb.misses");
+    const std::uint64_t accesses =
+        sumCores(r, "vm.core.", ".tlb.hits") + misses;
+    return accesses ? double(misses) / double(accesses) : 0.0;
 }
 
 } // namespace
@@ -53,8 +56,10 @@ tlbMissRate(const driver::RunResult &r)
 int
 main(int argc, char **argv)
 {
+    // Coverage and accuracy come from the audit, so it stays on.
     const bench::Options bopt = bench::parseArgs(
-        argc, argv, 0.25, {"--vm", "--page-size", "--remap-rate"});
+        argc, argv, 0.25,
+        {"--vm", "--page-size", "--remap-rate", "--audit"});
     const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("vm_churn", bopt);
 
@@ -108,28 +113,34 @@ main(int argc, char **argv)
             for (std::uint32_t page : pageSizes) {
                 for (double rate : rates) {
                     const driver::RunResult &r = results[idx++];
-                    const mem::AuditCoreReport &cr = r.audit.cores[0];
+                    const double coverage =
+                        r.stats.value("audit.core.0.coverage");
+                    const double accuracy =
+                        r.stats.value("audit.core.0.accuracy");
+                    const std::uint64_t remaps =
+                        r.stats.counter("vm.remaps");
+                    // Machine-wide push-prefetch page-cross drops.
+                    const std::uint64_t page_cross = sumCores(
+                        r, "audit.core.", ".dropped_page_cross");
                     const std::string page_s = vm::pageSizeName(page);
                     table.addRow(
                         {app, core::to_string(algo), page_s,
                          std::to_string((unsigned long long)rate),
-                         driver::fmt(cr.coverage),
-                         driver::fmt(cr.accuracy),
-                         std::to_string(r.vmRemaps),
+                         driver::fmt(coverage), driver::fmt(accuracy),
+                         std::to_string(remaps),
                          driver::fmt(tlbMissRate(r)),
-                         std::to_string(pageCrossDrops(r))});
+                         std::to_string(page_cross)});
                     const std::string key =
                         app + "_" + core::to_string(algo) + "_" +
                         page_s + "_r" +
                         std::to_string((unsigned long long)rate);
-                    harness.metric("coverage_" + key, cr.coverage);
-                    harness.metric("accuracy_" + key, cr.accuracy);
-                    harness.metric("remaps_" + key,
-                                   double(r.vmRemaps));
+                    harness.metric("coverage_" + key, coverage);
+                    harness.metric("accuracy_" + key, accuracy);
+                    harness.metric("remaps_" + key, double(remaps));
                     harness.metric("tlb_miss_rate_" + key,
                                    tlbMissRate(r));
                     harness.metric("pf_page_cross_" + key,
-                                   double(pageCrossDrops(r)));
+                                   double(page_cross));
                 }
             }
         }

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "core/correlation_prefetcher.hh"
@@ -133,10 +132,13 @@ int
 main(int argc, char **argv)
 {
     driver::ExperimentOptions opt;
-    opt.scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+    opt.scale = driver::scaleArg(argc, argv, 1, 0.25);
 
     driver::TextTable table({"Appl", "Algorithm", "Speedup",
                              "ULMT hits", "Delayed hits"});
+    const auto n = [](const driver::RunResult &r, const char *leaf) {
+        return std::to_string(r.stats.counter(leaf));
+    };
     for (const char *app_name : {"Mcf", "Gap"}) {
         const std::string app(app_name);
         const driver::RunResult base =
@@ -147,16 +149,16 @@ main(int argc, char **argv)
             opt);
         table.addRow({app, "Repl (paper)",
                       driver::fmt(repl.speedup(base)),
-                      std::to_string(repl.hier.ulmtHits),
-                      std::to_string(repl.hier.ulmtDelayedHits)});
+                      n(repl, "l2.push.hits"),
+                      n(repl, "l2.push.delayed_hits")});
 
         const driver::RunResult mine = runWithAlgorithm(
             app, std::make_unique<DeltaPrefetcher>(), opt,
             "UserDelta");
         table.addRow({app, "UserDelta (yours)",
                       driver::fmt(mine.speedup(base)),
-                      std::to_string(mine.hier.ulmtHits),
-                      std::to_string(mine.hier.ulmtDelayedHits)});
+                      n(mine, "l2.push.hits"),
+                      n(mine, "l2.push.delayed_hits")});
     }
     table.print("Custom ULMT algorithm vs the paper's Replicated");
     std::puts("\nThe ULMT is just user software: subclass "

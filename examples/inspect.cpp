@@ -12,8 +12,8 @@
  *          North Bridge placement (e.g. Conven4+ReplMC).
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "driver/experiment.hh"
@@ -66,82 +66,91 @@ main(int argc, char **argv)
     const std::string app = argc > 1 ? argv[1] : "Mcf";
     const std::string config = argc > 2 ? argv[2] : "Repl";
     driver::ExperimentOptions opt;
-    opt.scale = argc > 3 ? std::atof(argv[3]) : 0.25;
+    opt.scale = driver::scaleArg(argc, argv, 3, 0.25);
 
     driver::SystemConfig cfg = parseConfig(config, app, opt);
     const driver::RunResult r = driver::runOne(app, cfg, opt);
+    // Every statistic is read by the dotted name `ulmt-stats dump`
+    // prints; a machine without a ULMT has no ulmt.* entries.
+    const sim::StatSnapshot &s = r.stats;
+    const auto n = [&s](const char *name) { return s.counter(name); };
+    const auto mean = [&s](const char *name) {
+        return s.sample(name).mean();
+    };
 
     std::printf("== %s / %s (scale %.2f) ==\n", app.c_str(),
                 r.label.c_str(), opt.scale);
     std::printf("[processor]\n");
     line("cycles", r.cycles);
     line("records", r.records);
-    line("busy", r.busyCycles);
-    line("stall up-to-L2", r.uptoL2Stall);
-    line("stall beyond-L2", r.beyondL2Stall);
+    line("busy", n("proc.busy_cycles"));
+    line("stall up-to-L2", n("proc.stall.upto_l2"));
+    line("stall beyond-L2", n("proc.stall.beyond_l2"));
     line("busy fraction",
-         100.0 * static_cast<double>(r.busyCycles) /
+         100.0 * s.value("proc.busy_cycles") /
              static_cast<double>(r.cycles), "%");
 
     std::printf("[hierarchy]\n");
-    line("loads", r.hier.loads);
-    line("L1 misses", r.hier.l1Misses);
-    line("L2 demand misses", r.hier.l2Misses);
-    line("L2 MSHR merges", r.hier.l2MshrMerges);
-    line("ULMT full hits", r.hier.ulmtHits);
-    line("ULMT delayed hits", r.hier.ulmtDelayedHits);
-    line("non-pf misses", r.hier.nonPrefMisses);
-    line("pushed installed", r.hier.pushInstalled);
-    line("pushed redundant", r.hier.pushRedundant());
-    line("pushed replaced unused", r.hier.ulmtReplaced);
-    line("cpu-pf issued", r.hier.cpuPfIssued);
-    line("cpu-pf to memory", r.hier.cpuPfToMemory);
-    line("cpu-pf useful", r.hier.cpuPfUseful);
-    line("cpu-pf timely", r.hier.cpuPfTimely);
+    line("loads", n("proc.loads"));
+    line("L1 misses", n("l1.misses"));
+    line("L2 demand misses", n("l2.misses"));
+    line("L2 MSHR merges", n("l2.mshr.merges"));
+    line("ULMT full hits", n("l2.push.hits"));
+    line("ULMT delayed hits", n("l2.push.delayed_hits"));
+    line("non-pf misses", n("l2.push.non_pref_misses"));
+    line("pushed installed", n("l2.push.installed"));
+    line("pushed redundant", driver::pushRedundant(r));
+    line("pushed replaced unused", n("l2.push.replaced"));
+    line("cpu-pf issued", n("cpu_pf.issued"));
+    line("cpu-pf to memory", n("cpu_pf.to_memory"));
+    line("cpu-pf useful", n("cpu_pf.useful"));
+    line("cpu-pf timely", n("cpu_pf.timely"));
 
     std::printf("[memory system]\n");
-    line("demand fetches", r.memsys.demandFetches);
-    line("ulmt pf issued", r.memsys.ulmtPrefetchesIssued);
-    line("ulmt pf drop filter", r.memsys.ulmtPrefetchesDroppedFilter);
-    line("ulmt pf drop q3 full",
-         r.memsys.ulmtPrefetchesDroppedQueueFull);
+    line("demand fetches", n("memsys.demand_fetches"));
+    line("ulmt pf issued", n("memsys.queue3.issued"));
+    line("ulmt pf drop filter", n("memsys.queue3.drops.filter"));
+    line("ulmt pf drop q3 full", n("memsys.queue3.drops.queue_full"));
     line("ulmt pf drop demand match",
-         r.memsys.ulmtPrefetchesDroppedDemandMatch);
-    line("table reads (DRAM)", r.memsys.tableReads);
-    line("table writes (DRAM)", r.memsys.tableWrites);
+         n("memsys.queue3.drops.demand_match"));
+    line("table reads (DRAM)", n("memsys.table.reads"));
+    line("table writes (DRAM)", n("memsys.table.writes"));
     line("DRAM row-hit rate",
-         100.0 * static_cast<double>(r.dram.rowHits) /
-             static_cast<double>(r.dram.accesses ? r.dram.accesses : 1),
+         100.0 * s.value("dram.row_hits") /
+             std::max(s.value("dram.accesses"), 1.0),
          "%");
     line("bus utilization", 100.0 * r.busUtilization(), "%");
     line("bus util (prefetch)", 100.0 * r.busUtilizationPrefetch(),
          "%");
 
-    std::printf("[ULMT]\n");
-    line("misses observed", r.ulmt.missesObserved);
-    line("misses processed", r.ulmt.missesProcessed);
-    line("dropped q2 full", r.ulmt.missesDroppedQueueFull);
-    line("prefetches generated", r.ulmt.prefetchesGenerated);
-    line("response time (mean)", r.ulmt.responseTime.mean(), "cycles");
-    line("response busy (mean)", r.ulmt.responseBusy.mean(), "cycles");
-    line("response mem (mean)", r.ulmt.responseMem.mean(), "cycles");
-    line("response max", r.ulmt.responseTime.max(), "cycles");
-    line("occupancy time (mean)", r.ulmt.occupancyTime.mean(),
-         "cycles");
-    line("IPC", r.ulmt.ipc());
-    if (r.ulmt.missesProcessed) {
-        line("table DRAM reads/miss",
-             static_cast<double>(r.memsys.tableReads) /
-                 static_cast<double>(r.ulmt.missesProcessed));
-        line("table DRAM writes/miss",
-             static_cast<double>(r.memsys.tableWrites) /
-                 static_cast<double>(r.ulmt.missesProcessed));
+    if (s.has("ulmt.misses_processed")) {
+        std::printf("[ULMT]\n");
+        line("misses observed", n("ulmt.misses_observed"));
+        line("misses processed", n("ulmt.misses_processed"));
+        line("dropped q2 full", n("ulmt.queue2.drops"));
+        line("prefetches generated", n("ulmt.prefetches_generated"));
+        line("response time (mean)", mean("ulmt.response_cycles"),
+             "cycles");
+        line("response busy (mean)", mean("ulmt.response_busy"),
+             "cycles");
+        line("response mem (mean)", mean("ulmt.response_mem"), "cycles");
+        line("response max", s.sample("ulmt.response_cycles").max(),
+             "cycles");
+        line("occupancy time (mean)", mean("ulmt.occupancy_cycles"),
+             "cycles");
+        line("IPC", s.value("ulmt.ipc"));
+        if (const double processed = s.value("ulmt.misses_processed")) {
+            line("table DRAM reads/miss",
+                 s.value("memsys.table.reads") / processed);
+            line("table DRAM writes/miss",
+                 s.value("memsys.table.writes") / processed);
+        }
     }
 
+    const sim::BinnedHistogram &gaps = s.histogram("l2.miss_gap_cycles");
     std::printf("[miss gaps]  [0,80) %.1f%%  [80,200) %.1f%%  "
                 "[200,280) %.1f%%  [280,inf) %.1f%%\n",
-                100 * r.missGapFractions[0], 100 * r.missGapFractions[1],
-                100 * r.missGapFractions[2],
-                100 * r.missGapFractions[3]);
+                100 * gaps.binFraction(0), 100 * gaps.binFraction(1),
+                100 * gaps.binFraction(2), 100 * gaps.binFraction(3));
     return 0;
 }

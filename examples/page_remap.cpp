@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/base_chain.hh"
 #include "core/cost.hh"
@@ -39,7 +38,7 @@ int
 main(int argc, char **argv)
 {
     driver::ExperimentOptions opt;
-    opt.scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+    opt.scale = driver::scaleArg(argc, argv, 1, 0.25);
     constexpr std::uint32_t page = 4096;
 
     // Part 1: the relocation cost on a warmed table.

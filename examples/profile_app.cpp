@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/profiler.hh"
 #include "core/ulmt_engine.hh"
@@ -26,7 +25,7 @@ main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "Sparse";
     driver::ExperimentOptions opt;
-    opt.scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    opt.scale = driver::scaleArg(argc, argv, 2, 0.25);
 
     workloads::WorkloadParams wp;
     wp.seed = opt.seed;

@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "driver/experiment.hh"
@@ -19,7 +18,7 @@ main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "Mcf";
     driver::ExperimentOptions opt;
-    opt.scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    opt.scale = driver::scaleArg(argc, argv, 2, 0.25);
 
     std::printf("Simulating %s (scale %.2f) ...\n", app.c_str(),
                 opt.scale);
@@ -29,8 +28,12 @@ main(int argc, char **argv)
 
     driver::TextTable table({"Config", "Cycles", "L2 misses",
                              "Speedup"});
-    table.addRow({base.label, std::to_string(base.cycles),
-                  std::to_string(base.hier.l2Misses), "1.00"});
+    // Results are read by the dotted names `ulmt-stats dump` prints.
+    const auto misses = [](const driver::RunResult &r) {
+        return std::to_string(r.stats.counter(r.coreStat("l2.misses")));
+    };
+    table.addRow(
+        {base.label, std::to_string(base.cycles), misses(base), "1.00"});
 
     for (const driver::SystemConfig &cfg :
          {driver::conven4Config(opt),
@@ -38,8 +41,7 @@ main(int argc, char **argv)
           driver::conven4PlusUlmtConfig(opt, core::UlmtAlgo::Repl,
                                         app)}) {
         const driver::RunResult r = driver::runOne(app, cfg, opt);
-        table.addRow({r.label, std::to_string(r.cycles),
-                      std::to_string(r.hier.l2Misses),
+        table.addRow({r.label, std::to_string(r.cycles), misses(r),
                       driver::fmt(r.speedup(base))});
     }
     table.print(app + " under ULMT correlation prefetching");

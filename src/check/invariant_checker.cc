@@ -5,18 +5,6 @@
 
 namespace check {
 
-InvariantChecker::InvariantChecker(const CheckOptions &opts,
-                                   sim::EventQueue &eq,
-                                   mem::MemorySystem &ms,
-                                   cpu::Hierarchy &hier,
-                                   core::UlmtEngine *engine)
-    : InvariantChecker(
-          opts, eq, ms, std::vector<cpu::Hierarchy *>{&hier},
-          engine ? std::vector<core::UlmtEngine *>{engine}
-                 : std::vector<core::UlmtEngine *>{})
-{
-}
-
 InvariantChecker::InvariantChecker(
     const CheckOptions &opts, sim::EventQueue &eq,
     mem::MemorySystem &ms, std::vector<cpu::Hierarchy *> hiers,
@@ -51,10 +39,9 @@ InvariantChecker::install()
     if (!opts_.deep())
         return;
 
-    const bool multi = hiers_.size() > 1;
-    for (std::size_t c = 0; c < hiers_.size(); ++c) {
-        const std::string p =
-            multi ? "cpu." + std::to_string(c) + "." : "";
+    const unsigned cores = static_cast<unsigned>(hiers_.size());
+    for (unsigned c = 0; c < cores; ++c) {
+        const std::string p = sim::corePrefix(c, cores);
         l1Refs_.push_back(
             std::make_unique<RefLruCache>(hiers_[c]->l1(), p + "l1"));
         l2Refs_.push_back(
@@ -63,12 +50,10 @@ InvariantChecker::install()
         hiers_[c]->l2().setShadow(l2Refs_[c].get());
     }
     for (core::UlmtEngine *e : engines_) {
-        const std::string p =
-            engines_.size() > 1
-                ? "ulmt." + std::to_string(e->engineId()) + "."
-                : "";
         mpRefs_.push_back(std::make_unique<RefLruCache>(
-            e->mpCache(), p + "mp_cache"));
+            e->mpCache(),
+            sim::enginePrefix(e->engineId(), engines_.size()) +
+                "mp_cache"));
         e->mpCache().setShadow(mpRefs_.back().get());
     }
     // The pair-table oracle understands the plain Base/Chain access

@@ -48,14 +48,9 @@ namespace check {
 class InvariantChecker
 {
   public:
-    /** @param engine may be nullptr (no-ULMT configurations). */
-    InvariantChecker(const CheckOptions &opts, sim::EventQueue &eq,
-                     mem::MemorySystem &ms, cpu::Hierarchy &hier,
-                     core::UlmtEngine *engine);
-
     /**
-     * Multicore form: one hierarchy per core and any number of ULMT
-     * engines (empty for no-ULMT configurations).  The deep pair-table
+     * One hierarchy per core and any number of ULMT engines (empty
+     * for no-ULMT configurations).  The deep pair-table
      * oracle attaches only in the single-engine single-shard case;
      * every other structure is shadowed and diffed per instance.
      */

@@ -78,14 +78,6 @@ struct HierarchyStats
     /** Stream-prefetch candidates refused because they crossed a
      *  physical page boundary (VM layer on only). */
     std::uint64_t cpuPfDroppedPageCross = 0;
-
-    /** Total pushed-line redundant drops. */
-    std::uint64_t
-    pushRedundant() const
-    {
-        return pushRedundantPresent + pushRedundantWb +
-               pushDroppedMshrFull + pushDroppedSetPending;
-    }
 };
 
 /**

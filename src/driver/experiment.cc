@@ -59,6 +59,21 @@ intValue(const std::string &flag, const std::string &v, long long lo,
     return n;
 }
 
+/** All of @p text as an unsigned 64-bit integer in @p base. */
+std::uint64_t
+parseUnsigned(const std::string &text, int base, const char *what)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, base);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument("bad " + std::string(what) + " '" +
+                                    text +
+                                    "' (expected a non-negative integer)");
+    return v;
+}
+
 } // namespace
 
 bool
@@ -157,14 +172,25 @@ parseScale(const std::string &text)
 std::uint64_t
 parseSeed(const std::string &text)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE)
-        throw std::invalid_argument("bad seed '" + text +
-                                    "' (expected a non-negative integer)");
-    return v;
+    return parseUnsigned(text, 0, "seed");
+}
+
+std::uint64_t
+parseCount(const std::string &text)
+{
+    return parseUnsigned(text, 10, "count");
+}
+
+double
+scaleArg(int argc, char **argv, int i, double fallback)
+{
+    if (argc <= i)
+        return fallback;
+    try {
+        return parseScale(argv[i]);
+    } catch (const std::invalid_argument &e) {
+        sim::fatal("%s", e.what());
+    }
 }
 
 std::vector<std::unique_ptr<workloads::Workload>>

@@ -69,6 +69,16 @@ double parseScale(const std::string &text);
  */
 std::uint64_t parseSeed(const std::string &text);
 
+/**
+ * A count (decimal): all of @p text must be a non-negative integer
+ * that fits 64 bits.  @throws std::invalid_argument otherwise.
+ */
+std::uint64_t parseCount(const std::string &text);
+
+/** argv[@p i] as a scale (parseScale), or @p fallback when there is
+ *  no such argument; a bad value is fatal (exit 1). */
+double scaleArg(int argc, char **argv, int i, double fallback);
+
 /** No prefetching at all. */
 SystemConfig noPrefConfig(const ExperimentOptions &opt);
 

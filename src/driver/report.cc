@@ -91,9 +91,20 @@ resultFingerprint(const RunResult &r)
     return "workload=" + r.workload + " label=" + r.label +
            sim::strformat(" eventsExecuted=%llu ",
                           (unsigned long long)r.eventsExecuted) +
-           r.statLeaves +
+           r.stats.behaviourText() +
            sim::strformat("missStream.size=%zu missStream.hash=%llu",
                           r.missStream.size(), (unsigned long long)hash);
+}
+
+std::uint64_t
+pushRedundant(const RunResult &r, unsigned c)
+{
+    std::uint64_t n = 0;
+    for (const char *leaf :
+         {"l2.push.redundant_present", "l2.push.redundant_wb",
+          "l2.push.dropped_mshr_full", "l2.push.dropped_set_pending"})
+        n += r.stats.counter(r.coreStat(leaf, c));
+    return n;
 }
 
 } // namespace driver

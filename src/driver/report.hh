@@ -7,6 +7,7 @@
 #ifndef DRIVER_REPORT_HH
 #define DRIVER_REPORT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,9 @@ double mean(const std::vector<double> &v);
 
 /**
  * The run's determinism record: workload, label, executed events, the
- * canonical text of every behavioural stat-registry leaf captured at
- * the end of the run (RunResult::statLeaves) and a hash of the miss
- * stream.  Two runs of the same (app, config, seed) must produce
+ * canonical text of every behavioural stat-registry leaf frozen at
+ * the end of the run (RunResult::stats.behaviourText()) and a hash of
+ * the miss stream.  Two runs of the same (app, config, seed) must produce
  * byte-identical fingerprints regardless of worker count, restore
  * point, or whether auditing, checking and sampling ran -- the
  * determinism tests and golden comparisons rely on this.  Passive
@@ -57,6 +58,10 @@ double mean(const std::vector<double> &v);
  * host-side timing (wallSeconds) are not part of it.
  */
 std::string resultFingerprint(const RunResult &r);
+
+/** Pushes core @p c's L2 refused: the four l2.push.* drop rules
+ *  (cpu::HierarchyStats::pushRedundant). */
+std::uint64_t pushRedundant(const RunResult &r, unsigned c = 0);
 
 } // namespace driver
 

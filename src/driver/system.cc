@@ -46,6 +46,37 @@ sectionName(const char *base, std::size_t i)
 
 } // namespace
 
+std::size_t
+numEngines(const SystemConfig &cfg)
+{
+    if (!cfg.ulmt.enabled())
+        return 0;
+    return cfg.ulmtMode == core::UlmtMode::PerCore ? cfg.cores : 1;
+}
+
+std::string
+RunResult::engineStat(const std::string &leaf, unsigned e) const
+{
+    return sim::enginePrefix(e, numEngines(config)) + leaf;
+}
+
+double
+RunResult::busUtilization() const
+{
+    return cycles ? stats.value("bus.busy.total") / double(cycles) : 0.0;
+}
+
+double
+RunResult::busUtilizationPrefetch() const
+{
+    if (!cycles)
+        return 0.0;
+    const std::uint64_t busy = stats.counter("bus.busy.cpu_pf_request") +
+                               stats.counter("bus.busy.cpu_pf_data") +
+                               stats.counter("bus.busy.ulmt_pf_data");
+    return double(busy) / double(cycles);
+}
+
 System::System(const SystemConfig &cfg, workloads::Workload &workload)
     : System(cfg, workload, workload.name())
 {
@@ -178,6 +209,9 @@ System::init()
         }
     }
 
+    SIM_ASSERT(engines_.size() == driver::numEngines(cfg_),
+               "numEngines() disagrees with the engines built");
+
     if (cfg_.audit) {
         audit_ = std::make_unique<mem::PrefetchAudit>(
             cfg_.cores,
@@ -235,24 +269,17 @@ System::init()
 void
 System::initObservability()
 {
-    // One dotted namespace over every component's counters.  A
-    // multicore machine prefixes per-core components with "cpu.<c>."
-    // and its engines with "ulmt.<id>."; single-core names are
-    // unchanged.
+    // One dotted namespace over every component's counters, with
+    // per-core and per-engine prefixes (sim::corePrefix/enginePrefix).
     ms_->registerStats(registry_);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
-        const std::string p =
-            cfg_.cores > 1 ? "cpu." + std::to_string(c) + "." : "";
+        const std::string p = sim::corePrefix(c, cfg_.cores);
         hiers_[c]->registerStats(registry_, p);
         cpus_[c]->registerStats(registry_, p);
     }
-    for (auto &e : engines_) {
-        const std::string p =
-            engines_.size() > 1
-                ? "ulmt." + std::to_string(e->engineId()) + "."
-                : "ulmt.";
-        e->registerStats(registry_, p);
-    }
+    for (auto &e : engines_)
+        e->registerStats(registry_,
+                         sim::enginePrefix(e->engineId(), engines_.size()));
     if (checker_)
         checker_->registerStats(registry_);
     if (vm_)
@@ -831,88 +858,25 @@ System::run()
     r.workload = workloadName_;
     r.label = cfg_.label;
     r.source = workloadSource_;
-    r.statLeaves = registry_.behaviourText();
+    r.config = cfg_;
+    r.stats = registry_.snapshot();
     r.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
     r.eventsExecuted = eq_.executed();
-    r.ckptSaveSeconds = ckptSaveSeconds_;
-    r.ckptRestoreSeconds = ckptRestoreSeconds_;
-    r.ckptBytes = ckptBytes_;
-
-    // The scalar fields describe core 0 (the whole machine when
-    // cores=1); cycles is the makespan and records the machine total.
-    const cpu::ProcessorStats &ps = cpus_[0]->stats();
-    r.busyCycles = ps.busyCycles;
-    r.uptoL2Stall = ps.uptoL2Stall;
-    r.beyondL2Stall = ps.beyondL2Stall;
-    r.proc = ps;
     for (const auto &c : cpus_) {
         r.cycles = std::max(r.cycles, c->stats().totalCycles);
         r.records += c->stats().records;
     }
-
-    r.hier = hiers_[0]->stats();
-    if (!engines_.empty())
-        r.ulmt = engines_[0]->stats();
-    r.memsys = ms_->stats();
-    r.dram = ms_->dram().stats();
-    r.busBusyTotal = ms_->bus().busyTotal();
-    r.busBusyPrefetch = ms_->bus().busyPrefetch();
-
-    r.coreQos = ms_->coreQos();
-    if (cfg_.cores > 1) {
-        for (const auto &c : cpus_)
-            r.coreProc.push_back(c->stats());
-        for (const auto &h : hiers_)
-            r.coreHier.push_back(h->stats());
-        for (const auto &e : engines_)
-            r.engineUlmt.push_back(e->stats());
-    }
-
-    const sim::BinnedHistogram &gaps = hiers_[0]->missGapHistogram();
-    r.missGapFractions.resize(gaps.numBins());
-    for (std::size_t i = 0; i < gaps.numBins(); ++i)
-        r.missGapFractions[i] = gaps.binFraction(i);
-
-    r.cores = cfg_.cores;
-    r.ulmtMode = core::to_string(cfg_.ulmtMode);
-    if (vm_) {
-        r.vmOn = true;
-        r.vmPageBytes = vm_->pageBytes();
-        r.vmRemapRate = cfg_.vm.remapRate;
-        r.vmRemaps = vm_->remaps();
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const vm::VmCoreStats &vs = vm_->coreStats(c);
-            r.vmTlbHits += vs.tlbHits;
-            r.vmTlbMisses += vs.tlbMisses;
-            r.vmWalkCycles += vs.walkCycles;
-            r.vmPagesMapped += vm_->pagesMapped(c);
-        }
-    }
-    if (cfg_.tableCache.on()) {
-        r.tcacheOn = true;
-        r.tcacheEntries = cfg_.tableCache.entries;
-        r.tcacheAssoc = cfg_.tableCache.assoc;
-        r.tcache = ms_->tableCache().stats();
-    }
-    if (audit_) {
+    r.tcacheOn = cfg_.tableCache.on();
+    if (audit_)
         r.audit = audit_->report();
-        // Fold in what the auditor cannot see on its own: the coverage
-        // denominator and the CPU stream prefetcher's lifecycle, both
-        // already counted by the hierarchies.
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const cpu::HierarchyStats &hs = hiers_[c]->stats();
-            mem::AuditCoreReport &cr = r.audit.cores[c];
-            cr.coverage = cr.push.coverage(hs.nonPrefMisses);
-            cr.cpuPfIssued = hs.cpuPfIssued;
-            cr.cpuPfToMemory = hs.cpuPfToMemory;
-            cr.cpuPfUsefulTimely = hs.cpuPfTimely;
-            cr.cpuPfUsefulLate = hs.cpuPfUseful - hs.cpuPfTimely;
-            cr.cpuPfReplaced = hs.cpuPfReplaced;
-            cr.cpuPfDroppedPageCross = hs.cpuPfDroppedPageCross;
-        }
+    double q1_sum = 0.0;
+    std::uint64_t q1_count = 0;
+    for (const mem::CoreQos &q : ms_->coreQos()) {
+        q1_sum += q.q1Wait.sum();
+        q1_count += q.q1Wait.count();
     }
-
+    r.q1WaitMean = q1_count ? q1_sum / double(q1_count) : 0.0;
     r.missStream = std::move(missStream_);
     if (sampler_) {
         sampler_->flush(eq_.now());  // final end-of-run row

@@ -6,7 +6,7 @@
  * (optionally with the Conven4 stream prefetcher), the memory system,
  * and -- when configured -- a ULMT on the memory processor, then runs
  * a workload to completion and returns every statistic the paper's
- * evaluation uses.
+ * evaluation uses, as one frozen snapshot of its stat registry.
  *
  * Typical use (see examples/quickstart.cc):
  *
@@ -113,7 +113,15 @@ struct SystemConfig
     std::string label = "NoPref";
 };
 
-/** All statistics from one run. */
+/**
+ * Everything one run produced.  The simulated results are @ref stats,
+ * every registry entry frozen at the end of the run and read by the
+ * dotted names `ulmt-stats dump` prints:
+ *
+ *     r.stats.counter(r.coreStat("l2.misses"))
+ *
+ * The fields beside it are what the registry cannot say.
+ */
 struct RunResult
 {
     std::string workload;
@@ -122,58 +130,24 @@ struct RunResult
      *  Metadata only -- excluded from determinism fingerprints so a
      *  replayed corpus can be diffed against its live capture. */
     std::string source = "synthetic";
+    /** The machine the run simulated. */
+    SystemConfig config;
+    /** Every statistic, by dotted name, at the end of the run. */
+    sim::StatSnapshot stats;
 
+    /** Makespan: the slowest core's total cycles. */
     sim::Cycle cycles = 0;
-    sim::Cycle busyCycles = 0;
-    sim::Cycle uptoL2Stall = 0;
-    sim::Cycle beyondL2Stall = 0;
+    /** Trace records executed, summed over cores. */
     std::uint64_t records = 0;
-    /** Full processor stats (incl. stall-source decomposition). */
-    cpu::ProcessorStats proc;
-
-    cpu::HierarchyStats hier;
-    core::UlmtStats ulmt;
-    mem::MemorySystemStats memsys;
-    mem::DramStats dram;
-
-    /** Machine shape, echoed for report/bench provenance. */
-    unsigned cores = 1;
-    std::string ulmtMode = "shared";
-
-    // --- Virtual memory (all zero when the VM layer was off) ---------
-    bool vmOn = false;
-    std::uint32_t vmPageBytes = 0;
-    double vmRemapRate = 0.0;
-    std::uint64_t vmRemaps = 0;
-    /** Machine-wide TLB totals (summed over cores). */
-    std::uint64_t vmTlbHits = 0;
-    std::uint64_t vmTlbMisses = 0;
-    std::uint64_t vmWalkCycles = 0;
-    std::uint64_t vmPagesMapped = 0;
-
-    // --- Table cache (all zero when --table-cache was 0) -------------
+    /** config.tableCache.on(); kept only for perfbench/. */
     bool tcacheOn = false;
-    std::uint32_t tcacheEntries = 0;
-    std::uint32_t tcacheAssoc = 0;
-    mem::TableCacheStats tcache;
-
-    /** Prefetch lifecycle + interference audit (enabled=false when
-     *  the auditor was off).  Observability only -- excluded from
-     *  determinism fingerprints. */
+    /** Per-core push counts and the push records still open at the
+     *  end (enabled=false when the auditor was off). */
     mem::AuditReport audit;
-
-    // --- Multicore (populated only when the machine has > 1 core;
-    // --- the scalar fields above then refer to core/engine 0) --------
-    std::vector<cpu::ProcessorStats> coreProc;
-    std::vector<cpu::HierarchyStats> coreHier;
-    std::vector<core::UlmtStats> engineUlmt;
-    /** Per-tenant controller QoS counters -- always one entry per
-     *  core, including the single-core machine. */
-    std::vector<mem::CoreQos> coreQos;
-
-    /** Bus busy cycles: total and prefetch-attributable. */
-    sim::Cycle busBusyTotal = 0;
-    sim::Cycle busBusyPrefetch = 0;
+    /** Mean queue-1 wait of every demand fetch, over all cores.  The
+     *  registry splits it per tenant only on a multicore machine
+     *  (memsys.core.<i>.q1_wait_cycles). */
+    double q1WaitMean = 0.0;
 
     // --- Host-side performance of the simulation itself -------------
     /** Wall-clock seconds spent inside the event loop (host time;
@@ -181,12 +155,6 @@ struct RunResult
     double wallSeconds = 0.0;
     /** Events executed by the run's event queue. */
     std::uint64_t eventsExecuted = 0;
-
-    // --- Checkpoint costs (0 when no checkpointing happened; host-
-    // --- side metadata, excluded from determinism comparisons) ------
-    double ckptSaveSeconds = 0.0;
-    double ckptRestoreSeconds = 0.0;
-    std::uint64_t ckptBytes = 0;
 
     /** Host-side simulation throughput. */
     double
@@ -197,15 +165,6 @@ struct RunResult
                    : 0.0;
     }
 
-    /** Figure 6 bins: fraction of miss gaps in [0,80) [80,200)
-     *  [200,280) [280,inf). */
-    std::vector<double> missGapFractions;
-
-    /** The end-of-run canonical text of every behavioural registry
-     *  entry (sim::StatRegistry::behaviourText): the determinism
-     *  record resultFingerprint() carries. */
-    std::string statLeaves;
-
     /** Demand L2 miss stream (only when recordMissStream was set). */
     std::vector<sim::Addr> missStream;
 
@@ -213,21 +172,22 @@ struct RunResult
      *  Observability only -- excluded from determinism fingerprints. */
     sim::TimeSeriesData metrics;
 
-    double
-    busUtilization() const
+    /** Registry name of core @p c's @p leaf in this run: "l2.misses"
+     *  is "cpu.<c>.l2.misses" on a multicore machine. */
+    std::string
+    coreStat(const std::string &leaf, unsigned c = 0) const
     {
-        return cycles ? static_cast<double>(busBusyTotal) /
-                            static_cast<double>(cycles)
-                      : 0.0;
+        return sim::corePrefix(c, config.cores) + leaf;
     }
 
-    double
-    busUtilizationPrefetch() const
-    {
-        return cycles ? static_cast<double>(busBusyPrefetch) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-    }
+    /** Registry name of ULMT engine @p e's @p leaf in this run:
+     *  "ipc" is "ulmt.ipc", or "ulmt.<e>.ipc" with several engines. */
+    std::string engineStat(const std::string &leaf, unsigned e = 0) const;
+
+    double busUtilization() const;
+
+    /** Bus utilization of the prefetch traffic classes alone. */
+    double busUtilizationPrefetch() const;
 
     /** Execution time relative to a baseline run. */
     double
@@ -248,6 +208,10 @@ struct RunResult
                       : 0.0;
     }
 };
+
+/** ULMT engines a System builds for @p cfg: one per core when serving
+ *  per core, else one (none without a ULMT). */
+std::size_t numEngines(const SystemConfig &cfg);
 
 /** A fully wired simulated machine running one workload. */
 class System
@@ -272,7 +236,7 @@ class System
            std::vector<std::unique_ptr<workloads::Workload>> workloads,
            std::string name);
 
-    /** Run the workload to completion and harvest the statistics. */
+    /** Run the workload to completion and freeze the statistics. */
     RunResult run();
 
     // --- Checkpoint / restore (src/ckpt, DESIGN.md section 9) --------
@@ -343,9 +307,6 @@ class System
 
     /** The invariant checker, or nullptr when checking is off. */
     check::InvariantChecker *checker() { return checker_.get(); }
-
-    /** The lifecycle auditor, or nullptr when auditing is off. */
-    mem::PrefetchAudit *audit() { return audit_.get(); }
 
     /** The VM layer, or nullptr when cfg.vm.on() is false. */
     vm::Vm *vm() { return vm_.get(); }

@@ -96,15 +96,6 @@ class Bus
         return busyByClass_[static_cast<std::size_t>(cls)];
     }
 
-    /** Busy cycles of all prefetch-attributable classes. */
-    sim::Cycle
-    busyPrefetch() const
-    {
-        return busy(BusTraffic::CpuPrefetchRequest) +
-               busy(BusTraffic::CpuPrefetchData) +
-               busy(BusTraffic::UlmtPrefetchData);
-    }
-
     void
     reset()
     {

@@ -374,38 +374,8 @@ PrefetchAudit::report() const
 {
     AuditReport r;
     r.enabled = true;
-    r.cores.reserve(numCores_);
-    for (const CoreAudit &a : cores_) {
-        AuditCoreReport cr;
-        cr.push = a.push;
-        cr.accuracy = a.push.accuracy();
-        cr.timeliness = a.push.timeliness();
-        for (std::size_t i = 0; i < a.leadTime.numBins(); ++i) {
-            cr.leadEdges.push_back(a.leadTime.binEdge(i));
-            cr.leadCounts.push_back(a.leadTime.binCount(i));
-        }
-        cr.leadBelow = a.leadTime.below();
-        cr.leadP50 = a.leadTime.p50();
-        cr.leadP95 = a.leadTime.p95();
-        cr.lateCount = a.lateCycles.count();
-        cr.lateMean = a.lateCycles.mean();
-        cr.busDemandCycles = a.busCycles[0];
-        cr.busPrefetchCycles = a.busCycles[1];
-        cr.busOtherCycles = a.busCycles[2];
-        cr.dramDemandCycles = a.dramCycles[0];
-        cr.dramPrefetchCycles = a.dramCycles[1];
-        cr.dramOtherCycles = a.dramCycles[2];
-        cr.blockedBy = a.blockedBy;
-        r.cores.push_back(std::move(cr));
-    }
-    r.engines.reserve(numEngines_);
-    for (unsigned e = 0; e < numEngines_; ++e) {
-        AuditEngineReport er;
-        er.engine = e;
-        er.push = engines_[e];
-        r.engines.push_back(er);
-    }
-    r.tableDramCycles = tableDramCycles_;
+    for (const CoreAudit &a : cores_)
+        r.cores.push_back({a.push});
     r.openInflight = inflight_.size();
     r.openInstalled = installed_.size();
     return r;

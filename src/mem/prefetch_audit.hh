@@ -25,9 +25,8 @@
  * Outcomes are aggregated per core and per engine; useful prefetches
  * additionally feed a lead-time (fill-to-use cycles) histogram and a
  * lateness sample.  The CPU stream prefetcher's lifecycle (issued /
- * to-memory / useful timely / useful late / replaced) is already fully
- * counted by HierarchyStats and is folded into the report by the
- * System.
+ * to-memory / useful / timely / replaced) is already fully counted by
+ * the hierarchies (cpu_pf.*).
  *
  * Interference attribution: every bus phase and DRAM access reports
  * its occupancy here, split demand / prefetch / other per tenant
@@ -141,63 +140,22 @@ struct AuditOutcomeCounts
     }
 };
 
-/** One core's slice of the final audit report. */
+/** One core's slice of the end-of-run audit report. */
 struct AuditCoreReport
 {
     AuditOutcomeCounts push;
-    double coverage = 0.0;
-    double accuracy = 0.0;
-    double timeliness = 0.0;
-
-    // CPU stream prefetcher lifecycle (from HierarchyStats; useful
-    // late = useful - timely).
-    std::uint64_t cpuPfIssued = 0;
-    std::uint64_t cpuPfToMemory = 0;
-    std::uint64_t cpuPfUsefulTimely = 0;
-    std::uint64_t cpuPfUsefulLate = 0;
-    std::uint64_t cpuPfReplaced = 0;
-    std::uint64_t cpuPfDroppedPageCross = 0;
-
-    // Lead-time (fill-to-use) histogram of useful_timely pushes.
-    std::vector<double> leadEdges;
-    std::vector<std::uint64_t> leadCounts;
-    std::uint64_t leadBelow = 0;
-    double leadP50 = 0.0;
-    double leadP95 = 0.0;
-
-    // Lateness (fill-after-demand cycles) of useful_late pushes.
-    std::uint64_t lateCount = 0;
-    double lateMean = 0.0;
-
-    // Per-tenant occupancy split.
-    std::uint64_t busDemandCycles = 0;
-    std::uint64_t busPrefetchCycles = 0;
-    std::uint64_t busOtherCycles = 0;
-    std::uint64_t dramDemandCycles = 0;
-    std::uint64_t dramPrefetchCycles = 0;
-    std::uint64_t dramOtherCycles = 0;
-
-    /** Demand wait cycles charged to each tenant: one entry per core
-     *  plus a final entry for the memory thread's table traffic. */
-    std::vector<std::uint64_t> blockedBy;
 };
 
-/** One engine's outcome counters. */
-struct AuditEngineReport
-{
-    unsigned engine = 0;
-    AuditOutcomeCounts push;
-};
-
-/** Everything the audit layer measured in one run. */
+/**
+ * What the registry cannot say about the audit: the push records still
+ * open at the end of the run.  Every other audit figure is a passive
+ * registry entry (audit.core.<c>.*, audit.engine.<e>.*,
+ * memsys.core.<i>.blocked_by.*).
+ */
 struct AuditReport
 {
     bool enabled = false;
     std::vector<AuditCoreReport> cores;
-    std::vector<AuditEngineReport> engines;
-    /** DRAM occupancy of correlation-table accesses (the memory
-     *  thread's own footprint in the banks). */
-    std::uint64_t tableDramCycles = 0;
     /** Push records with no terminal outcome at end of run. */
     std::uint64_t openInflight = 0;
     std::uint64_t openInstalled = 0;
@@ -216,9 +174,6 @@ class PrefetchAudit
      */
     PrefetchAudit(unsigned cores, unsigned engines, std::size_t banks,
                   std::size_t channels);
-
-    unsigned numCores() const { return numCores_; }
-    unsigned numEngines() const { return numEngines_; }
 
     /** The pseudo-tenant index of the memory thread. */
     unsigned ulmtTenant() const { return numCores_; }
@@ -295,20 +250,8 @@ class PrefetchAudit
     /** Machine-wide aggregates (time-series channels). */
     AuditOutcomeCounts totals() const;
     std::uint64_t blockedTotal() const { return blockedTotal_; }
-    std::uint64_t tableDramCycles() const { return tableDramCycles_; }
 
-    const AuditOutcomeCounts &coreCounts(unsigned core) const
-    {
-        return cores_[core].push;
-    }
-
-    const sim::BinnedHistogram &leadTime(unsigned core) const
-    {
-        return cores_[core].leadTime;
-    }
-
-    /** Snapshot the final report (coverage left 0; the System fills
-     *  it together with the CPU-prefetch lifecycle). */
+    /** The end-of-run push counts and open records. */
     AuditReport report() const;
 
   private:

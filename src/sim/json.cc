@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "sim/logging.hh"
+
 namespace sim {
 
 const JsonValue *
@@ -339,6 +341,35 @@ parseJsonFile(const std::string &path)
     if (bad)
         throw JsonError("read error on '" + path + "'");
     return parseJson(text);
+}
+
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strformat("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    out += '"';
+    return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0)
+        return "null";
+    return strformat("%.17g", v);
 }
 
 } // namespace sim

@@ -3,7 +3,8 @@
  * A minimal JSON reader for the repo's own machine-readable outputs
  * (BENCH_*.json, stat dumps).  Recursive descent, no dependencies;
  * objects preserve insertion order so reports render keys in the order
- * the writer emitted them.
+ * the writer emitted them.  Also the two primitives every writer of
+ * those outputs shares: string quoting and number rendering.
  *
  * This is a consumer for files the simulator itself writes -- it
  * accepts standard JSON (RFC 8259) but makes no attempt to be a
@@ -85,6 +86,13 @@ JsonValue parseJson(const std::string &text);
 
 /** Read and parse a JSON file.  @throws JsonError (also on I/O). */
 JsonValue parseJsonFile(const std::string &path);
+
+/** @p s as a quoted JSON string (control characters escaped). */
+std::string jsonQuote(const std::string &s);
+
+/** @p v in shortest round-trippable form ("%.17g"); inf and nan
+ *  render as null, since JSON has neither. */
+std::string jsonNumber(double v);
 
 } // namespace sim
 

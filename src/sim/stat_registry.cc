@@ -3,22 +3,22 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace sim {
 
 void
-StatRegistry::insert(Entry e)
+StatRegistry::insert(const std::string &name,
+                     std::function<StatSnapshot::Value()> read)
 {
-    if (e.name.empty())
+    if (name.empty())
         throw std::invalid_argument(
             "stat registry: empty statistic name");
-    if (!names_.insert(e.name).second)
+    if (!names_.insert(name).second)
         throw std::invalid_argument(
-            "stat registry: duplicate statistic name '" + e.name +
-            "'");
-    e.passive = passive_;
-    entries_.push_back(std::move(e));
+            "stat registry: duplicate statistic name '" + name + "'");
+    entries_.push_back({name, passive_, std::move(read)});
 }
 
 void
@@ -26,11 +26,7 @@ StatRegistry::addCounter(const std::string &name,
                          const std::uint64_t *value)
 {
     SIM_ASSERT(value != nullptr, "null counter '%s'", name.c_str());
-    Entry e;
-    e.name = name;
-    e.kind = Kind::Counter;
-    e.counter = value;
-    insert(std::move(e));
+    insert(name, [value] { return StatSnapshot::Value(*value); });
 }
 
 void
@@ -38,22 +34,14 @@ StatRegistry::addGauge(const std::string &name,
                        std::function<double()> fn)
 {
     SIM_ASSERT(fn != nullptr, "null gauge '%s'", name.c_str());
-    Entry e;
-    e.name = name;
-    e.kind = Kind::Gauge;
-    e.gauge = std::move(fn);
-    insert(std::move(e));
+    insert(name, [fn = std::move(fn)] { return StatSnapshot::Value(fn()); });
 }
 
 void
 StatRegistry::addSample(const std::string &name, const SampleStat *s)
 {
     SIM_ASSERT(s != nullptr, "null sample '%s'", name.c_str());
-    Entry e;
-    e.name = name;
-    e.kind = Kind::Sample;
-    e.sample = s;
-    insert(std::move(e));
+    insert(name, [s] { return StatSnapshot::Value(*s); });
 }
 
 void
@@ -61,21 +49,90 @@ StatRegistry::addHistogram(const std::string &name,
                            const BinnedHistogram *h)
 {
     SIM_ASSERT(h != nullptr, "null histogram '%s'", name.c_str());
-    Entry e;
-    e.name = name;
-    e.kind = Kind::Histogram;
-    e.hist = h;
-    insert(std::move(e));
+    insert(name, [h] { return StatSnapshot::Value(*h); });
+}
+
+StatSnapshot
+StatRegistry::snapshot() const
+{
+    StatSnapshot snap;
+    snap.entries_.reserve(entries_.size());
+    for (const Entry &e : entries_)
+        snap.entries_.push_back({e.name, e.passive, e.read()});
+    std::sort(snap.entries_.begin(), snap.entries_.end(),
+              [](const StatSnapshot::Entry &a,
+                 const StatSnapshot::Entry &b) { return a.name < b.name; });
+    return snap;
+}
+
+std::string
+corePrefix(unsigned core, unsigned cores)
+{
+    return cores > 1 ? "cpu." + std::to_string(core) + "." : "";
+}
+
+std::string
+enginePrefix(unsigned id, std::size_t engines)
+{
+    return engines > 1 ? "ulmt." + std::to_string(id) + "." : "ulmt.";
+}
+
+const StatSnapshot::Entry *
+StatSnapshot::find(const std::string &name) const
+{
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [](const Entry &e, const std::string &n) { return e.name < n; });
+    return it != entries_.end() && it->name == name ? &*it : nullptr;
+}
+
+template <typename T>
+const T &
+StatSnapshot::get(const std::string &name, const char *kind) const
+{
+    const Entry *e = find(name);
+    if (!e || !std::holds_alternative<T>(e->value))
+        throw std::out_of_range("stat snapshot has no " +
+                                std::string(kind) + " named '" + name +
+                                "'");
+    return std::get<T>(e->value);
+}
+
+std::uint64_t
+StatSnapshot::counter(const std::string &name) const
+{
+    return get<std::uint64_t>(name, "counter");
+}
+
+double
+StatSnapshot::value(const std::string &name) const
+{
+    const Entry *e = find(name);
+    if (e && std::holds_alternative<std::uint64_t>(e->value))
+        return static_cast<double>(std::get<std::uint64_t>(e->value));
+    return get<double>(name, "counter or gauge");
+}
+
+const SampleStat &
+StatSnapshot::sample(const std::string &name) const
+{
+    return get<SampleStat>(name, "sample");
+}
+
+const BinnedHistogram &
+StatSnapshot::histogram(const std::string &name) const
+{
+    return get<BinnedHistogram>(name, "histogram");
 }
 
 void
-StatRegistry::visit(StatVisitor &v) const
+StatSnapshot::visit(StatVisitor &v) const
 {
     walk(v, [](const Entry &) { return true; });
 }
 
 void
-StatRegistry::visit(
+StatSnapshot::visit(
     StatVisitor &v,
     const std::function<bool(const std::string &)> &keep) const
 {
@@ -83,69 +140,26 @@ StatRegistry::visit(
 }
 
 void
-StatRegistry::walk(StatVisitor &v,
+StatSnapshot::walk(StatVisitor &v,
                    const std::function<bool(const Entry &)> &keep) const
 {
-    std::vector<const Entry *> order;
-    order.reserve(entries_.size());
     for (const Entry &e : entries_) {
-        if (keep(e))
-            order.push_back(&e);
-    }
-    std::sort(order.begin(), order.end(),
-              [](const Entry *a, const Entry *b) {
-                  return a->name < b->name;
-              });
-    for (const Entry *e : order) {
-        switch (e->kind) {
-          case Kind::Counter:
-            v.counter(e->name, *e->counter);
-            break;
-          case Kind::Gauge:
-            v.gauge(e->name, e->gauge());
-            break;
-          case Kind::Sample:
-            v.sampleStat(e->name, *e->sample);
-            break;
-          case Kind::Histogram:
-            v.histogram(e->name, *e->hist);
-            break;
-        }
+        if (!keep(e))
+            continue;
+        if (const auto *c = std::get_if<std::uint64_t>(&e.value))
+            v.counter(e.name, *c);
+        else if (const auto *g = std::get_if<double>(&e.value))
+            v.gauge(e.name, *g);
+        else if (const auto *s = std::get_if<SampleStat>(&e.value))
+            v.sampleStat(e.name, *s);
+        else
+            v.histogram(e.name, std::get<BinnedHistogram>(e.value));
     }
 }
 
 namespace {
 
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0)
-        return "null";  // JSON has no inf/nan
-    return strformat("%.17g", v);
-}
-
-/** Renders the registry as one JSON object keyed by dotted path. */
+/** Renders entries as one JSON object keyed by dotted path. */
 class JsonDumper : public StatVisitor
 {
   public:
@@ -265,7 +279,7 @@ class TextDumper : public StatVisitor
 } // namespace
 
 std::string
-StatRegistry::behaviourText() const
+StatSnapshot::behaviourText() const
 {
     TextDumper d;
     walk(d, [](const Entry &e) { return !e.passive; });
@@ -273,7 +287,7 @@ StatRegistry::behaviourText() const
 }
 
 std::string
-StatRegistry::dumpJson() const
+StatSnapshot::dumpJson() const
 {
     JsonDumper d;
     visit(d);
@@ -281,7 +295,7 @@ StatRegistry::dumpJson() const
 }
 
 std::string
-StatRegistry::dumpJson(
+StatSnapshot::dumpJson(
     const std::function<bool(const std::string &)> &keep) const
 {
     JsonDumper d;

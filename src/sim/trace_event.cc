@@ -2,40 +2,12 @@
 
 #include <stdexcept>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace sim {
 
 namespace {
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0)
-        return "null";
-    return strformat("%.17g", v);
-}
 
 /**
  * Flow ids are unique only within one run's buffer; Chrome matches

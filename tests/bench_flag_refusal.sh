@@ -33,6 +33,7 @@ table_cache --table-cache=0
 vm_churn --vm=off
 vm_churn --page-size=4k
 vm_churn --remap-rate=0
+vm_churn --audit=off
 ablation_filter --apps=MST
 ablation_multiprog --cores=2
 ablation_multiprog --apps=MST

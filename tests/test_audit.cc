@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,29 +104,34 @@ TEST(AuditTaxonomyTest, OutcomesMatchHierarchyCounters)
     const driver::RunResult r = runMcf(true);
     ASSERT_TRUE(r.audit.enabled);
     ASSERT_EQ(r.audit.cores.size(), 1u);
-    const mem::AuditOutcomeCounts &c = r.audit.cores[0].push;
+    const sim::StatSnapshot &s = r.stats;
+    const auto a = [&s](const char *outcome) {
+        return s.counter(std::string("audit.core.0.") + outcome);
+    };
 
-    EXPECT_GT(c.issued, 0u);
-    EXPECT_EQ(c.issued, r.memsys.ulmtPrefetchesIssued);
-    EXPECT_EQ(c.usefulTimely, r.hier.ulmtHits);
-    EXPECT_EQ(c.usefulLate, r.hier.ulmtDelayedHits);
-    EXPECT_EQ(c.evictedUnused, r.hier.ulmtReplaced);
-    EXPECT_EQ(c.redundant, r.hier.pushRedundant());
+    EXPECT_GT(a("issued"), 0u);
+    EXPECT_EQ(a("issued"), s.counter("memsys.queue3.issued"));
+    EXPECT_EQ(a("useful_timely"), s.counter("l2.push.hits"));
+    EXPECT_EQ(a("useful_late"), s.counter("l2.push.delayed_hits"));
+    EXPECT_EQ(a("evicted_unused"), s.counter("l2.push.replaced"));
+    EXPECT_EQ(a("redundant"), driver::pushRedundant(r));
+    // The report's push counts are the registry's.
+    EXPECT_EQ(r.audit.cores[0].push.issued, a("issued"));
 
     // Legacy Figure 9 coverage (Hits + DelayedHits) is exactly the
     // taxonomy's useful_timely + useful_late.
-    EXPECT_EQ(r.hier.ulmtHits + r.hier.ulmtDelayedHits,
-              c.usefulTimely + c.usefulLate);
+    EXPECT_EQ(s.counter("l2.push.hits") + s.counter("l2.push.delayed_hits"),
+              a("useful_timely") + a("useful_late"));
 
-    // The CPU stream prefetcher's lifecycle folds in from the
-    // hierarchy counters.
-    const mem::AuditCoreReport &cr = r.audit.cores[0];
-    EXPECT_EQ(cr.cpuPfIssued, r.hier.cpuPfIssued);
-    EXPECT_EQ(cr.cpuPfToMemory, r.hier.cpuPfToMemory);
-    EXPECT_EQ(cr.cpuPfUsefulTimely, r.hier.cpuPfTimely);
-    EXPECT_EQ(cr.cpuPfUsefulLate,
-              r.hier.cpuPfUseful - r.hier.cpuPfTimely);
-    EXPECT_EQ(cr.cpuPfReplaced, r.hier.cpuPfReplaced);
+    // The CPU stream prefetcher's lifecycle (cpu_pf.*, read as is by
+    // the BENCH effectiveness block) nests: timely within useful
+    // within issued.
+    EXPECT_LE(s.counter("cpu_pf.dropped_page_cross"),
+              s.counter("cpu_pf.issued"));
+    EXPECT_LE(s.counter("cpu_pf.to_memory"), s.counter("cpu_pf.issued"));
+    EXPECT_LE(s.counter("cpu_pf.useful"), s.counter("cpu_pf.issued"));
+    EXPECT_LE(s.counter("cpu_pf.timely"), s.counter("cpu_pf.useful"));
+    EXPECT_LE(s.counter("cpu_pf.replaced"), s.counter("cpu_pf.issued"));
 }
 
 TEST(AuditTaxonomyTest, LifecycleConservation)
@@ -150,10 +154,12 @@ TEST(AuditTaxonomyTest, EngineCountsSumToCoreCounts)
     const driver::RunResult r =
         runMcf(true, 4, core::UlmtMode::Sharded);
     std::uint64_t core_issued = 0, engine_issued = 0;
-    for (const auto &cr : r.audit.cores)
-        core_issued += cr.push.issued;
-    for (const auto &er : r.audit.engines)
-        engine_issued += er.push.issued;
+    for (unsigned c = 0; c < 4; ++c)
+        core_issued += r.stats.counter("audit.core." + std::to_string(c) +
+                                       ".issued");
+    // Sharded serving runs one engine.
+    EXPECT_FALSE(r.stats.has("audit.engine.1.issued"));
+    engine_issued += r.stats.counter("audit.engine.0.issued");
     EXPECT_GT(core_issued, 0u);
     EXPECT_EQ(core_issued, engine_issued);
 }
@@ -161,30 +167,33 @@ TEST(AuditTaxonomyTest, EngineCountsSumToCoreCounts)
 TEST(AuditTaxonomyTest, LeadTimeHistogramCountsUsefulTimely)
 {
     const driver::RunResult r = runMcf(true);
-    const mem::AuditCoreReport &cr = r.audit.cores[0];
-    const std::uint64_t in_hist =
-        std::accumulate(cr.leadCounts.begin(), cr.leadCounts.end(),
-                        std::uint64_t(0)) +
-        cr.leadBelow;
-    EXPECT_EQ(in_hist, cr.push.usefulTimely);
-    EXPECT_EQ(cr.lateCount, cr.push.usefulLate);
-    ASSERT_FALSE(cr.leadEdges.empty());
-    EXPECT_EQ(cr.leadEdges.size(), cr.leadCounts.size());
+    const sim::BinnedHistogram &lead =
+        r.stats.histogram("audit.core.0.lead_time_cycles");
+    std::uint64_t in_bins = 0;
+    for (std::size_t i = 0; i < lead.numBins(); ++i)
+        in_bins += lead.binCount(i);
+    EXPECT_EQ(in_bins + lead.below(),
+              r.stats.counter("audit.core.0.useful_timely"));
+    EXPECT_EQ(r.stats.sample("audit.core.0.late_fill_cycles").count(),
+              r.stats.counter("audit.core.0.useful_late"));
+    ASSERT_GT(lead.numBins(), 0u);
+    EXPECT_EQ(in_bins, lead.total());
 }
 
 TEST(AuditTaxonomyTest, RatiosAreConsistent)
 {
     const driver::RunResult r = runMcf(true);
-    const mem::AuditCoreReport &cr = r.audit.cores[0];
-    const mem::AuditOutcomeCounts &c = cr.push;
-    EXPECT_NEAR(cr.accuracy,
+    const mem::AuditOutcomeCounts &c = r.audit.cores[0].push;
+    const double coverage = r.stats.value("audit.core.0.coverage");
+    EXPECT_NEAR(r.stats.value("audit.core.0.accuracy"),
                 double(c.useful()) / double(c.issued), 1e-12);
-    EXPECT_NEAR(cr.timeliness,
+    EXPECT_NEAR(r.stats.value("audit.core.0.timeliness"),
                 double(c.usefulTimely) / double(c.useful()), 1e-12);
-    EXPECT_NEAR(cr.coverage,
-                c.coverage(r.hier.nonPrefMisses), 1e-12);
-    EXPECT_GT(cr.coverage, 0.0);
-    EXPECT_LE(cr.coverage, 1.0);
+    EXPECT_NEAR(coverage,
+                c.coverage(r.stats.counter("l2.push.non_pref_misses")),
+                1e-12);
+    EXPECT_GT(coverage, 0.0);
+    EXPECT_LE(coverage, 1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -197,11 +206,13 @@ TEST(AuditInterferenceTest, BlockedByMatrixShape)
         runMcf(true, 4, core::UlmtMode::Sharded);
     ASSERT_EQ(r.audit.cores.size(), 4u);
     std::uint64_t blocked = 0;
-    for (const auto &cr : r.audit.cores) {
+    for (unsigned c = 0; c < 4; ++c) {
+        const std::string b =
+            "memsys.core." + std::to_string(c) + ".blocked_by.";
         // One column per core plus the memory-thread pseudo-tenant.
-        ASSERT_EQ(cr.blockedBy.size(), 5u);
-        for (std::uint64_t v : cr.blockedBy)
-            blocked += v;
+        ASSERT_FALSE(r.stats.has(b + "4"));
+        for (const char *col : {"0", "1", "2", "3", "ulmt"})
+            blocked += r.stats.counter(b + col);
     }
     // A 4-core machine sharing one bus must exhibit some contention.
     EXPECT_GT(blocked, 0u);
@@ -210,13 +221,15 @@ TEST(AuditInterferenceTest, BlockedByMatrixShape)
 TEST(AuditInterferenceTest, OccupancySplitsArePopulated)
 {
     const driver::RunResult r = runMcf(true);
-    const mem::AuditCoreReport &cr = r.audit.cores[0];
-    EXPECT_GT(cr.busDemandCycles, 0u);
-    EXPECT_GT(cr.busPrefetchCycles, 0u);  // pushes + cpu-pf traffic
-    EXPECT_GT(cr.dramDemandCycles, 0u);
-    EXPECT_GT(cr.dramPrefetchCycles, 0u);
+    const auto n = [&r](const char *leaf) {
+        return r.stats.counter(std::string("audit.core.0.") + leaf);
+    };
+    EXPECT_GT(n("bus.demand_cycles"), 0u);
+    EXPECT_GT(n("bus.prefetch_cycles"), 0u);  // pushes + cpu-pf traffic
+    EXPECT_GT(n("dram.demand_cycles"), 0u);
+    EXPECT_GT(n("dram.prefetch_cycles"), 0u);
     // The memory thread's table walk traffic has its own footprint.
-    EXPECT_GT(r.audit.tableDramCycles, 0u);
+    EXPECT_GT(r.stats.counter("audit.ulmt.table_dram_cycles"), 0u);
 }
 
 // ---------------------------------------------------------------------

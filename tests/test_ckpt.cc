@@ -258,7 +258,8 @@ class CkptCorruption : public ::testing::Test
         sys.setCheckpointMeta("MST", opt.seed, opt.scale);
         sys.setCheckpointTrigger("200", path_);
         const driver::RunResult r = sys.run();
-        ASSERT_GT(r.ckptBytes, 0u) << "trigger never fired";
+        ASSERT_GT(r.stats.value("ckpt.snapshot_bytes"), 0.0)
+            << "trigger never fired";
     }
 
     std::string path_;
@@ -602,14 +603,15 @@ TEST_P(SystemRoundTrip, RestoreFingerprintMatchesStraightRun)
     sys.setCheckpointMeta(c.app, opt.seed, opt.scale);
     sys.setCheckpointTrigger("200", path);
     const driver::RunResult through = sys.run();
-    ASSERT_GT(through.ckptBytes, 0u) << "trigger never fired";
+    ASSERT_GT(through.stats.value("ckpt.snapshot_bytes"), 0.0)
+        << "trigger never fired";
 
     // Pausing to snapshot must not perturb the run itself...
     EXPECT_EQ(driver::resultFingerprint(through), fp);
 
     // ...and resuming from the snapshot must finish bit-identically.
     const driver::RunResult resumed = driver::runSampled(cfg, path);
-    EXPECT_GT(resumed.ckptRestoreSeconds, 0.0);
+    EXPECT_GT(resumed.stats.value("ckpt.restore_seconds"), 0.0);
     EXPECT_EQ(driver::resultFingerprint(resumed), fp);
 }
 
@@ -644,7 +646,7 @@ TEST(SystemRoundTrip, CycleTriggerAlsoRoundTrips)
     sys.setCheckpointMeta("MST", opt.seed, opt.scale);
     sys.setCheckpointTrigger("20000c", path);
     const driver::RunResult through = sys.run();
-    ASSERT_GT(through.ckptBytes, 0u);
+    ASSERT_GT(through.stats.value("ckpt.snapshot_bytes"), 0.0);
     EXPECT_GE(ckpt::CheckpointImage::readHeader(path).cycle, 20000u);
 
     const driver::RunResult resumed = driver::runSampled(cfg, path);
@@ -672,7 +674,7 @@ TEST(SystemRoundTrip, SampledRunMayChangeMetricsInterval)
     driver::System sys(cfg, *wl);
     sys.setCheckpointMeta("MST", opt.seed, opt.scale);
     sys.setCheckpointTrigger("200", path);
-    ASSERT_GT(sys.run().ckptBytes, 0u);
+    ASSERT_GT(sys.run().stats.value("ckpt.snapshot_bytes"), 0.0);
 
     driver::SystemConfig dense = cfg;
     dense.metricsInterval = 1024;
@@ -700,7 +702,7 @@ TEST(SystemRoundTrip, ParallelRestoresMatchSerialRuns)
     driver::System sys(cfg, *wl);
     sys.setCheckpointMeta("MST", opt.seed, opt.scale);
     sys.setCheckpointTrigger("200", path);
-    ASSERT_GT(sys.run().ckptBytes, 0u);
+    ASSERT_GT(sys.run().stats.value("ckpt.snapshot_bytes"), 0.0);
 
     std::vector<std::function<driver::RunResult()>> tasks;
     for (int i = 0; i < 4; ++i)

@@ -98,7 +98,7 @@ TEST(Bus, UtilizationByClass)
     bus.transfer(0, 32, mem::BusTraffic::Writeback);
     EXPECT_EQ(bus.busyTotal(), 100u);
     EXPECT_EQ(bus.busy(mem::BusTraffic::DemandData), 32u);
-    EXPECT_EQ(bus.busyPrefetch(), 32u);
+    EXPECT_EQ(bus.busy(mem::BusTraffic::UlmtPrefetchData), 32u);
 }
 
 TEST(Bus, DemandOutranksPrefetchData)

@@ -156,7 +156,10 @@ TEST_F(Fixture, DelayedHitClaimsInflightPrefetch)
     // The push arrival must not double-install or count as redundant.
     drain();
     EXPECT_EQ(hier.stats().pushInstalled, 0u);
-    EXPECT_EQ(hier.stats().pushRedundant(), 0u);
+    const cpu::HierarchyStats &s = hier.stats();
+    EXPECT_EQ(s.pushRedundantPresent + s.pushRedundantWb +
+                  s.pushDroppedMshrFull + s.pushDroppedSetPending,
+              0u);
 }
 
 TEST_F(Fixture, ReplacedCounterTracksUnusedPushes)

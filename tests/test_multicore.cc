@@ -73,27 +73,37 @@ TEST(Multicore, FourCoreRunCompletesInEveryMode)
         SCOPED_TRACE(core::to_string(mode));
         auto sys = makeSystem(mcConfig(4, mode, "Sparse"), "Sparse");
         const driver::RunResult r = sys->run();
+        const sim::StatSnapshot &s = r.stats;
 
-        ASSERT_EQ(r.coreProc.size(), 4u);
-        ASSERT_EQ(r.coreHier.size(), 4u);
-        ASSERT_EQ(r.coreQos.size(), 4u);
-        EXPECT_EQ(r.engineUlmt.size(),
-                  mode == core::UlmtMode::PerCore ? 4u : 1u);
+        // One stat slice per core and per engine, and no more.
+        ASSERT_TRUE(s.has("cpu.3.proc.records"));
+        ASSERT_TRUE(s.has("cpu.3.l2.misses"));
+        EXPECT_FALSE(s.has("cpu.4.proc.records"));
+        ASSERT_TRUE(s.has("memsys.core.3.demand_fetches"));
+        EXPECT_FALSE(s.has("memsys.core.4.demand_fetches"));
+        const std::size_t engines =
+            mode == core::UlmtMode::PerCore ? 4u : 1u;
+        EXPECT_EQ(sys->numEngines(), engines);
+        EXPECT_EQ(driver::numEngines(r.config), engines);
+        EXPECT_TRUE(s.has(r.engineStat("misses_observed", engines - 1)));
+        EXPECT_FALSE(s.has("ulmt." + std::to_string(engines) +
+                           ".misses_observed"));
         EXPECT_EQ(sys->numCores(), 4u);
 
+        sim::Cycle slowest = 0;
         for (unsigned c = 0; c < 4; ++c) {
             SCOPED_TRACE(c);
+            const std::string q = "memsys.core." + std::to_string(c) + ".";
             // Every tenant ran its whole trace and touched memory.
-            EXPECT_GT(r.coreProc[c].records, 0u);
-            EXPECT_GT(r.coreProc[c].totalCycles, 0u);
-            EXPECT_GT(r.coreHier[c].l2Misses, 0u);
-            EXPECT_GT(r.coreQos[c].demandFetches, 0u);
-            EXPECT_GT(r.coreQos[c].ulmtPrefetchesIssued, 0u);
+            EXPECT_GT(s.counter(r.coreStat("proc.records", c)), 0u);
+            EXPECT_GT(s.counter(r.coreStat("proc.total_cycles", c)), 0u);
+            EXPECT_GT(s.counter(r.coreStat("l2.misses", c)), 0u);
+            EXPECT_GT(s.counter(q + "demand_fetches"), 0u);
+            EXPECT_GT(s.counter(q + "pf_issued"), 0u);
+            slowest = std::max(
+                slowest, s.counter(r.coreStat("proc.total_cycles", c)));
         }
         // The headline cycle count is the slowest tenant.
-        sim::Cycle slowest = 0;
-        for (const cpu::ProcessorStats &p : r.coreProc)
-            slowest = std::max(slowest, p.totalCycles);
         EXPECT_EQ(r.cycles, slowest);
     }
 }
@@ -133,10 +143,12 @@ TEST(Multicore, SingleCoreMachineMatchesLegacyConstruction)
     const driver::RunResult b = makeSystem(cfg)->run();
     EXPECT_EQ(driver::resultFingerprint(a),
               driver::resultFingerprint(b));
-    // Single-core machines publish no per-core slices (beyond the
-    // always-present QoS row) so their fingerprint stays pre-multicore.
-    EXPECT_TRUE(a.coreProc.empty());
-    EXPECT_EQ(a.coreQos.size(), 1u);
+    // Single-core machines publish no per-core slices so their
+    // fingerprint stays pre-multicore; the queue-1 wait is still
+    // measured.
+    EXPECT_FALSE(a.stats.has("cpu.0.proc.records"));
+    EXPECT_FALSE(a.stats.has("memsys.core.0.demand_fetches"));
+    EXPECT_GT(a.q1WaitMean, 0.0);
 }
 
 TEST(Multicore, OffsetWorkloadShiftsEveryReference)
@@ -161,12 +173,12 @@ TEST(Multicore, OffsetWorkloadShiftsEveryReference)
 
 TEST(Multicore, StatRegistryFilterSelectsOneCoreSlice)
 {
-    auto sys = makeSystem(mcConfig(2, core::UlmtMode::PerCore));
-    (void)sys->run();
+    const driver::RunResult r =
+        makeSystem(mcConfig(2, core::UlmtMode::PerCore))->run();
     const auto keep = [](const std::string &path) {
         return path.rfind("cpu.1.", 0) == 0;
     };
-    const std::string json = sys->statRegistry().dumpJson(keep);
+    const std::string json = r.stats.dumpJson(keep);
     EXPECT_NE(json.find("cpu.1.l2.misses"), std::string::npos);
     EXPECT_EQ(json.find("cpu.0."), std::string::npos);
     EXPECT_EQ(json.find("memsys."), std::string::npos);
@@ -209,7 +221,8 @@ TEST_P(MulticoreCkpt, RestoreMatchesStraightRun)
     auto through_sys = makeSystem(cfg);
     through_sys->setCheckpointTrigger("400", path);
     const driver::RunResult through = through_sys->run();
-    ASSERT_GT(through.ckptBytes, 0u) << "trigger never fired";
+    ASSERT_GT(through.stats.value("ckpt.snapshot_bytes"), 0.0)
+        << "trigger never fired";
     EXPECT_EQ(driver::resultFingerprint(through), fp);
 
     const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(path);
@@ -220,10 +233,11 @@ TEST_P(MulticoreCkpt, RestoreMatchesStraightRun)
     resumed_sys->restoreCheckpoint(path);
     const driver::RunResult resumed = resumed_sys->run();
     EXPECT_EQ(driver::resultFingerprint(resumed), fp);
-    ASSERT_EQ(resumed.coreProc.size(), straight.coreProc.size());
-    for (std::size_t c = 0; c < straight.coreProc.size(); ++c) {
-        EXPECT_EQ(resumed.coreProc[c].totalCycles,
-                  straight.coreProc[c].totalCycles)
+    for (unsigned c = 0; c < 4; ++c) {
+        const std::string total = "cpu." + std::to_string(c) +
+                                  ".proc.total_cycles";
+        EXPECT_EQ(resumed.stats.counter(total),
+                  straight.stats.counter(total))
             << "core " << c;
     }
 }
@@ -239,7 +253,7 @@ TEST(MulticoreCkpt, RejectsCoreCountMismatch)
     const std::string path = tmpPath("mc_shape.ulmtckp");
     auto sys = makeSystem(mcConfig(4, core::UlmtMode::Shared));
     sys->setCheckpointTrigger("400", path);
-    ASSERT_GT(sys->run().ckptBytes, 0u);
+    ASSERT_GT(sys->run().stats.value("ckpt.snapshot_bytes"), 0.0);
 
     auto two = makeSystem(mcConfig(2, core::UlmtMode::Shared));
     try {
@@ -257,7 +271,7 @@ TEST(MulticoreCkpt, RejectsServingModeMismatch)
     const std::string path = tmpPath("mc_mode.ulmtckp");
     auto sys = makeSystem(mcConfig(4, core::UlmtMode::Shared));
     sys->setCheckpointTrigger("400", path);
-    ASSERT_GT(sys->run().ckptBytes, 0u);
+    ASSERT_GT(sys->run().stats.value("ckpt.snapshot_bytes"), 0.0);
 
     auto sharded = makeSystem(mcConfig(4, core::UlmtMode::Sharded));
     try {

@@ -535,6 +535,56 @@ TEST(ObservabilityDeterminismTest, FingerprintCarriesEveryBehaviouralLeaf)
     EXPECT_NE(fp.find(" memsys.tcache.hits="), std::string::npos);
 }
 
+/**
+ * A run's results are the registry frozen at its end: the snapshot
+ * renders exactly what the live registry renders after run(), and a
+ * name it does not hold (or holds as another kind) throws, naming it.
+ */
+TEST(StatSnapshotTest, RunSnapshotMatchesLiveRegistry)
+{
+    driver::ExperimentOptions opt;
+    opt.scale = 0.005;
+    driver::SystemConfig cfg =
+        driver::ulmtConfig(opt, core::UlmtAlgo::Repl, "MST");
+    for (const char *flag :
+         {"--cores=2", "--vm=on", "--remap-rate=100",
+          "--table-cache=256,4", "--check=basic"})
+        ASSERT_TRUE(driver::parseMachineFlag(flag, cfg)) << flag;
+    driver::System sys(
+        cfg,
+        driver::makeCoreWorkloads("MST", opt.seed, opt.scale, cfg.cores),
+        "MST");
+    const driver::RunResult r = sys.run();
+
+    EXPECT_EQ(r.stats.dumpJson(), sys.statRegistry().dumpJson());
+    EXPECT_EQ(r.stats.behaviourText(),
+              sys.statRegistry().behaviourText());
+    EXPECT_EQ(r.stats.size(), sys.statRegistry().size());
+    EXPECT_GT(r.stats.counter("vm.remaps"), 0u);
+    EXPECT_GT(r.stats.counter("check.passes"), 0u);
+    EXPECT_GT(r.stats.counter("memsys.tcache.hits") +
+                  r.stats.counter("memsys.tcache.misses"),
+              0u);
+
+    try {
+        (void)r.stats.counter("l2.misses");  // cpu.<c>.l2.misses here
+        FAIL() << "an unknown name read as a value";
+    } catch (const std::out_of_range &e) {
+        EXPECT_NE(std::string(e.what()).find("'l2.misses'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW((void)r.stats.counter("bus.busy.total"),
+                 std::out_of_range);  // a gauge
+    EXPECT_THROW((void)r.stats.value("cpu.0.l2.miss_gap_cycles"),
+                 std::out_of_range);  // a histogram
+    EXPECT_THROW((void)r.stats.sample("vm.remaps"), std::out_of_range);
+    EXPECT_THROW((void)r.stats.histogram("no.such.stat"),
+                 std::out_of_range);
+    EXPECT_EQ(r.stats.value("vm.remaps"),
+              double(r.stats.counter("vm.remaps")));
+}
+
 // ---------------------------------------------------------------------
 // Trace-event export
 // ---------------------------------------------------------------------

@@ -8,8 +8,16 @@
 #include <gtest/gtest.h>
 
 #include "driver/experiment.hh"
+#include "driver/report.hh"
 
 namespace {
+
+/** Counter @p name of run @p r. */
+std::uint64_t
+n(const driver::RunResult &r, const std::string &name)
+{
+    return r.stats.counter(name);
+}
 
 driver::ExperimentOptions
 opts(double scale = 0.05)
@@ -31,11 +39,13 @@ TEST_P(EveryAppSystem, NoPrefRunCompletesAndBalances)
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.records, 0u);
     // The time decomposition covers the whole run.
-    EXPECT_EQ(r.busyCycles + r.uptoL2Stall + r.beyondL2Stall, r.cycles);
+    EXPECT_EQ(n(r, "proc.busy_cycles") + n(r, "proc.stall.upto_l2") +
+                  n(r, "proc.stall.beyond_l2"),
+              r.cycles);
     // Without a ULMT there are no pushes or ULMT hits.
-    EXPECT_EQ(r.hier.pushInstalled, 0u);
-    EXPECT_EQ(r.hier.ulmtHits, 0u);
-    EXPECT_EQ(r.hier.nonPrefMisses, r.hier.l2Misses);
+    EXPECT_EQ(n(r, "l2.push.installed"), 0u);
+    EXPECT_EQ(n(r, "l2.push.hits"), 0u);
+    EXPECT_EQ(n(r, "l2.push.non_pref_misses"), n(r, "l2.misses"));
 }
 
 TEST_P(EveryAppSystem, RunsAreDeterministic)
@@ -47,10 +57,9 @@ TEST_P(EveryAppSystem, RunsAreDeterministic)
     const driver::RunResult a = driver::runOne(GetParam(), cfg, o);
     const driver::RunResult b = driver::runOne(GetParam(), cfg, o);
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.hier.l2Misses, b.hier.l2Misses);
-    EXPECT_EQ(a.ulmt.missesProcessed, b.ulmt.missesProcessed);
-    EXPECT_EQ(a.memsys.ulmtPrefetchesIssued,
-              b.memsys.ulmtPrefetchesIssued);
+    for (const char *name :
+         {"l2.misses", "ulmt.misses_processed", "memsys.queue3.issued"})
+        EXPECT_EQ(n(a, name), n(b, name)) << name;
 }
 
 TEST_P(EveryAppSystem, ReplClassificationIsConsistent)
@@ -61,15 +70,15 @@ TEST_P(EveryAppSystem, ReplClassificationIsConsistent)
                                        GetParam()),
         o);
     // Every demand L2 miss is either a delayed hit or a full miss.
-    EXPECT_EQ(r.hier.l2Misses,
-              r.hier.ulmtDelayedHits + r.hier.nonPrefMisses);
+    EXPECT_EQ(n(r, "l2.misses"), n(r, "l2.push.delayed_hits") +
+                                     n(r, "l2.push.non_pref_misses"));
     // Pushed lines are conserved: every issued prefetch either
     // installs or is dropped as redundant (delayed-hit claims consume
     // the rest; a single in-flight prefetch can serve several misses).
-    EXPECT_LE(r.hier.pushInstalled + r.hier.pushRedundant(),
-              r.memsys.ulmtPrefetchesIssued);
+    EXPECT_LE(n(r, "l2.push.installed") + driver::pushRedundant(r),
+              n(r, "memsys.queue3.issued"));
     // The ULMT observed exactly the demand fetches (non-verbose).
-    EXPECT_EQ(r.ulmt.missesObserved, r.memsys.demandFetches);
+    EXPECT_EQ(n(r, "ulmt.misses_observed"), n(r, "memsys.demand_fetches"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,9 +95,9 @@ TEST(System, UlmtPrefetchingReducesFullLatencyMisses)
         driver::runOne("Mcf", driver::noPrefConfig(o), o);
     const driver::RunResult repl = driver::runOne(
         "Mcf", driver::ulmtConfig(o, core::UlmtAlgo::Repl, "Mcf"), o);
-    EXPECT_LT(repl.hier.nonPrefMisses, base.hier.l2Misses);
-    EXPECT_GT(repl.hier.ulmtHits + repl.hier.ulmtDelayedHits,
-              base.hier.l2Misses / 10);
+    EXPECT_LT(n(repl, "l2.push.non_pref_misses"), n(base, "l2.misses"));
+    EXPECT_GT(n(repl, "l2.push.hits") + n(repl, "l2.push.delayed_hits"),
+              n(base, "l2.misses") / 10);
     EXPECT_GT(repl.speedup(base), 1.0);
 }
 
@@ -133,7 +142,7 @@ TEST(System, VerboseModeObservesMore)
     verbose.ulmt.verbose = true;
     const driver::RunResult q = driver::runOne("CG", quiet, o);
     const driver::RunResult v = driver::runOne("CG", verbose, o);
-    EXPECT_GE(v.ulmt.missesObserved, q.ulmt.missesObserved);
+    EXPECT_GE(n(v, "ulmt.misses_observed"), n(q, "ulmt.misses_observed"));
 }
 
 TEST(System, MissStreamCaptureMatchesMissCount)
@@ -142,7 +151,7 @@ TEST(System, MissStreamCaptureMatchesMissCount)
     driver::SystemConfig cfg = driver::noPrefConfig(o);
     cfg.recordMissStream = true;
     const driver::RunResult r = driver::runOne("Gap", cfg, o);
-    EXPECT_EQ(r.missStream.size(), r.hier.l2Misses);
+    EXPECT_EQ(r.missStream.size(), n(r, "l2.misses"));
     for (sim::Addr a : r.missStream)
         EXPECT_EQ(a % 64, 0u);  // L2-line aligned
 }

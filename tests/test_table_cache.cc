@@ -424,12 +424,14 @@ runMst(const driver::SystemConfig &cfg)
 TEST(TableCacheEndToEnd, RunsAndReportsStats)
 {
     const driver::RunResult r = runMst(tcacheConfig(256, 4));
+    const auto n = [&r](const char *leaf) {
+        return r.stats.counter(std::string("memsys.tcache.") + leaf);
+    };
     EXPECT_TRUE(r.tcacheOn);
-    EXPECT_EQ(r.tcacheEntries, 256u);
-    EXPECT_EQ(r.tcacheAssoc, 4u);
-    EXPECT_GT(r.tcache.hits + r.tcache.misses, 0u);
-    EXPECT_EQ(r.tcache.dramAccesses,
-              r.tcache.misses + r.tcache.writebacks);
+    EXPECT_EQ(r.config.tableCache.entries, 256u);
+    EXPECT_EQ(r.config.tableCache.assoc, 4u);
+    EXPECT_GT(n("hits") + n("misses"), 0u);
+    EXPECT_EQ(n("dram_accesses"), n("misses") + n("writebacks"));
 }
 
 TEST(TableCacheEndToEnd, OffRegistersNoTcacheStats)
@@ -440,13 +442,13 @@ TEST(TableCacheEndToEnd, OffRegistersNoTcacheStats)
     driver::SystemConfig cfg;
     cfg.metricsInterval = 0;
     driver::System sys(cfg, *wl);
-    sys.run();
+    EXPECT_FALSE(sys.run().stats.has("memsys.tcache.hits"));
     EXPECT_FALSE(sys.statRegistry().has("memsys.tcache.hits"));
 
     auto wl2 = workloads::makeWorkload("MST", wp);
     driver::SystemConfig cfg2 = tcacheConfig(256, 4);
     driver::System sys2(cfg2, *wl2);
-    sys2.run();
+    EXPECT_TRUE(sys2.run().stats.has("memsys.tcache.hits"));
     EXPECT_TRUE(sys2.statRegistry().has("memsys.tcache.hits"));
 }
 
@@ -473,7 +475,7 @@ TEST(TableCacheEndToEnd, RemapChurnStaysInLockstep)
     cfg.vm.remapRate = 500.0;
     cfg.check.mode = check::CheckMode::Deep;
     const driver::RunResult a = runMst(cfg);
-    EXPECT_GT(a.vmRemaps, 0u);
+    EXPECT_GT(a.stats.counter("vm.remaps"), 0u);
     EXPECT_TRUE(a.tcacheOn);
     const driver::RunResult b = runMst(cfg);
     EXPECT_EQ(driver::resultFingerprint(a),
@@ -498,9 +500,11 @@ TEST(TableCacheCkptV5, CheckpointRestoreResumesBitIdentically)
         sys.setCheckpointMeta("MST", wp.seed, wp.scale);
         sys.setCheckpointTrigger("500", path);
         full = sys.run();
-        ASSERT_GT(full.ckptBytes, 0u);
+        ASSERT_GT(full.stats.value("ckpt.snapshot_bytes"), 0.0);
     }
-    ASSERT_GT(full.tcache.hits + full.tcache.misses, 0u);
+    ASSERT_GT(full.stats.counter("memsys.tcache.hits") +
+                  full.stats.counter("memsys.tcache.misses"),
+              0u);
 
     // The snapshot is v5 and carries the tcache section.
     const ckpt::CheckpointImage img =
@@ -529,7 +533,7 @@ offMachineImage(const std::string &path)
     sys.setCheckpointMeta("MST", wp.seed, wp.scale);
     sys.setCheckpointTrigger("200", path);
     const driver::RunResult r = sys.run();
-    EXPECT_GT(r.ckptBytes, 0u);
+    EXPECT_GT(r.stats.value("ckpt.snapshot_bytes"), 0.0);
     return ckpt::CheckpointImage::readFile(path);
 }
 

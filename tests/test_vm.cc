@@ -334,18 +334,21 @@ runMst(const driver::SystemConfig &cfg)
 TEST(VmEndToEnd, TranslationRunsAndReportsStats)
 {
     const driver::RunResult r = runMst(vmConfig(0.0, 4096));
-    EXPECT_TRUE(r.vmOn);
-    EXPECT_EQ(r.vmPageBytes, 4096u);
-    EXPECT_EQ(r.vmRemaps, 0u);  // rate 0: translation only
-    EXPECT_GT(r.vmTlbHits + r.vmTlbMisses, 0u);
-    EXPECT_GT(r.vmPagesMapped, 0u);
+    const sim::StatSnapshot &s = r.stats;
+    EXPECT_TRUE(r.config.vm.on());
+    EXPECT_EQ(r.config.vm.pageBytes, 4096u);
+    EXPECT_EQ(s.counter("vm.remaps"), 0u);  // rate 0: translation only
+    EXPECT_GT(s.counter("vm.core.0.tlb.hits") +
+                  s.counter("vm.core.0.tlb.misses"),
+              0u);
+    EXPECT_GT(s.value("vm.core.0.pages"), 0.0);
 }
 
 TEST(VmEndToEnd, RemapsFireAndAreDeterministic)
 {
     const driver::RunResult a = runMst(vmConfig(500.0, 4096));
     const driver::RunResult b = runMst(vmConfig(500.0, 4096));
-    EXPECT_GT(a.vmRemaps, 0u);
+    EXPECT_GT(a.stats.counter("vm.remaps"), 0u);
     EXPECT_EQ(driver::resultFingerprint(a),
               driver::resultFingerprint(b));
 }
@@ -354,8 +357,9 @@ TEST(VmEndToEnd, HugePagesMapFewerPages)
 {
     const driver::RunResult small = runMst(vmConfig(0.0, 4096));
     const driver::RunResult huge = runMst(vmConfig(0.0, 2u << 20));
-    EXPECT_GT(huge.vmPagesMapped, 0u);
-    EXPECT_LT(huge.vmPagesMapped, small.vmPagesMapped);
+    EXPECT_GT(huge.stats.value("vm.core.0.pages"), 0.0);
+    EXPECT_LT(huge.stats.value("vm.core.0.pages"),
+              small.stats.value("vm.core.0.pages"));
 }
 
 TEST(VmEndToEnd, VmOffRegistersNoVmStats)
@@ -366,7 +370,7 @@ TEST(VmEndToEnd, VmOffRegistersNoVmStats)
     driver::SystemConfig cfg;
     cfg.metricsInterval = 0;
     driver::System sys(cfg, *wl);
-    sys.run();
+    EXPECT_FALSE(sys.run().stats.has("vm.remaps"));
     EXPECT_FALSE(sys.statRegistry().has("vm.remaps"));
 }
 
@@ -382,7 +386,7 @@ TEST(VmEndToEnd, RestoreRejectsPageSizeMismatchBeforeFingerprint)
         sys.setCheckpointMeta("MST", wp.seed, wp.scale);
         sys.setCheckpointTrigger("200", path);
         const driver::RunResult r = sys.run();
-        ASSERT_GT(r.ckptBytes, 0u);
+        ASSERT_GT(r.stats.value("ckpt.snapshot_bytes"), 0.0);
     }
 
     // Same machine except for the page size: the shape check must
@@ -417,9 +421,9 @@ TEST(VmEndToEnd, CheckpointRestoreResumesBitIdentically)
         sys.setCheckpointMeta("MST", wp.seed, wp.scale);
         sys.setCheckpointTrigger("500", path);
         full = sys.run();
-        ASSERT_GT(full.ckptBytes, 0u);
+        ASSERT_GT(full.stats.value("ckpt.snapshot_bytes"), 0.0);
     }
-    ASSERT_GT(full.vmRemaps, 0u);
+    ASSERT_GT(full.stats.counter("vm.remaps"), 0u);
 
     auto wl = workloads::makeWorkload("MST", wp);
     driver::System sys(cfg, *wl);
@@ -450,11 +454,11 @@ TEST(VmEndToEnd, MulticoreRemapRunResumesBitIdentically)
         sys->setCheckpointMeta("MST", seed, 0.002);
         sys->setCheckpointTrigger("500", path);
         full = sys->run();
-        ASSERT_GT(full.ckptBytes, 0u);
+        ASSERT_GT(full.stats.value("ckpt.snapshot_bytes"), 0.0);
         for (unsigned c = 0; c < 2; ++c)
             EXPECT_GT(sys->vm()->coreStats(c).accesses, 0u) << c;
     }
-    EXPECT_GT(full.vmRemaps, 0u);
+    EXPECT_GT(full.stats.counter("vm.remaps"), 0u);
 
     auto sys = build();
     sys->restoreCheckpoint(path);

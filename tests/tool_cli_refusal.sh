@@ -1,12 +1,14 @@
 #!/bin/sh
-# Every malformed tool argument must be refused loudly: a non-zero exit
-# below 128 (an error, not a crash) with a message on stderr, and
-# ulmt-ckpt must write no snapshot.
+# Every malformed tool or example argument must be refused loudly: a
+# non-zero exit below 128 (an error, not a crash) with a message on
+# stderr, and ulmt-ckpt must write no snapshot.
 #
-#   sh tests/tool_cli_refusal.sh build/tools/ulmt-ckpt build/tools/ulmt-stats
+#   sh tests/tool_cli_refusal.sh build/tools build/examples
 set -u
-ckpt=$1
-stats=$2
+tools=$1
+examples=$2
+ckpt=$tools/ulmt-ckpt
+stats=$tools/ulmt-stats
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 failed=0
@@ -39,4 +41,28 @@ done
 
 expect_refusal "ulmt-stats dump --scale=abc" \
     "$stats" dump Tree --scale=abc
+
+# Counts, seeds and scales parse as whole strings: no sign, no
+# trailing garbage, no overflow to inf.
+for args in "--seeds=-1" "--scale 1e400" "--scale 0.002abc" "--seeds 2x" \
+    "--seed0 zz" "--interval=abc"; do
+    # $args is unquoted on purpose: one word per token.
+    expect_refusal "ulmt-fuzz $args" "$tools/ulmt-fuzz" $args
+done
+for arg in --scale=abc --seed=zz; do
+    expect_refusal "ulmt-trace record $arg" \
+        "$tools/ulmt-trace" record Tree "$dir/t.trc" --scale=0.001 "$arg"
+done
+"$tools/ulmt-trace" record Tree "$dir/ok.trc" --scale=0.001 >/dev/null
+for arg in --limit=abc --limit=-3; do
+    expect_refusal "ulmt-trace dump $arg" \
+        "$tools/ulmt-trace" dump "$dir/ok.trc" "$arg"
+done
+
+expect_refusal "quickstart Mcf -1" "$examples/quickstart" Mcf -1
+expect_refusal "quickstart Mcf abc" "$examples/quickstart" Mcf abc
+expect_refusal "inspect Mcf Repl abc" "$examples/inspect" Mcf Repl abc
+expect_refusal "custom_prefetcher abc" "$examples/custom_prefetcher" abc
+expect_refusal "profile_app Sparse abc" "$examples/profile_app" Sparse abc
+expect_refusal "page_remap abc" "$examples/page_remap" abc
 exit $failed

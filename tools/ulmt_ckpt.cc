@@ -128,15 +128,16 @@ cmdCreate(const std::vector<std::string> &args)
     sys.setCheckpointMeta(app, opt.seed, opt.scale);
     sys.setCheckpointTrigger(at, out);
     const driver::RunResult r = sys.run();
-    if (r.ckptBytes == 0) {
+    const auto bytes =
+        static_cast<unsigned long long>(r.stats.value("ckpt.snapshot_bytes"));
+    if (bytes == 0) {
         std::fprintf(stderr,
                      "ulmt-ckpt: the run finished before the trigger "
                      "'%s' fired; no snapshot written\n",
                      at.c_str());
         return 1;
     }
-    std::printf("snapshot:     %s (%llu bytes)\n", out.c_str(),
-                (unsigned long long)r.ckptBytes);
+    std::printf("snapshot:     %s (%llu bytes)\n", out.c_str(), bytes);
     const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(out);
     std::printf("taken at:     cycle %llu, %llu misses\n",
                 (unsigned long long)h.cycle,

@@ -25,9 +25,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -265,7 +265,7 @@ usage(const char *argv0)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::uint64_t seeds = 20;
     std::uint64_t seed0 = 1;
     double scale = 0.005;
@@ -276,10 +276,10 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (const char *v = flagValue(argc, argv, i, "--seeds")) {
-            seeds = std::strtoull(v, nullptr, 0);
+            seeds = driver::parseCount(v);
         } else if (const char *v0 =
                        flagValue(argc, argv, i, "--seed0")) {
-            seed0 = std::strtoull(v0, nullptr, 0);
+            seed0 = driver::parseSeed(v0);
         } else if (const char *c =
                        flagValue(argc, argv, i, "--check")) {
             if (std::strcmp(c, "deep") == 0)
@@ -290,14 +290,12 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (const char *iv =
                        flagValue(argc, argv, i, "--interval")) {
-            chk.everyEvents = std::strtoull(iv, nullptr, 0);
+            chk.everyEvents = driver::parseCount(iv);
             if (chk.everyEvents == 0)
                 return usage(argv[0]);
         } else if (const char *sc =
                        flagValue(argc, argv, i, "--scale")) {
-            scale = std::atof(sc);
-            if (scale <= 0.0)
-                return usage(argv[0]);
+            scale = driver::parseScale(sc);
         } else if (std::strcmp(argv[i], "-v") == 0) {
             verbose_log = true;
         } else {
@@ -342,4 +340,8 @@ main(int argc, char **argv)
     std::printf("[fuzz] all %llu seeds clean\n",
                 (unsigned long long)seeds);
     return 0;
+} catch (const std::invalid_argument &e) {
+    // A malformed --seeds/--seed0/--interval/--scale value.
+    std::fprintf(stderr, "ulmt-fuzz: %s\n", e.what());
+    return 1;
 }

@@ -234,7 +234,7 @@ cmdDump(const std::vector<std::string> &args)
     sim::TraceEventBuffer buf;
     if (opt.traceEvents)
         sys.setTraceEvents(&buf);
-    sys.run();
+    const driver::RunResult r = sys.run();
     if (opt.traceEvents) {
         opt.traceEvents->writeProcess(app + "/" + cfg.label, buf);
         opt.traceEvents->finish();
@@ -262,15 +262,14 @@ cmdDump(const std::vector<std::string> &args)
     if (table) {
         TableVisitor v;
         if (unfiltered)
-            sys.statRegistry().visit(v);
+            r.stats.visit(v);
         else
-            sys.statRegistry().visit(v, keep);
+            r.stats.visit(v, keep);
         return 0;
     }
-    if (unfiltered)
-        std::fputs(sys.statRegistry().dumpJson().c_str(), stdout);
-    else
-        std::fputs(sys.statRegistry().dumpJson(keep).c_str(), stdout);
+    std::fputs((unfiltered ? r.stats.dumpJson() : r.stats.dumpJson(keep))
+                   .c_str(),
+               stdout);
     return 0;
 }
 

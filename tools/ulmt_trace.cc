@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/experiment.hh"
 #include "trace/import.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
@@ -74,9 +75,9 @@ cmdRecord(const std::vector<std::string> &args)
     workloads::WorkloadParams wp;
     for (std::size_t i = 2; i < args.size(); ++i) {
         if (const char *v = flagValue(args[i].c_str(), "--scale="))
-            wp.scale = std::atof(v);
+            wp.scale = driver::parseScale(v);
         else if (const char *s = flagValue(args[i].c_str(), "--seed="))
-            wp.seed = std::strtoull(s, nullptr, 0);
+            wp.seed = driver::parseSeed(s);
         else
             badFlag(args[i].c_str());
     }
@@ -128,7 +129,7 @@ cmdDump(const std::vector<std::string> &args)
     std::uint64_t limit = 32;
     for (std::size_t i = 1; i < args.size(); ++i) {
         if (const char *v = flagValue(args[i].c_str(), "--limit="))
-            limit = std::strtoull(v, nullptr, 0);
+            limit = driver::parseCount(v);
         else
             badFlag(args[i].c_str());
     }
