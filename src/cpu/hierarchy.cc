@@ -275,14 +275,8 @@ Hierarchy::fillL2(sim::Cycle now, sim::Addr addr, sim::Cycle ready_at,
             wbQueue_[ev.lineAddr] = now + wbQueueResidency;
         }
     }
-    if (wbQueue_.size() > 128) {
-        for (auto it = wbQueue_.begin(); it != wbQueue_.end();) {
-            if (it->second <= now)
-                it = wbQueue_.erase(it);
-            else
-                ++it;
-        }
-    }
+    if (wbQueue_.size() > 128)
+        wbQueue_.eraseIf([now](const auto &e) { return e.second <= now; });
     return line;
 }
 
@@ -383,8 +377,7 @@ Hierarchy::saveState(ckpt::StateWriter &w) const
         streamPf_.saveState(w);
 
     // Sorted iteration keeps the checkpoint bytes deterministic.
-    std::vector<sim::Addr> claimed(claimedPush_.begin(),
-                                   claimedPush_.end());
+    std::vector<sim::Addr> claimed = claimedPush_.keys();
     std::sort(claimed.begin(), claimed.end());
     w.u64(claimed.size());
     for (sim::Addr line : claimed)

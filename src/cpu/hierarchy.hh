@@ -19,8 +19,6 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cpu/stream_prefetcher.hh"
@@ -28,6 +26,7 @@
 #include "mem/memory_system.hh"
 #include "mem/timing_params.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -291,9 +290,9 @@ class Hierarchy
     std::vector<sim::Addr> pfScratch_;
 
     /** Demand misses that claimed an in-flight push (delayed hits). */
-    std::unordered_set<sim::Addr> claimedPush_;
+    sim::FlatSet claimedPush_;
     /** Lines recently evicted dirty: line -> write-back retire cycle. */
-    std::unordered_map<sim::Addr, sim::Cycle> wbQueue_;
+    sim::FlatMap<sim::Cycle> wbQueue_;
 
     HierarchyStats stats_;
     sim::BinnedHistogram missGaps_;

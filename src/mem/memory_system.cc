@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ckpt/sim_state.hh"
@@ -475,8 +476,9 @@ MemorySystem::saveState(ckpt::StateWriter &w) const
     }
     filter_.saveState(w);
 
-    // Unordered maps are written sorted by key so identical simulator
-    // state always yields identical checkpoint bytes.
+    // The in-flight maps iterate in unspecified order, so they are
+    // written sorted by key: identical simulator state always yields
+    // identical checkpoint bytes.
     std::vector<std::pair<sim::Addr, std::uint32_t>> demand(
         inflightDemand_.begin(), inflightDemand_.end());
     std::sort(demand.begin(), demand.end());
@@ -588,7 +590,7 @@ MemorySystem::checkInvariants(
     }
 
     const auto diffCounts =
-        [&ctx](const std::unordered_map<sim::Addr, std::uint32_t> &map,
+        [&ctx](const sim::FlatMap<std::uint32_t> &map,
                const std::unordered_map<sim::Addr, std::uint32_t> &evs,
                const std::string &what) {
             for (const auto &[line, count] : map) {

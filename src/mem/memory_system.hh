@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "check/check.hh"
@@ -35,6 +34,7 @@
 #include "mem/table_cache.hh"
 #include "mem/timing_params.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace mem {
@@ -364,12 +364,12 @@ class MemorySystem
     // line address.  Bus and DRAM always see the raw line address.
 
     /** Demand fetches currently in flight (queue 1). */
-    std::unordered_map<sim::Addr, std::uint32_t> inflightDemand_;
+    sim::FlatMap<std::uint32_t> inflightDemand_;
     /** CPU-prefetch fetches in flight (queue 1, tracked separately so
      *  cross-match drops are attributed per Figure 3). */
-    std::unordered_map<sim::Addr, std::uint32_t> inflightCpuPf_;
+    sim::FlatMap<std::uint32_t> inflightCpuPf_;
     /** ULMT prefetches in flight: key -> arrival cycle (queue 3). */
-    std::unordered_map<sim::Addr, sim::Cycle> inflightPf_;
+    sim::FlatMap<sim::Cycle> inflightPf_;
 
     MemorySystemStats stats_;
     unsigned numCores_ = 1;

@@ -123,7 +123,6 @@ PrefetchAudit::pushIssued(unsigned core, unsigned engine,
     PushRecord rec;
     rec.engine = engine;
     rec.flow = flow;
-    rec.ready = ready;
     inflight_[key] = rec;
 }
 

@@ -52,9 +52,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/trace_event.hh"
@@ -259,7 +259,6 @@ class PrefetchAudit
     {
         unsigned engine = 0;
         std::uint64_t flow = 0;
-        sim::Cycle ready = 0;
         sim::Cycle fill = 0;  //!< valid in installed_ only
     };
 
@@ -299,8 +298,8 @@ class PrefetchAudit
     unsigned numEngines_;
     std::vector<CoreAudit> cores_;
     std::vector<AuditOutcomeCounts> engines_;
-    std::unordered_map<sim::Addr, PushRecord> inflight_;
-    std::unordered_map<sim::Addr, PushRecord> installed_;
+    sim::FlatMap<PushRecord> inflight_;
+    sim::FlatMap<PushRecord> installed_;
     ResOwner busOwner_;
     std::vector<ResOwner> bankOwner_;
     std::vector<ResOwner> chanOwner_;

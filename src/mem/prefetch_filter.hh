@@ -17,6 +17,7 @@
 
 #include "check/check.hh"
 #include "ckpt/state.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace mem {
@@ -148,7 +149,7 @@ class PrefetchFilter
 
     std::uint32_t capacity_;
     std::deque<sim::Addr> fifo_;
-    std::unordered_map<sim::Addr, std::uint32_t> present_;
+    sim::FlatMap<std::uint32_t> present_;
     std::uint64_t drops_ = 0;
     std::uint64_t admits_ = 0;
 };

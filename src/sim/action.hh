@@ -7,15 +7,16 @@
  * std::function heap-allocates once a capture outgrows its internal
  * buffer and carries copy machinery the simulator never uses.  Every
  * lambda the simulator schedules captures a `this` pointer plus at
- * most a couple of words, so InplaceAction stores the callable
- * directly inside the event (up to `inlineBytes`) and only falls back
- * to the heap for oversized captures.
+ * most a couple of words, so InplaceAction stores the callable in its
+ * own buffer (up to `inlineBytes`), which lives in the event queue's
+ * slab slot, and only falls back to the heap for oversized captures.
  */
 
 #ifndef SIM_ACTION_HH
 #define SIM_ACTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -71,6 +72,14 @@ class InplaceAction
     void operator()() { ops_->invoke(buf_); }
 
   private:
+    /**
+     * What a stored callable needs beyond its bytes.  A null relocate
+     * means the buffer moves by copying its bytes (a trivially
+     * copyable capture, or the pointer to a heap one); a null destroy
+     * means there is nothing to destroy.  Nearly every scheduled
+     * lambda captures only a pointer and integers, so moving and
+     * destroying it makes no indirect call.
+     */
     struct Ops
     {
         void (*invoke)(void *storage);
@@ -92,16 +101,24 @@ class InplaceAction
     static const Ops *
     opsForInline()
     {
-        static constexpr Ops ops = {
-            [](void *p) { (*static_cast<Fn *>(p))(); },
-            [](void *dst, void *src) {
-                Fn *s = static_cast<Fn *>(src);
-                ::new (dst) Fn(std::move(*s));
-                s->~Fn();
-            },
-            [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-        };
-        return &ops;
+        if constexpr (std::is_trivially_copyable_v<Fn> &&
+                      std::is_trivially_destructible_v<Fn>) {
+            static constexpr Ops ops = {
+                [](void *p) { (*static_cast<Fn *>(p))(); }, nullptr,
+                nullptr};
+            return &ops;
+        } else {
+            static constexpr Ops ops = {
+                [](void *p) { (*static_cast<Fn *>(p))(); },
+                [](void *dst, void *src) {
+                    Fn *s = static_cast<Fn *>(src);
+                    ::new (dst) Fn(std::move(*s));
+                    s->~Fn();
+                },
+                [](void *p) { static_cast<Fn *>(p)->~Fn(); },
+            };
+            return &ops;
+        }
     }
 
     template <typename Fn>
@@ -111,7 +128,7 @@ class InplaceAction
         using P = Fn *;
         static constexpr Ops ops = {
             [](void *p) { (**static_cast<P *>(p))(); },
-            [](void *dst, void *src) { ::new (dst) P(*static_cast<P *>(src)); },
+            nullptr,
             [](void *p) { delete *static_cast<P *>(p); },
         };
         return &ops;
@@ -122,7 +139,10 @@ class InplaceAction
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->relocate(buf_, other.buf_);
+            if (ops_->relocate)
+                ops_->relocate(buf_, other.buf_);
+            else
+                std::memcpy(buf_, other.buf_, inlineBytes);
             other.ops_ = nullptr;
         }
     }
@@ -131,7 +151,8 @@ class InplaceAction
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }

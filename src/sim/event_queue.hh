@@ -68,7 +68,7 @@ class EventQueue
     std::uint64_t nextSeq() const { return nextSeq_; }
 
     /** Number of events currently pending. */
-    std::size_t pending() const { return events_.size(); }
+    std::size_t pending() const { return heap_.size(); }
 
     /**
      * Install a passive periodic observer.  The ticker fires between
@@ -134,7 +134,9 @@ class EventQueue
     void
     schedule(Cycle when, Action action)
     {
-        schedule(when, EventKind::Untagged, 0, 0, std::move(action));
+        push(when, nextSeq_++,
+             static_cast<std::uint32_t>(EventKind::Untagged), 0, 0,
+             std::move(action));
     }
 
     /**
@@ -146,20 +148,17 @@ class EventQueue
     schedule(Cycle when, EventKind kind, std::uint64_t arg0,
              std::uint64_t arg1, Action action)
     {
-        SIM_ASSERT(when >= now_,
-                   "scheduled at %llu before now %llu",
-                   (unsigned long long)when, (unsigned long long)now_);
-        events_.push_back(Event{when, nextSeq_++,
-                                static_cast<std::uint32_t>(kind), arg0,
-                                arg1, std::move(action)});
-        siftUp(events_.size() - 1);
+        push(when, nextSeq_++, static_cast<std::uint32_t>(kind), arg0,
+             arg1, std::move(action));
     }
 
     /** Schedule an action a relative number of cycles in the future. */
     void
     scheduleIn(Cycle delay, Action action)
     {
-        schedule(now_ + delay, std::move(action));
+        push(now_ + delay, nextSeq_++,
+             static_cast<std::uint32_t>(EventKind::Untagged), 0, 0,
+             std::move(action));
     }
 
     /**
@@ -171,10 +170,12 @@ class EventQueue
     saveEvents() const
     {
         std::vector<SavedEvent> out;
-        out.reserve(events_.size());
-        for (const Event &e : events_)
+        out.reserve(heap_.size());
+        for (const Key &k : heap_) {
+            const Slot &s = slots_[k.slot()];
             out.push_back(
-                SavedEvent{e.when, e.seq, e.kind, e.arg0, e.arg1});
+                SavedEvent{k.when, k.seq(), s.kind, s.arg0, s.arg1});
+        }
         std::sort(out.begin(), out.end(),
                   [](const SavedEvent &a, const SavedEvent &b) {
                       return a.when != b.when ? a.when < b.when
@@ -196,16 +197,14 @@ class EventQueue
         const std::vector<SavedEvent> &events,
         const std::function<Action(const SavedEvent &)> &resolve)
     {
-        events_.clear();
+        clear();
         now_ = now;
         nextSeq_ = next_seq;
         executed_ = executed;
         for (const SavedEvent &s : events) {
             SIM_ASSERT(s.when >= now_ && s.seq < next_seq,
                        "restored event outside snapshot bounds");
-            events_.push_back(Event{s.when, s.seq, s.kind, s.arg0,
-                                    s.arg1, resolve(s)});
-            siftUp(events_.size() - 1);
+            push(s.when, s.seq, s.kind, s.arg0, s.arg1, resolve(s));
         }
         // A ticker installed before the restore was armed relative to
         // cycle 0; re-arm it relative to the restored clock.  (The
@@ -245,14 +244,19 @@ class EventQueue
     run(std::uint64_t max_events = UINT64_MAX)
     {
         breakHit_ = false;
-        while (!events_.empty()) {
+        while (!heap_.empty()) {
             if (executed_ >= max_events)
                 return false;
-            Event &top = events_.front();
+            const Key top = heap_.front();
             SIM_ASSERT(top.when >= now_, "event queue went backwards");
             now_ = top.when;
-            Action action = std::move(top.action);
             popTop();
+            // The action leaves its slot before it runs: it may
+            // schedule events, which can reuse the slot or grow (and
+            // so move) the slab under it.
+            const std::uint32_t slot = top.slot();
+            Action action = std::move(slots_[slot].action);
+            freeSlots_.push_back(slot);
             ++executed_;
             action();
             if (now_ >= tickDue_) {
@@ -275,80 +279,133 @@ class EventQueue
     void
     clear()
     {
-        events_.clear();
+        heap_.clear();
+        slots_.clear();
+        freeSlots_.clear();
     }
 
   private:
-    struct Event
+    /**
+     * A heap entry: (when, seq) orders the event and slot names the
+     * slab entry that holds its action.  seq and slot share one word
+     * (seq in the high bits), so the heap moves 16 trivially copyable
+     * bytes per level instead of an Action.
+     */
+    struct Key
     {
+        static constexpr unsigned slotBits = 24;
+
         Cycle when;
-        std::uint64_t seq;
-        std::uint32_t kind;
-        std::uint64_t arg0;
-        std::uint64_t arg1;
+        std::uint64_t seqSlot;
+
+        std::uint64_t seq() const { return seqSlot >> slotBits; }
+        std::uint32_t
+        slot() const
+        {
+            return static_cast<std::uint32_t>(seqSlot &
+                                              ((1u << slotBits) - 1));
+        }
+    };
+
+    /** A pending event's payload: its checkpoint tag and action. */
+    struct Slot
+    {
+        std::uint32_t kind = 0;
+        std::uint64_t arg0 = 0;
+        std::uint64_t arg1 = 0;
         Action action;
     };
 
-    /** Strict total order: (when, seq) is unique per event, so heap
-     *  extraction reproduces the exact order the old priority_queue
-     *  produced. */
+    /** Strict total order: (when, seq) is unique per event, and seq
+     *  owns the high bits of seqSlot, so heap extraction reproduces
+     *  the exact order the old priority_queue produced. */
     static bool
-    earlier(const Event &a, const Event &b)
+    earlier(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        return a.seq < b.seq;
+        return a.seqSlot < b.seqSlot;
     }
 
-    /** Remove the root of the min-heap (its action already moved out). */
+    /** Every schedule and restore lands here; @p action moves once,
+     *  into its slot. */
+    void
+    push(Cycle when, std::uint64_t seq, std::uint32_t kind,
+         std::uint64_t arg0, std::uint64_t arg1, Action &&action)
+    {
+        SIM_ASSERT(when >= now_,
+                   "scheduled at %llu before now %llu",
+                   (unsigned long long)when, (unsigned long long)now_);
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(slots_.size());
+            SIM_ASSERT(slot < (1u << Key::slotBits),
+                       "more than 2^24 events pending");
+            slots_.emplace_back();
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+        }
+        Slot &s = slots_[slot];
+        s.kind = kind;
+        s.arg0 = arg0;
+        s.arg1 = arg1;
+        s.action = std::move(action);
+        SIM_ASSERT(seq < (std::uint64_t{1} << (64 - Key::slotBits)),
+                   "event sequence number overflows its 40 bits");
+        heap_.push_back(Key{when, seq << Key::slotBits | slot});
+        siftUp(heap_.size() - 1);
+    }
+
+    /** Remove the root of the min-heap. */
     void
     popTop()
     {
-        Event last = std::move(events_.back());
-        events_.pop_back();
-        if (!events_.empty()) {
-            events_.front() = std::move(last);
+        const Key last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty()) {
+            heap_.front() = last;
             siftDown(0);
         }
     }
 
-    // Hole-based sifts: one move per level instead of a three-move
-    // swap, which matters at millions of events per run.
+    // Hole-based sifts: one key copy per level instead of a swap.
     void
     siftUp(std::size_t i)
     {
-        Event e = std::move(events_[i]);
+        const Key k = heap_[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
-            if (!earlier(e, events_[parent]))
+            if (!earlier(k, heap_[parent]))
                 break;
-            events_[i] = std::move(events_[parent]);
+            heap_[i] = heap_[parent];
             i = parent;
         }
-        events_[i] = std::move(e);
+        heap_[i] = k;
     }
 
     void
     siftDown(std::size_t i)
     {
-        const std::size_t n = events_.size();
-        Event e = std::move(events_[i]);
+        const std::size_t n = heap_.size();
+        const Key k = heap_[i];
         for (;;) {
             std::size_t child = 2 * i + 1;
             if (child >= n)
                 break;
-            if (child + 1 < n &&
-                earlier(events_[child + 1], events_[child]))
+            if (child + 1 < n && earlier(heap_[child + 1], heap_[child]))
                 ++child;
-            if (!earlier(events_[child], e))
+            if (!earlier(heap_[child], k))
                 break;
-            events_[i] = std::move(events_[child]);
+            heap_[i] = heap_[child];
             i = child;
         }
-        events_[i] = std::move(e);
+        heap_[i] = k;
     }
 
-    std::vector<Event> events_;  //!< binary min-heap by (when, seq)
+    std::vector<Key> heap_;    //!< binary min-heap by (when, seq)
+    std::vector<Slot> slots_;  //!< pending actions, indexed by Key::slot
+    std::vector<std::uint32_t> freeSlots_;  //!< reusable slots_ entries
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

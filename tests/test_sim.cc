@@ -1,17 +1,23 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue, the priority
- * timeline (with a differential test against its old version), RNG
- * determinism, statistics containers, logging helpers.
+ * Unit tests for the simulation kernel: event queue, the flat map,
+ * the priority timeline (with a differential test against its old
+ * version), RNG determinism, statistics containers, logging helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -94,6 +100,317 @@ TEST(EventQueue, MoveOnlyCapturesAreSupported)
     eq.schedule(1, [v = std::move(value), &seen] { seen = *v; });
     eq.run();
     EXPECT_EQ(seen, 17);
+}
+
+/**
+ * A random self-extending schedule.  Each event's children are a pure
+ * function of its id and the queue state, and every event is tagged
+ * with its id, so a restored queue can rebuild every pending action
+ * (the saveState/restoreState contract).  Delays are mostly 0 or 1
+ * cycle, so same-cycle ties dominate; the population hovers around
+ * `target` pending events while `limit` ids pass through, so the slab
+ * reuses every slot many times.
+ */
+struct RandomSchedule
+{
+    static constexpr std::size_t target = 200;
+
+    explicit RandomSchedule(std::uint64_t limit) : limit(limit) {}
+
+    sim::EventQueue eq;
+    std::uint64_t limit;
+    std::uint64_t nextId = 0;
+    /** (when, seq) each id was scheduled with. */
+    std::vector<std::pair<sim::Cycle, std::uint64_t>> key;
+    /** Ids in execution order. */
+    std::vector<std::uint64_t> log;
+
+    static std::uint64_t
+    mix(std::uint64_t x)
+    {
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    }
+
+    void
+    spawn(sim::Cycle when)
+    {
+        const std::uint64_t id = nextId++;
+        key.emplace_back(when, eq.nextSeq());
+        eq.schedule(when, sim::EventKind::ProcStep, id, 0, action(id));
+    }
+
+    sim::EventQueue::Action
+    action(std::uint64_t id)
+    {
+        return [this, id] {
+            EXPECT_EQ(eq.now(), key[id].first);
+            const std::size_t at = log.size();
+            log.push_back(id);
+            const std::uint64_t h = mix(id);
+            const unsigned children =
+                eq.pending() < target ? 1 + (h & 1) : (h >> 1) & 1;
+            for (unsigned c = 0; c < children && nextId < limit; ++c) {
+                const std::uint64_t d = (h >> (8 + 4 * c)) & 15;
+                spawn(eq.now() + (d < 8 ? 0 : d < 13 ? 1 : d));
+            }
+            // The capture outlives the spawns, which may reuse this
+            // event's slot or grow the slab.
+            EXPECT_EQ(log[at], id);
+        };
+    }
+
+    void
+    seed(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            spawn(eq.now() + mix(i + limit) % 4);
+    }
+};
+
+/** The log visits every scheduled id once, in (when, seq) order. */
+void
+expectReferenceOrder(const RandomSchedule &rs)
+{
+    std::vector<std::uint64_t> ref(rs.nextId);
+    for (std::uint64_t i = 0; i < rs.nextId; ++i)
+        ref[i] = i;
+    std::sort(ref.begin(), ref.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                  return rs.key[a] < rs.key[b];
+              });
+    EXPECT_EQ(rs.log, ref);
+}
+
+TEST(EventQueue, RandomScheduleRunsInWhenSeqOrder)
+{
+    RandomSchedule rs(200000);
+    rs.seed(64);
+    EXPECT_TRUE(rs.eq.run());
+    EXPECT_EQ(rs.nextId, rs.limit);
+    EXPECT_EQ(rs.eq.executed(), rs.limit);
+    expectReferenceOrder(rs);
+
+    // A second wave through the same queue runs on recycled slots.
+    rs.limit += 100000;
+    rs.seed(64);
+    EXPECT_TRUE(rs.eq.run());
+    EXPECT_EQ(rs.eq.executed(), rs.limit);
+    expectReferenceOrder(rs);
+}
+
+TEST(EventQueue, MidRunRestoreContinuesInIdenticalOrder)
+{
+    RandomSchedule straight(100000);
+    straight.seed(64);
+    ASSERT_TRUE(straight.eq.run());
+
+    for (std::uint64_t stop : {1u, 5000u, 37123u, 99000u}) {
+        RandomSchedule first(100000);
+        first.seed(64);
+        ASSERT_FALSE(first.eq.run(stop));
+        const std::vector<sim::SavedEvent> saved = first.eq.saveEvents();
+        ASSERT_EQ(saved.size(), first.eq.pending());
+        ASSERT_TRUE(std::is_sorted(
+            saved.begin(), saved.end(),
+            [](const sim::SavedEvent &a, const sim::SavedEvent &b) {
+                return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+            }));
+
+        RandomSchedule resumed(100000);
+        resumed.nextId = first.nextId;
+        resumed.key = first.key;
+        resumed.log = first.log;
+        resumed.eq.restoreEvents(
+            first.eq.now(), first.eq.nextSeq(), first.eq.executed(), saved,
+            [&resumed](const sim::SavedEvent &e) {
+                EXPECT_EQ(e.kind,
+                          static_cast<std::uint32_t>(
+                              sim::EventKind::ProcStep));
+                return resumed.action(e.arg0);
+            });
+        // The restored queue holds the snapshot's events with their
+        // original sequence numbers.
+        const std::vector<sim::SavedEvent> again = resumed.eq.saveEvents();
+        ASSERT_EQ(again.size(), saved.size());
+        for (std::size_t i = 0; i < saved.size(); ++i) {
+            EXPECT_EQ(again[i].when, saved[i].when);
+            EXPECT_EQ(again[i].seq, saved[i].seq);
+            EXPECT_EQ(again[i].kind, saved[i].kind);
+            EXPECT_EQ(again[i].arg0, saved[i].arg0);
+            EXPECT_EQ(again[i].arg1, saved[i].arg1);
+        }
+        ASSERT_TRUE(resumed.eq.run());
+        EXPECT_EQ(resumed.log, straight.log) << "stopped at " << stop;
+        EXPECT_EQ(resumed.eq.executed(), straight.eq.executed());
+        EXPECT_EQ(resumed.eq.nextSeq(), straight.eq.nextSeq());
+        EXPECT_EQ(resumed.eq.now(), straight.eq.now());
+    }
+}
+
+/** Random line-aligned and core-packed keys in a small universe, so
+ *  the table runs near its load limit and probe runs wrap its end. */
+sim::Addr
+randomKey(sim::Rng &rng, std::uint64_t universe)
+{
+    const sim::Addr line = rng.below(universe) << 6;
+    return rng.below(2) ? line
+                        : sim::packCoreLine(
+                              static_cast<unsigned>(rng.below(4)), line);
+}
+
+/** Sweep @p m like Hierarchy::fillL2 sweeps its write-back queue and
+ *  check it against the same sweep of @p ref. */
+void
+sweepBoth(sim::FlatMap<std::uint64_t> &m,
+          std::unordered_map<sim::Addr, std::uint64_t> &ref,
+          std::uint64_t cut)
+{
+    std::unordered_map<sim::Addr, unsigned> visits;
+    m.eraseIf([&](const auto &e) {
+        ++visits[e.first];
+        return e.second <= cut;
+    });
+    std::size_t expired = 0;
+    for (auto it = ref.begin(); it != ref.end();) {
+        ASSERT_EQ(visits[it->first], 1u) << "key " << it->first;
+        if (it->second <= cut) {
+            it = ref.erase(it);
+            ++expired;
+        } else {
+            ++it;
+        }
+    }
+    EXPECT_EQ(visits.size(), m.size() + expired);
+}
+
+void
+expectSameContents(const sim::FlatMap<std::uint64_t> &m,
+                   const std::unordered_map<sim::Addr, std::uint64_t> &ref)
+{
+    ASSERT_EQ(m.size(), ref.size());
+    std::size_t walked = 0;
+    for (const auto &[k, v] : m) {
+        auto it = ref.find(k);
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(it->second, v);
+        ++walked;
+    }
+    EXPECT_EQ(walked, ref.size());
+}
+
+TEST(FlatMap, MatchesUnorderedMapOnRandomOperations)
+{
+    sim::Rng rng(0xF1A7);
+    sim::FlatMap<std::uint64_t> m;
+    std::unordered_map<sim::Addr, std::uint64_t> ref;
+    std::uint64_t universe = 64;
+    for (unsigned op = 0; op < 300000; ++op) {
+        // Widen the key universe in steps (growth), and now and then
+        // empty the map and carry on in the same table.
+        if (op % 50000 == 49999) {
+            m.clear();
+            ref.clear();
+            EXPECT_EQ(m.size(), 0u);
+            EXPECT_EQ(m.begin(), m.end());
+            universe *= 4;
+        }
+        const sim::Addr k = randomKey(rng, universe);
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            const std::uint64_t v = rng.below(1000);
+            m[k] += v;
+            ref[k] += v;
+            break;
+          }
+          case 3:
+            EXPECT_EQ(m.erase(k), ref.erase(k));
+            break;
+          case 4: {
+            auto it = m.find(k);
+            auto rit = ref.find(k);
+            ASSERT_EQ(it == m.end(), rit == ref.end());
+            if (it != m.end()) {
+                EXPECT_EQ(it->first, k);
+                EXPECT_EQ(it->second, rit->second);
+                m.erase(it);
+                ref.erase(rit);
+            }
+            break;
+          }
+          case 5: {
+            auto it = m.find(k);
+            auto rit = ref.find(k);
+            ASSERT_EQ(it == m.end(), rit == ref.end());
+            if (it != m.end()) {
+                EXPECT_EQ(it->second, rit->second);
+            }
+            break;
+          }
+          case 6:
+            EXPECT_EQ(m.count(k), ref.count(k));
+            break;
+          default:
+            if (rng.below(64) == 0)
+                sweepBoth(m, ref, rng.below(1000));
+            break;
+        }
+        ASSERT_EQ(m.size(), ref.size());
+        if (op % 997 == 0)
+            expectSameContents(m, ref);
+    }
+    expectSameContents(m, ref);
+}
+
+TEST(FlatMap, SweepRemovesExactlyTheMatchesAtEveryLoad)
+{
+    sim::Rng rng(0x5EE9);
+    for (unsigned round = 0; round < 2000; ++round) {
+        sim::FlatMap<std::uint64_t> m;
+        std::unordered_map<sim::Addr, std::uint64_t> ref;
+        const std::uint64_t n = 1 + rng.below(300);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const sim::Addr k = randomKey(rng, 4 * n);
+            const std::uint64_t v = rng.below(100);
+            m[k] = v;
+            ref[k] = v;
+        }
+        sweepBoth(m, ref, rng.below(100));
+        expectSameContents(m, ref);
+    }
+}
+
+TEST(FlatSet, MatchesUnorderedSet)
+{
+    sim::Rng rng(0x5E7);
+    sim::FlatSet s;
+    std::unordered_set<sim::Addr> ref;
+    for (unsigned op = 0; op < 100000; ++op) {
+        const sim::Addr k = randomKey(rng, 256);
+        switch (rng.below(3)) {
+          case 0:
+            EXPECT_EQ(s.insert(k), ref.insert(k).second);
+            break;
+          case 1:
+            EXPECT_EQ(s.erase(k), ref.erase(k));
+            break;
+          default:
+            EXPECT_EQ(s.count(k), ref.count(k));
+            break;
+        }
+        ASSERT_EQ(s.size(), ref.size());
+    }
+    std::vector<sim::Addr> keys = s.keys();
+    std::vector<sim::Addr> want(ref.begin(), ref.end());
+    std::sort(keys.begin(), keys.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(keys, want);
+    s.clear();
+    EXPECT_EQ(s.size(), 0u);
+    EXPECT_TRUE(s.insert(want.empty() ? 64 : want.front()));
 }
 
 TEST(PriorityTimeline, HighDisplacesUnstartedLowButNotInProgress)

@@ -59,6 +59,12 @@ for arg in --limit=abc --limit=-3; do
         "$tools/ulmt-trace" dump "$dir/ok.trc" "$arg"
 done
 
+: >"$dir/empty.txt"
+for arg in --ops=abc --ops=-5 --ops=4294967296 --ops=; do
+    expect_refusal "ulmt-trace convert $arg" \
+        "$tools/ulmt-trace" convert "$dir/empty.txt" "$dir/c.trc" "$arg"
+done
+
 expect_refusal "quickstart Mcf -1" "$examples/quickstart" Mcf -1
 expect_refusal "quickstart Mcf abc" "$examples/quickstart" Mcf abc
 expect_refusal "inspect Mcf Repl abc" "$examples/inspect" Mcf Repl abc

@@ -20,6 +20,7 @@
  * `trace:<path>` scheme accepted by the benches and examples.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -159,6 +160,17 @@ cmdDump(const std::vector<std::string> &args)
     return 0;
 }
 
+/** A --ops value: a count that fits the record's 32-bit field. */
+std::uint32_t
+parseOps(const char *text)
+{
+    const std::uint64_t ops = driver::parseCount(text);
+    if (ops > UINT32_MAX)
+        throw trace::TraceError("--ops=" + std::string(text) +
+                                " exceeds the 32-bit compute-op count");
+    return static_cast<std::uint32_t>(ops);
+}
+
 int
 cmdConvert(const std::vector<std::string> &args)
 {
@@ -170,8 +182,7 @@ cmdConvert(const std::vector<std::string> &args)
         if (const char *v = flagValue(args[i].c_str(), "--app="))
             io.app = v;
         else if (const char *o = flagValue(args[i].c_str(), "--ops="))
-            io.computeOps =
-                static_cast<std::uint32_t>(std::strtoul(o, nullptr, 0));
+            io.computeOps = parseOps(o);
         else
             badFlag(args[i].c_str());
     }
