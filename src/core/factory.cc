@@ -42,18 +42,42 @@ to_string(UlmtAlgo algo)
     return "?";
 }
 
-UlmtAlgo
-parseUlmtAlgo(const std::string &name)
+namespace {
+
+constexpr UlmtAlgo allAlgos[] = {
+    UlmtAlgo::None,     UlmtAlgo::Base,     UlmtAlgo::Chain,
+    UlmtAlgo::Repl,     UlmtAlgo::Seq1,     UlmtAlgo::Seq4,
+    UlmtAlgo::Seq4Base, UlmtAlgo::Seq4Repl, UlmtAlgo::Seq1Repl,
+    UlmtAlgo::ReplCA,   UlmtAlgo::Profile};
+
+} // namespace
+
+std::optional<UlmtAlgo>
+findUlmtAlgo(const std::string &name)
 {
-    for (UlmtAlgo a :
-         {UlmtAlgo::None, UlmtAlgo::Base, UlmtAlgo::Chain, UlmtAlgo::Repl,
-          UlmtAlgo::Seq1, UlmtAlgo::Seq4, UlmtAlgo::Seq4Base,
-          UlmtAlgo::Seq4Repl, UlmtAlgo::Seq1Repl, UlmtAlgo::ReplCA,
-          UlmtAlgo::Profile}) {
+    for (UlmtAlgo a : allAlgos) {
         if (to_string(a) == name)
             return a;
     }
-    sim::fatal("unknown ULMT algorithm '%s'", name.c_str());
+    return std::nullopt;
+}
+
+std::string
+ulmtAlgoNames()
+{
+    std::string names;
+    for (UlmtAlgo a : allAlgos)
+        names += (names.empty() ? "" : ", ") + to_string(a);
+    return names;
+}
+
+UlmtAlgo
+parseUlmtAlgo(const std::string &name)
+{
+    if (const std::optional<UlmtAlgo> a = findUlmtAlgo(name))
+        return *a;
+    sim::fatal("unknown ULMT algorithm '%s' (valid: %s)", name.c_str(),
+               ulmtAlgoNames().c_str());
 }
 
 std::string

@@ -9,6 +9,7 @@
 #define CORE_FACTORY_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/correlation_prefetcher.hh"
@@ -34,7 +35,14 @@ enum class UlmtAlgo {
 /** Printable algorithm name. */
 std::string to_string(UlmtAlgo algo);
 
-/** Parse an algorithm name ("Base", "Repl", "Seq4+Repl", ...). */
+/** The algorithm printed as @p name ("Base", "Repl", "Seq4+Repl",
+ *  ...), or nullopt when no algorithm has that name. */
+std::optional<UlmtAlgo> findUlmtAlgo(const std::string &name);
+
+/** Every algorithm name, comma-separated, for error messages. */
+std::string ulmtAlgoNames();
+
+/** Parse an algorithm name; fatal on an unknown one. */
 UlmtAlgo parseUlmtAlgo(const std::string &name);
 
 /**

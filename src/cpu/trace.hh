@@ -20,13 +20,17 @@
 
 namespace cpu {
 
-/** One unit of dynamic work from a workload. */
+/**
+ * One unit of dynamic work from a workload.  The address comes first
+ * so the record packs into 16 bytes with no interior padding: a
+ * generated trace holds millions of them.
+ */
 struct TraceRecord
 {
-    /** ALU/branch work preceding the reference, in ops. */
-    std::uint32_t computeOps = 0;
     /** Referenced address, or sim::invalidAddr for compute-only. */
     sim::Addr addr = sim::invalidAddr;
+    /** ALU/branch work preceding the reference, in ops. */
+    std::uint32_t computeOps = 0;
     /** True for a store, false for a load. */
     bool isWrite = false;
     /** The address was produced by the previous load (pointer chase). */
@@ -34,6 +38,10 @@ struct TraceRecord
 
     bool hasRef() const { return addr != sim::invalidAddr; }
 };
+
+static_assert(sizeof(TraceRecord) == 16,
+              "TraceRecord must stay 16 bytes: generated traces hold "
+              "millions of records in memory");
 
 /** Source of a dynamic trace, implemented by every workload. */
 class TraceSource

@@ -39,7 +39,20 @@ struct WorkloadParams
     double scale = 1.0;
 };
 
-/** Accumulates the dynamic trace of a kernel. */
+/**
+ * A generated trace in memory: records in order, stored in chunks of
+ * traceChunkRecords (1 MiB each).  Every chunk but the last is full.
+ */
+inline constexpr std::size_t traceChunkRecords = std::size_t{1} << 16;
+using TraceChunks = std::vector<std::vector<cpu::TraceRecord>>;
+
+/**
+ * Accumulates the dynamic trace of a kernel.  Records are appended
+ * into fixed-size chunks, each reserved once and written once, so a
+ * growing trace is never copied and never over-allocates by more than
+ * one chunk (a doubling vector would copy every record on each growth
+ * and briefly hold the old and new buffers together).
+ */
 class TraceBuilder
 {
   public:
@@ -75,15 +88,13 @@ class TraceBuilder
     void
     load(sim::Addr addr, bool depends_on_prev = false)
     {
-        recs_.push_back(cpu::TraceRecord{takeOps(), addr, false,
-                                         depends_on_prev});
+        append(cpu::TraceRecord{addr, takeOps(), false, depends_on_prev});
     }
 
     void
     store(sim::Addr addr, bool depends_on_prev = false)
     {
-        recs_.push_back(cpu::TraceRecord{takeOps(), addr, true,
-                                         depends_on_prev});
+        append(cpu::TraceRecord{addr, takeOps(), true, depends_on_prev});
     }
 
     /** Flush pending compute as a reference-free record. */
@@ -91,13 +102,13 @@ class TraceBuilder
     flushCompute()
     {
         if (pendingOps_ > 0) {
-            recs_.push_back(cpu::TraceRecord{takeOps(),
-                                             sim::invalidAddr, false,
-                                             false});
+            append(cpu::TraceRecord{sim::invalidAddr, takeOps(), false,
+                                    false});
         }
     }
 
-    std::vector<cpu::TraceRecord> &records() { return recs_; }
+    /** Hand over the records appended so far. */
+    TraceChunks takeChunks() { return std::move(chunks_); }
     std::size_t footprint() const { return cursor_ - base_; }
 
   private:
@@ -109,10 +120,20 @@ class TraceBuilder
         return ops;
     }
 
+    void
+    append(const cpu::TraceRecord &rec)
+    {
+        if (chunks_.empty() || chunks_.back().size() == traceChunkRecords) {
+            chunks_.emplace_back();
+            chunks_.back().reserve(traceChunkRecords);
+        }
+        chunks_.back().push_back(rec);
+    }
+
     static constexpr sim::Addr base_ = 0x1000'0000;
     sim::Addr cursor_ = base_;
     std::uint32_t pendingOps_ = 0;
-    std::vector<cpu::TraceRecord> recs_;
+    TraceChunks chunks_;
 };
 
 /**
@@ -147,25 +168,25 @@ class SyntheticWorkload : public Workload
   public:
     explicit SyntheticWorkload(const WorkloadParams &p) : params_(p) {}
 
+    /** The read cursor points into chunks_, so copies would alias. */
+    SyntheticWorkload(const SyntheticWorkload &) = delete;
+    SyntheticWorkload &operator=(const SyntheticWorkload &) = delete;
+
     bool
     next(cpu::TraceRecord &rec) override
     {
-        if (!generated_) {
-            TraceBuilder tb;
-            sim::Rng rng(params_.seed);
-            generate(tb, rng);
-            tb.flushCompute();
-            records_ = std::move(tb.records());
-            footprint_ = tb.footprint();
-            generated_ = true;
-        }
-        if (pos_ >= records_.size())
+        if (cur_ == end_ && !nextChunk())
             return false;
-        rec = records_[pos_++];
+        rec = *cur_++;
         return true;
     }
 
-    void reset() override { pos_ = 0; }
+    void
+    reset() override
+    {
+        chunk_ = 0;
+        cur_ = end_ = nullptr;
+    }
 
     std::size_t
     footprintBytes() override
@@ -178,7 +199,7 @@ class SyntheticWorkload : public Workload
     traceLength() override
     {
         ensureGenerated();
-        return records_.size();
+        return length_;
     }
 
   protected:
@@ -200,19 +221,42 @@ class SyntheticWorkload : public Workload
     void
     ensureGenerated()
     {
-        cpu::TraceRecord rec;
-        if (!generated_) {
-            const std::size_t save = pos_;
-            next(rec);
-            pos_ = save;
-        }
+        if (generated_)
+            return;
+        TraceBuilder tb;
+        sim::Rng rng(params_.seed);
+        generate(tb, rng);
+        tb.flushCompute();
+        chunks_ = tb.takeChunks();
+        footprint_ = tb.footprint();
+        length_ = 0;
+        for (const auto &chunk : chunks_)
+            length_ += chunk.size();
+        generated_ = true;
+    }
+
+    /** Point the cursor at the next chunk; false past the last one. */
+    bool
+    nextChunk()
+    {
+        ensureGenerated();
+        if (chunk_ == chunks_.size())
+            return false;
+        const auto &chunk = chunks_[chunk_++];
+        cur_ = chunk.data();
+        end_ = cur_ + chunk.size();
+        return true;
     }
 
     WorkloadParams params_;
     bool generated_ = false;
-    std::vector<cpu::TraceRecord> records_;
+    TraceChunks chunks_;
     std::size_t footprint_ = 0;
-    std::size_t pos_ = 0;
+    std::size_t length_ = 0;
+    /** Index of the chunk after the one being read. */
+    std::size_t chunk_ = 0;
+    const cpu::TraceRecord *cur_ = nullptr;
+    const cpu::TraceRecord *end_ = nullptr;
 };
 
 /** The nine applications of Table 2, in the paper's order. */

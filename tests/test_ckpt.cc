@@ -70,11 +70,19 @@ truncateTo(const std::string &path, long bytes)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::vector<char> data(static_cast<std::size_t>(bytes));
-    ASSERT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
+    // An empty vector's data() may be null, which fread/fwrite must
+    // not be given even for a zero count.
+    if (!data.empty()) {
+        ASSERT_EQ(std::fread(data.data(), 1, data.size(), f),
+                  data.size());
+    }
     std::fclose(f);
     f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+    if (!data.empty()) {
+        ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f),
+                  data.size());
+    }
     std::fclose(f);
 }
 

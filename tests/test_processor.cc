@@ -39,13 +39,13 @@ class VectorTrace : public cpu::TraceSource
 cpu::TraceRecord
 load(sim::Addr addr, std::uint32_t ops = 0, bool dep = false)
 {
-    return cpu::TraceRecord{ops, addr, false, dep};
+    return cpu::TraceRecord{addr, ops, false, dep};
 }
 
 cpu::TraceRecord
 compute(std::uint32_t ops)
 {
-    return cpu::TraceRecord{ops, sim::invalidAddr, false, false};
+    return cpu::TraceRecord{sim::invalidAddr, ops, false, false};
 }
 
 struct Harness

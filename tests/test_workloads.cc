@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "workloads/workload.hh"
 
@@ -95,6 +97,77 @@ TEST_P(EveryApp, ResetReplaysIdentically)
     }
 }
 
+/** FNV-1a over every field of every record, little-endian. */
+class TraceDigest
+{
+  public:
+    void
+    add(const cpu::TraceRecord &rec)
+    {
+        mix(rec.addr, 8);
+        mix(rec.computeOps, 4);
+        mix(rec.isWrite, 1);
+        mix(rec.dependsOnPrev, 1);
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    mix(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+struct PinnedTrace
+{
+    std::size_t records;
+    std::size_t footprint;
+    std::uint64_t digest;
+};
+
+TEST_P(EveryApp, TraceMatchesItsPinnedDigest)
+{
+    // Seed 42, scale 0.5: every trace spans at least two full storage
+    // chunks.  A change to a kernel or to trace storage that moves a
+    // single field of a single record fails here.
+    static const std::map<std::string, PinnedTrace> pinned = {
+        {"CG", {995328, 1671232, 0xa30c2187a5ccccc8ull}},
+        {"Equake", {763392, 2007040, 0x77cf1e343cdf83e3ull}},
+        {"FT", {768208, 878560, 0x979ba02f96f60795ull}},
+        {"Gap", {864500, 5979648, 0xa475564d7a1220d0ull}},
+        {"Mcf", {684000, 960000, 0xbae8c0fc2ec88e12ull}},
+        {"MST", {173433, 8388608, 0x10ec132c962ebaebull}},
+        {"Parser", {406547, 2555904, 0x64462c2f141cf614ull}},
+        {"Sparse", {1515520, 3735552, 0x17c7bde37d744b89ull}},
+        {"Tree", {2016363, 653568, 0xb5fc9d7afff796b2ull}},
+    };
+    workloads::WorkloadParams p = smallParams(42);
+    p.scale = 0.5;
+    auto wl = workloads::makeWorkload(GetParam(), p);
+    const PinnedTrace &want = pinned.at(GetParam());
+    ASSERT_GE(want.records, 2 * workloads::traceChunkRecords);
+
+    TraceDigest digest;
+    std::size_t n = 0;
+    cpu::TraceRecord rec;
+    while (wl->next(rec)) {
+        digest.add(rec);
+        ++n;
+    }
+    EXPECT_EQ(n, want.records);
+    EXPECT_EQ(wl->traceLength(), want.records);
+    EXPECT_EQ(wl->footprintBytes(), want.footprint);
+    EXPECT_EQ(digest.value(), want.digest)
+        << std::hex << "got 0x" << digest.value();
+}
+
 TEST_P(EveryApp, FullScaleFootprintExceedsL2)
 {
     workloads::WorkloadParams p;
@@ -161,6 +234,44 @@ TEST(Workloads, StreamingAppsAreMostlyIndependent)
                   0.1)
             << app;
     }
+}
+
+TEST(Workloads, ResetAfterCrossingAChunkBoundaryReplays)
+{
+    workloads::WorkloadParams p = smallParams();
+    p.scale = 0.1;
+    auto wl = workloads::makeWorkload("Tree", p);
+    const std::size_t chunk = workloads::traceChunkRecords;
+    ASSERT_GT(wl->traceLength(), 2 * chunk);
+
+    // Read a little past the first boundary, rewind, and replay.
+    cpu::TraceRecord rec;
+    std::vector<cpu::TraceRecord> first;
+    while (first.size() < chunk + 100 && wl->next(rec))
+        first.push_back(rec);
+    ASSERT_EQ(first.size(), chunk + 100);
+    wl->reset();
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        ASSERT_TRUE(wl->next(rec)) << i;
+        ASSERT_EQ(rec.addr, first[i].addr) << i;
+        ASSERT_EQ(rec.computeOps, first[i].computeOps) << i;
+        ASSERT_EQ(rec.isWrite, first[i].isWrite) << i;
+        ASSERT_EQ(rec.dependsOnPrev, first[i].dependsOnPrev) << i;
+    }
+
+    // The rest of the trace follows on; the end stays the end.
+    std::size_t n = first.size();
+    while (wl->next(rec))
+        ++n;
+    EXPECT_EQ(n, wl->traceLength());
+    EXPECT_FALSE(wl->next(rec));
+
+    // A full pass after a reset at the end reads the same count.
+    wl->reset();
+    n = 0;
+    while (wl->next(rec))
+        ++n;
+    EXPECT_EQ(n, wl->traceLength());
 }
 
 TEST(Workloads, ScaleShrinksTheTrace)

@@ -42,6 +42,33 @@ done
 expect_refusal "ulmt-stats dump --scale=abc" \
     "$stats" dump Tree --scale=abc
 
+# expect_usage_error LABEL CMD...: run CMD, require exit status 2 and
+# a message on stderr that lists the valid names (it names Repl).
+expect_usage_error() {
+    label=$1
+    shift
+    "$@" >"$dir/stdout" 2>"$dir/stderr"
+    status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "Repl" "$dir/stderr"; then
+        echo "$label: expected a usage error listing valid names," \
+            "got status $status:"
+        cat "$dir/stderr"
+        failed=1
+    fi
+}
+
+expect_usage_error "ulmt-ckpt create --algo=bogus" \
+    "$ckpt" create MST "$dir/out.ulmtckp" --scale=0.003 --at=50 --algo=bogus
+if [ -e "$dir/out.ulmtckp" ]; then
+    echo "ulmt-ckpt create --algo=bogus: a snapshot was written"
+    rm -f "$dir/out.ulmtckp"
+    failed=1
+fi
+expect_usage_error "ulmt-stats dump --config=bogus" \
+    "$stats" dump Tree --scale=0.003 --config=bogus
+expect_usage_error "ulmt-stats dump --config=conven4+bogus" \
+    "$stats" dump Tree --scale=0.003 --config=conven4+bogus
+
 # Counts, seeds and scales parse as whole strings: no sign, no
 # trailing garbage, no overflow to inf.
 for args in "--seeds=-1" "--scale 1e400" "--scale 0.002abc" "--seeds 2x" \

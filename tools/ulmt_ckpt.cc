@@ -11,8 +11,9 @@
  *       run's result fingerprint.  The machine flags are the benches'
  *       (driver::parseMachineFlag: --cores, --ulmt-mode, --vm,
  *       --page-size, --remap-rate, --table-cache, ...); restoring
- *       needs the same machine shape.  A bad value exits 1 and writes
- *       no snapshot.
+ *       needs the same machine shape.  A bad value exits 1, an
+ *       unknown --algo or argument exits 2, and neither writes a
+ *       snapshot.
  *
  *   ulmt-ckpt info <file>
  *       Print header provenance (including the machine shape and the
@@ -39,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,7 +114,15 @@ cmdCreate(const std::vector<std::string> &args)
             badFlag(args[i].c_str());
     }
 
-    const core::UlmtAlgo algo = core::parseUlmtAlgo(algo_name);
+    const std::optional<core::UlmtAlgo> found =
+        core::findUlmtAlgo(algo_name);
+    if (!found) {
+        std::fprintf(stderr,
+                     "ulmt-ckpt: unknown --algo '%s' (valid: %s)\n",
+                     algo_name.c_str(), core::ulmtAlgoNames().c_str());
+        return 2;
+    }
+    const core::UlmtAlgo algo = *found;
     driver::SystemConfig cfg =
         algo == core::UlmtAlgo::None
             ? driver::noPrefConfig(opt)

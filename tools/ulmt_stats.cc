@@ -15,7 +15,8 @@
  *
  *   --config accepts: nopref, conven4, custom, or an algorithm name
  *   (Base, Chain, Repl, Seq1, Seq4, Seq1+Repl, Seq4+Repl) optionally
- *   prefixed with "conven4+".  Default: conven4+Repl.
+ *   prefixed with "conven4+".  Default: conven4+Repl.  An unknown
+ *   name exits 2 with the list of valid ones, before anything runs.
  *
  *   The machine flags are the benches' (driver::parseMachineFlag):
  *   --cores, --ulmt-mode, --vm, --page-size, --remap-rate,
@@ -43,6 +44,7 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -155,7 +157,8 @@ class TableVisitor : public sim::StatVisitor
     }
 };
 
-driver::SystemConfig
+/** The configuration named @p name, or nullopt for an unknown name. */
+std::optional<driver::SystemConfig>
 configByName(const std::string &name, const driver::ExperimentOptions &opt,
              const std::string &app)
 {
@@ -168,12 +171,13 @@ configByName(const std::string &name, const driver::ExperimentOptions &opt,
         return driver::customConfig(opt, app, customized);
     }
     constexpr const char *combo = "conven4+";
-    if (name.rfind(combo, 0) == 0) {
-        return driver::conven4PlusUlmtConfig(
-            opt, core::parseUlmtAlgo(name.substr(std::strlen(combo))),
-            app);
-    }
-    return driver::ulmtConfig(opt, core::parseUlmtAlgo(name), app);
+    const bool with_conven4 = name.rfind(combo, 0) == 0;
+    const std::optional<core::UlmtAlgo> algo = core::findUlmtAlgo(
+        with_conven4 ? name.substr(std::strlen(combo)) : name);
+    if (!algo)
+        return std::nullopt;
+    return with_conven4 ? driver::conven4PlusUlmtConfig(opt, *algo, app)
+                        : driver::ulmtConfig(opt, *algo, app);
 }
 
 int
@@ -225,7 +229,17 @@ cmdDump(const std::vector<std::string> &args)
         }
     }
 
-    const driver::SystemConfig cfg = configByName(config, opt, app);
+    const std::optional<driver::SystemConfig> found =
+        configByName(config, opt, app);
+    if (!found) {
+        std::fprintf(stderr,
+                     "ulmt-stats: unknown --config '%s' (valid: nopref, "
+                     "conven4, custom, <algo> or conven4+<algo>; algo: "
+                     "%s)\n",
+                     config.c_str(), core::ulmtAlgoNames().c_str());
+        return 2;
+    }
+    const driver::SystemConfig &cfg = *found;
     auto ws =
         driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
     const std::string name = ws[0]->name();
