@@ -87,11 +87,8 @@ RefLruCache::resync(const mem::Cache &real)
     // set oldest-first: that is exactly this model's recency order.
     std::vector<std::vector<std::pair<std::uint64_t, Entry>>> stamped(
         numSets_);
-    real.forEachLine([&](std::uint32_t set, std::uint32_t /*way*/,
-                         const mem::CacheLine &line) {
-        if (line.valid)
-            stamped[set].push_back(
-                {line.lruStamp, Entry{line.tag, line.readyAt}});
+    real.forEachLine([&](const auto &e, const mem::CacheLine &line) {
+        stamped[e.set].push_back({e.stamp, Entry{e.tag, line.readyAt}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         std::sort(stamped[set].begin(), stamped[set].end(),
@@ -111,11 +108,8 @@ RefLruCache::diff(const mem::Cache &real, CheckContext &ctx) const
     const std::string who = "deep." + label_;
     std::vector<std::vector<std::pair<std::uint64_t, Entry>>> stamped(
         numSets_);
-    real.forEachLine([&](std::uint32_t set, std::uint32_t /*way*/,
-                         const mem::CacheLine &line) {
-        if (line.valid)
-            stamped[set].push_back(
-                {line.lruStamp, Entry{line.tag, line.readyAt}});
+    real.forEachLine([&](const auto &e, const mem::CacheLine &line) {
+        stamped[e.set].push_back({e.stamp, Entry{e.tag, line.readyAt}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         auto &lines = stamped[set];
@@ -236,9 +230,10 @@ RefPairTable::resync(const core::PairTable &table,
         set.clear();
     std::vector<std::vector<std::pair<std::uint64_t, RefRow>>> stamped(
         numSets_);
-    table.forEachRow([&](const core::PairRow &row) {
+    table.forEachRow([&](const auto &row) {
+        const auto succ = table.successors(core::RowIndex(row.index));
         stamped[setOf(row.tag)].push_back(
-            {row.lruStamp, RefRow{row.tag, row.succ}});
+            {row.stamp, RefRow{row.tag, {succ.begin(), succ.end()}}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         std::sort(stamped[set].begin(), stamped[set].end(),
@@ -261,9 +256,10 @@ RefPairTable::diff(const core::PairTable &table,
     const std::string who = "deep.pair_table";
     std::vector<std::vector<std::pair<std::uint64_t, RefRow>>> stamped(
         numSets_);
-    table.forEachRow([&](const core::PairRow &row) {
+    table.forEachRow([&](const auto &row) {
+        const auto succ = table.successors(core::RowIndex(row.index));
         stamped[setOf(row.tag)].push_back(
-            {row.lruStamp, RefRow{row.tag, row.succ}});
+            {row.stamp, RefRow{row.tag, {succ.begin(), succ.end()}}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         auto &rows = stamped[set];
@@ -406,11 +402,8 @@ RefTableCache::resync(const mem::TableCache &real)
     onReset();
     std::vector<std::vector<std::pair<std::uint64_t, Entry>>> stamped(
         numSets_);
-    real.forEachLine([&](std::uint32_t set, std::uint32_t /*way*/,
-                         const mem::TableCacheLine &line) {
-        if (line.valid)
-            stamped[set].push_back(
-                {line.lruStamp, Entry{line.tag, line.dirty}});
+    real.forEachLine([&](const auto &e, const mem::TableCacheLine &line) {
+        stamped[e.set].push_back({e.stamp, Entry{e.tag, line.dirty}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         std::sort(stamped[set].begin(), stamped[set].end(),
@@ -431,11 +424,8 @@ RefTableCache::diff(const mem::TableCache &real, CheckContext &ctx) const
     const std::string who = "deep.tcache";
     std::vector<std::vector<std::pair<std::uint64_t, Entry>>> stamped(
         numSets_);
-    real.forEachLine([&](std::uint32_t set, std::uint32_t /*way*/,
-                         const mem::TableCacheLine &line) {
-        if (line.valid)
-            stamped[set].push_back(
-                {line.lruStamp, Entry{line.tag, line.dirty}});
+    real.forEachLine([&](const auto &e, const mem::TableCacheLine &line) {
+        stamped[e.set].push_back({e.stamp, Entry{e.tag, line.dirty}});
     });
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         auto &lines = stamped[set];

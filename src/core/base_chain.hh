@@ -34,8 +34,8 @@ class PairLearner
     learn(sim::Addr miss_line, CostTracker &cost)
     {
         if (lastValid_) {
-            PairRow *row = table_.findOrAlloc(lastMiss_, cost);
-            table_.insertSuccessor(*row, miss_line, cost);
+            table_.insertSuccessor(table_.findOrAlloc(lastMiss_, cost),
+                                   miss_line, cost);
         }
         table_.findOrAlloc(miss_line, cost);
         lastMiss_ = miss_line;
@@ -85,8 +85,9 @@ class BasePrefetcher : public CorrelationPrefetcher
     prefetchStep(sim::Addr miss_line, std::vector<sim::Addr> &out,
                  CostTracker &cost) override
     {
-        if (PairRow *row = table_.find(miss_line, cost)) {
-            for (sim::Addr s : row->succ) {
+        if (const RowIndex row = table_.find(miss_line, cost);
+            row != noRow) {
+            for (sim::Addr s : table_.successors(row)) {
                 cost.instr(cost::emitPrefetch);
                 out.push_back(s);
             }
@@ -103,8 +104,11 @@ class BasePrefetcher : public CorrelationPrefetcher
     predict(sim::Addr miss_line, LevelPredictions &out) const override
     {
         out.assign(1, {});
-        if (const PairRow *row = table_.findNoCost(miss_line))
-            out[0] = row->succ;
+        if (const RowIndex row = table_.findNoCost(miss_line);
+            row != noRow) {
+            const auto succ = table_.successors(row);
+            out[0].assign(succ.begin(), succ.end());
+        }
     }
 
     std::size_t tableBytes() const override { return table_.tableBytes(); }
@@ -117,8 +121,13 @@ class BasePrefetcher : public CorrelationPrefetcher
         return table_.replacements();
     }
 
-    void onPageRemap(sim::Addr old_page, sim::Addr new_page,
-                     std::uint32_t page_bytes, CostTracker &cost) override;
+    void
+    onPageRemap(sim::Addr old_page, sim::Addr new_page,
+                std::uint32_t page_bytes, CostTracker &cost) override
+    {
+        table_.remapPage(old_page, new_page, page_bytes,
+                         RowRewrite::TagAndSuccessors, cost);
+    }
 
     void
     saveState(ckpt::StateWriter &w) const override
@@ -169,14 +178,17 @@ class ChainPrefetcher : public CorrelationPrefetcher
     {
         sim::Addr cur = miss_line;
         for (std::uint32_t lvl = 0; lvl < numLevels_; ++lvl) {
-            PairRow *row = table_.find(cur, cost);
-            if (!row || row->succ.empty())
+            const RowIndex row = table_.find(cur, cost);
+            if (row == noRow)
                 break;
-            for (sim::Addr s : row->succ) {
+            const auto succ = table_.successors(row);
+            if (succ.empty())
+                break;
+            for (sim::Addr s : succ) {
                 cost.instr(cost::emitPrefetch);
                 out.push_back(s);
             }
-            cur = row->succ.front();  // follow the MRU link
+            cur = succ.front();  // follow the MRU link
         }
     }
 
@@ -192,11 +204,14 @@ class ChainPrefetcher : public CorrelationPrefetcher
         out.assign(numLevels_, {});
         sim::Addr cur = miss_line;
         for (std::uint32_t lvl = 0; lvl < numLevels_; ++lvl) {
-            const PairRow *row = table_.findNoCost(cur);
-            if (!row || row->succ.empty())
+            const RowIndex row = table_.findNoCost(cur);
+            if (row == noRow)
                 break;
-            out[lvl] = row->succ;
-            cur = row->succ.front();
+            const auto succ = table_.successors(row);
+            if (succ.empty())
+                break;
+            out[lvl].assign(succ.begin(), succ.end());
+            cur = succ.front();
         }
     }
 
@@ -210,8 +225,13 @@ class ChainPrefetcher : public CorrelationPrefetcher
         return table_.replacements();
     }
 
-    void onPageRemap(sim::Addr old_page, sim::Addr new_page,
-                     std::uint32_t page_bytes, CostTracker &cost) override;
+    void
+    onPageRemap(sim::Addr old_page, sim::Addr new_page,
+                std::uint32_t page_bytes, CostTracker &cost) override
+    {
+        table_.remapPage(old_page, new_page, page_bytes,
+                         RowRewrite::TagAndSuccessors, cost);
+    }
 
     void
     saveState(ckpt::StateWriter &w) const override
@@ -242,15 +262,6 @@ class ChainPrefetcher : public CorrelationPrefetcher
     PairLearner learner_;
     std::uint32_t numLevels_;
 };
-
-/**
- * Relocate the rows of a remapped page (Section 3.4): for each line of
- * the old page whose row exists, move the row to the new tag and
- * rewrite any successors within the row that point into the old page.
- */
-void remapPairTable(PairTable &table, sim::Addr old_page,
-                    sim::Addr new_page, std::uint32_t page_bytes,
-                    std::uint32_t line_bytes, CostTracker &cost);
 
 } // namespace core
 

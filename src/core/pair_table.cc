@@ -18,240 +18,251 @@ strideFor(std::uint32_t row_bytes)
     return stride;
 }
 
-} // namespace
-
-PairTable::PairTable(const CorrelationParams &p, std::uint32_t row_bytes)
-    : params_(p), rowBytes_(row_bytes), rowStride_(strideFor(row_bytes))
+std::uint32_t
+setsFor(const CorrelationParams &p)
 {
     SIM_ASSERT(p.assoc > 0 && p.numRows % p.assoc == 0,
                "numRows must be a multiple of assoc");
-    numSets_ = p.numRows / p.assoc;
-    rows_.resize(p.numRows);
+    return p.numRows / p.assoc;
 }
 
-std::uint32_t
-PairTable::setIndex(sim::Addr miss_line) const
+} // namespace
+
+CorrelationTable::CorrelationTable(const CorrelationParams &p,
+                                   std::uint32_t row_bytes,
+                                   std::uint32_t levels,
+                                   std::uint32_t first_fill_way)
+    : params_(p), rowBytes_(row_bytes), rowStride_(strideFor(row_bytes)),
+      levels_(levels), firstFillWay_(first_fill_way),
+      rows_(setsFor(p), p.assoc),
+      succ_(std::size_t(p.numRows) * levels * p.numSucc),
+      count_(std::size_t(p.numRows) * levels)
 {
-    // Trivial hash: low bits of the line address (Section 4).
-    return static_cast<std::uint32_t>((miss_line / 64) % numSets_);
 }
 
-sim::Addr
-PairTable::rowAddr(const PairRow &row) const
-{
-    const std::size_t idx = static_cast<std::size_t>(&row - rows_.data());
-    return params_.tableBase + idx * rowStride_;
-}
-
-PairRow *
-PairTable::find(sim::Addr miss_line, CostTracker &cost)
+RowIndex
+CorrelationTable::find(sim::Addr miss_line, CostTracker &cost)
 {
     cost.instr(cost::hashRow);
-    const std::uint32_t set = setIndex(miss_line);
-    PairRow *base = &rows_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::size_t base = rows_.index(setIndex(miss_line), 0);
     // Rows are line-aligned, so probing a way pulls its tag and body
     // in one access; the search stops at the first match.
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        PairRow &row = base[w];
+    for (std::size_t i = base; i < base + params_.assoc; ++i) {
         cost.instr(cost::tagProbe);
-        cost.memRead(rowAddr(row), rowBytes_);
-        if (row.valid && row.tag == miss_line) {
-            row.lruStamp = ++stampCounter_;
-            return &row;
+        cost.memRead(rowAddr(RowIndex(i)), rowBytes_);
+        if (rows_.valid(i) && rows_.tag(i) == miss_line) {
+            rows_.touch(i);
+            return RowIndex(i);
         }
     }
-    return nullptr;
+    return noRow;
 }
 
-const PairRow *
-PairTable::findNoCost(sim::Addr miss_line) const
+RowIndex
+CorrelationTable::findNoCost(sim::Addr miss_line) const
 {
-    const std::uint32_t set = setIndex(miss_line);
-    const PairRow *base =
-        &rows_[static_cast<std::size_t>(set) * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == miss_line)
-            return &base[w];
-    }
-    return nullptr;
+    const std::size_t i = rows_.find(setIndex(miss_line), miss_line);
+    return i == Rows::npos ? noRow : RowIndex(i);
 }
 
-PairRow *
-PairTable::findOrAlloc(sim::Addr miss_line, CostTracker &cost)
+RowIndex
+CorrelationTable::findOrAlloc(sim::Addr miss_line, CostTracker &cost)
 {
-    if (PairRow *row = find(miss_line, cost))
+    if (const RowIndex row = find(miss_line, cost); row != noRow)
         return row;
 
-    const std::uint32_t set = setIndex(miss_line);
-    PairRow *base = &rows_[static_cast<std::size_t>(set) * params_.assoc];
-    PairRow *victim = base;
-    for (std::uint32_t w = 1; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lruStamp < victim->lruStamp)
-            victim = &base[w];
-    }
+    const RowIndex row =
+        RowIndex(rows_.victim(setIndex(miss_line), firstFillWay_));
     ++insertions_;
-    if (victim->valid)
+    if (rows_.valid(row))
         ++replacements_;
 
     cost.instr(cost::rowAlloc);
-    cost.memWrite(rowAddr(*victim), rowBytes_);
-    victim->tag = miss_line;
-    victim->valid = true;
-    victim->succ.clear();
-    victim->lruStamp = ++stampCounter_;
-    return victim;
+    cost.memWrite(rowAddr(row), rowBytes_);
+    rows_.install(row, miss_line);
+    std::fill_n(count_.begin() + std::ptrdiff_t(listIndex(row, 0)),
+                levels_, 0u);
+    return row;
 }
 
 void
-PairTable::insertSuccessor(PairRow &row, sim::Addr succ_line,
-                           CostTracker &cost)
+CorrelationTable::insertSuccessor(RowIndex row, std::uint32_t level,
+                                  sim::Addr succ_line, CostTracker &cost)
 {
     cost.instr(cost::succInsert);
-    auto it = std::find(row.succ.begin(), row.succ.end(), succ_line);
-    if (it != row.succ.end()) {
+    const std::size_t list = listIndex(row, level);
+    sim::Addr *s = succ_.data() + list * params_.numSucc;
+    std::uint32_t &n = count_[list];
+    const auto pos = static_cast<std::uint32_t>(
+        std::find(s, s + n, succ_line) - s);
+    if (pos < n) {
         // Already present: rotate to the MRU position.
-        cost.instr(cost::succShift *
-                   static_cast<std::uint32_t>(it - row.succ.begin()));
-        std::rotate(row.succ.begin(), it, it + 1);
+        cost.instr(cost::succShift * pos);
+        std::rotate(s, s + pos, s + pos + 1);
     } else {
-        row.succ.insert(row.succ.begin(), succ_line);
-        if (row.succ.size() > params_.numSucc)
-            row.succ.pop_back();  // LRU replacement within the row
-        cost.instr(cost::succShift *
-                   static_cast<std::uint32_t>(row.succ.size()));
+        // New: push the others back, dropping the LRU one when full.
+        const std::uint32_t kept = std::min(n, params_.numSucc - 1);
+        std::copy_backward(s, s + kept, s + kept + 1);
+        s[0] = succ_line;
+        n = kept + 1;
+        cost.instr(cost::succShift * n);
     }
-    cost.memWrite(rowAddr(row), rowBytes_);
+}
+
+void
+CorrelationTable::invalidate(sim::Addr miss_line)
+{
+    const std::size_t i = rows_.find(setIndex(miss_line), miss_line);
+    if (i != Rows::npos)
+        rows_.invalidate(i);
+}
+
+void
+CorrelationTable::remapPage(sim::Addr old_page, sim::Addr new_page,
+                            std::uint32_t page_bytes, RowRewrite rewrite,
+                            CostTracker &cost)
+{
+    constexpr std::uint32_t line_bytes = 64;
+    // The lines of one page map to consecutive sets, so the handler
+    // is a linear sweep over a contiguous slice of the table, not N
+    // independent hash probes.  Charge the sweep as a packed tag
+    // compare (SIMD-style) and pay the full probe + rewrite cost only
+    // for rows that actually hold the moved page -- otherwise a 2 MB
+    // relocation costs ~32 K charged probes and at high churn the
+    // ULMT does nothing but relocate.
+    const std::uint32_t lines = page_bytes / line_bytes;
+    cost.instr(lines < cost::remapSweepTagsPerCycle
+                   ? 1u
+                   : lines / cost::remapSweepTagsPerCycle);
+    std::vector<sim::Addr> moved;
+    std::vector<std::uint32_t> counts(levels_);
+    for (std::uint32_t off = 0; off < page_bytes; off += line_bytes) {
+        const sim::Addr old_line = old_page * page_bytes + off;
+        if (findNoCost(old_line) == noRow)
+            continue;
+        const RowIndex row = find(old_line, cost);
+        moved.clear();
+        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
+            const auto list = successors(row, lvl);
+            counts[lvl] = static_cast<std::uint32_t>(list.size());
+            moved.insert(moved.end(), list.begin(), list.end());
+        }
+        // The row's simulated bytes move: any memory-side table cache
+        // must drop (and flush) its copy or serve stale rows.
+        cost.memInvalidate(rowAddr(row), rowBytes_);
+        rows_.invalidate(row);
+
+        const RowIndex dest =
+            findOrAlloc(new_page * page_bytes + off, cost);
+        auto from = moved.begin();
+        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
+            const std::size_t list = listIndex(dest, lvl);
+            sim::Addr *s = succ_.data() + list * params_.numSucc;
+            for (std::uint32_t k = 0; k < counts[lvl]; ++k, ++from) {
+                sim::Addr a = *from;
+                if (a / page_bytes == old_page)
+                    a = new_page * page_bytes + a % page_bytes;
+                s[k] = a;
+            }
+            count_[list] = counts[lvl];
+        }
+        cost.memWrite(rowAddr(dest),
+                      rewrite == RowRewrite::WholeRow
+                          ? rowBytes_
+                          : 4 + 4 * static_cast<std::uint32_t>(
+                                        moved.size()));
+    }
+}
+
+void
+CorrelationTable::saveRows(ckpt::StateWriter &w) const
+{
+    w.u64(rows_.clock());
+    w.u64(insertions_);
+    w.u64(replacements_);
+    rows_.saveSparse(w, [&](std::size_t i) {
+        w.u64(rows_.stamp(i));
+        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
+            const auto list = successors(RowIndex(i), lvl);
+            w.u64(list.size());
+            for (sim::Addr s : list)
+                w.u64(s);
+        }
+    });
+}
+
+void
+CorrelationTable::restoreRows(ckpt::StateReader &r, const std::string &what)
+{
+    rows_.setClock(r.u64());
+    insertions_ = r.u64();
+    replacements_ = r.u64();
+    std::fill(count_.begin(), count_.end(), 0u);
+    rows_.restoreSparse(r, what + " row index out of range",
+                        [&](std::size_t i) {
+        rows_.setStamp(i, r.u64());
+        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
+            const std::size_t list = listIndex(RowIndex(i), lvl);
+            const std::uint64_t n = r.u64();
+            if (n > params_.numSucc)
+                throw ckpt::CkptError(what + " successor list too long");
+            for (std::uint64_t k = 0; k < n; ++k)
+                succ_[list * params_.numSucc + k] = r.u64();
+            count_[list] = static_cast<std::uint32_t>(n);
+        }
+    });
+}
+
+void
+CorrelationTable::checkInvariants(check::CheckContext &ctx,
+                                  const std::string &who) const
+{
+    rows_.checkStructure(ctx, who,
+                         [&](sim::Addr tag) { return setIndex(tag); });
+    forEachRow([&](const Rows::Entry &e) {
+        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
+            const std::uint32_t n = count_[listIndex(e.index, lvl)];
+            if (n > params_.numSucc) {
+                ctx.fail(who, "row " + check::hex(e.tag) + " level " +
+                                  std::to_string(lvl + 1) + " holds " +
+                                  std::to_string(n) + " successors, NumSucc " +
+                                  std::to_string(params_.numSucc));
+                continue;
+            }
+            const auto list = successors(RowIndex(e.index), lvl);
+            for (std::size_t i = 0; i < list.size(); ++i) {
+                for (std::size_t j = i + 1; j < list.size(); ++j) {
+                    if (list[i] == list[j])
+                        ctx.fail(who, "row " + check::hex(e.tag) +
+                                          " level " +
+                                          std::to_string(lvl + 1) +
+                                          " repeats successor " +
+                                          check::hex(list[i]));
+                }
+            }
+        }
+    });
 }
 
 void
 PairTable::saveState(ckpt::StateWriter &w) const
 {
-    w.u32(params_.numRows);
-    w.u32(params_.numSucc);
-    w.u32(params_.assoc);
-    w.u64(stampCounter_);
-    w.u64(insertions_);
-    w.u64(replacements_);
-
-    std::uint64_t valid = 0;
-    for (const PairRow &row : rows_) {
-        if (row.valid)
-            ++valid;
-    }
-    w.u64(valid);
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const PairRow &row = rows_[i];
-        if (!row.valid)
-            continue;
-        w.u64(i);
-        w.u64(row.tag);
-        w.u64(row.lruStamp);
-        w.u64(row.succ.size());
-        for (sim::Addr s : row.succ)
-            w.u64(s);
-    }
+    w.u32(params().numRows);
+    w.u32(params().numSucc);
+    w.u32(params().assoc);
+    saveRows(w);
 }
 
 void
 PairTable::restoreState(ckpt::StateReader &r)
 {
-    if (r.u32() != params_.numRows || r.u32() != params_.numSucc ||
-        r.u32() != params_.assoc) {
+    if (r.u32() != params().numRows || r.u32() != params().numSucc ||
+        r.u32() != params().assoc) {
         throw ckpt::CkptError(
             "pair-table geometry in checkpoint does not match this "
             "configuration");
     }
-    stampCounter_ = r.u64();
-    insertions_ = r.u64();
-    replacements_ = r.u64();
-
-    for (PairRow &row : rows_) {
-        row = PairRow{};
-    }
-    const std::uint64_t valid = r.u64();
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        const std::uint64_t idx = r.u64();
-        if (idx >= rows_.size())
-            throw ckpt::CkptError("pair-table row index out of range");
-        PairRow &row = rows_[idx];
-        row.valid = true;
-        row.tag = r.u64();
-        row.lruStamp = r.u64();
-        const std::uint64_t succ = r.u64();
-        if (succ > params_.numSucc)
-            throw ckpt::CkptError("pair-table successor list too long");
-        row.succ.clear();
-        for (std::uint64_t s = 0; s < succ; ++s)
-            row.succ.push_back(r.u64());
-    }
-}
-
-void
-PairTable::checkInvariants(check::CheckContext &ctx,
-                           const std::string &who) const
-{
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const PairRow *base =
-            &rows_[static_cast<std::size_t>(set) * params_.assoc];
-        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-            const PairRow &row = base[w];
-            if (!row.valid)
-                continue;
-            ctx.require(setIndex(row.tag) == set, who,
-                        "row tag " + check::hex(row.tag) +
-                            " resident in set " + std::to_string(set) +
-                            " but hashes to set " +
-                            std::to_string(setIndex(row.tag)));
-            ctx.require(row.lruStamp <= stampCounter_, who,
-                        "row " + check::hex(row.tag) +
-                            " carries LRU stamp " +
-                            std::to_string(row.lruStamp) +
-                            " beyond the counter " +
-                            std::to_string(stampCounter_));
-            ctx.require(row.succ.size() <= params_.numSucc, who,
-                        "row " + check::hex(row.tag) + " holds " +
-                            std::to_string(row.succ.size()) +
-                            " successors, NumSucc " +
-                            std::to_string(params_.numSucc));
-            for (std::size_t i = 0; i < row.succ.size(); ++i) {
-                for (std::size_t j = i + 1; j < row.succ.size(); ++j) {
-                    ctx.require(row.succ[i] != row.succ[j], who,
-                                "row " + check::hex(row.tag) +
-                                    " repeats successor " +
-                                    check::hex(row.succ[i]));
-                }
-            }
-            for (std::uint32_t v = w + 1; v < params_.assoc; ++v) {
-                ctx.require(!base[v].valid || base[v].tag != row.tag,
-                            who,
-                            "duplicate row tag " + check::hex(row.tag) +
-                                " in set " + std::to_string(set));
-            }
-        }
-    }
-}
-
-void
-PairTable::invalidate(sim::Addr miss_line)
-{
-    const std::uint32_t set = setIndex(miss_line);
-    PairRow *base = &rows_[static_cast<std::size_t>(set) * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == miss_line) {
-            base[w].valid = false;
-            base[w].succ.clear();
-            // Reset the stamp so the freed way always loses the LRU
-            // comparison in findOrAlloc: a stale stamp higher than a
-            // live row's would make the allocator evict the live row
-            // and leave the hole behind.
-            base[w].lruStamp = 0;
-            return;
-        }
-    }
+    restoreRows(r, "pair-table");
 }
 
 } // namespace core

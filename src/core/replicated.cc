@@ -1,123 +1,13 @@
 #include "core/replicated.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace core {
 
 ReplicatedPrefetcher::ReplicatedPrefetcher(const CorrelationParams &p)
-    : params_(p), rowBytes_(4 + p.numLevels * p.numSucc * 4)
+    : params_(p),
+      table_(p, 4 + p.numLevels * p.numSucc * 4, p.numLevels,
+             /*first_fill_way=*/0),
+      ptrs_(p.numLevels)
 {
-    rowStride_ = 16;
-    while (rowStride_ < rowBytes_)
-        rowStride_ *= 2;
-    SIM_ASSERT(p.assoc > 0 && p.numRows % p.assoc == 0,
-               "numRows must be a multiple of assoc");
-    numSets_ = p.numRows / p.assoc;
-    rows_.resize(p.numRows);
-    for (auto &row : rows_)
-        row.levels.resize(p.numLevels);
-    ptrs_.resize(p.numLevels);
-}
-
-std::uint32_t
-ReplicatedPrefetcher::setIndex(sim::Addr miss_line) const
-{
-    return static_cast<std::uint32_t>((miss_line / 64) % numSets_);
-}
-
-sim::Addr
-ReplicatedPrefetcher::rowAddr(std::uint32_t index) const
-{
-    return params_.tableBase +
-           static_cast<sim::Addr>(index) * rowStride_;
-}
-
-ReplRow *
-ReplicatedPrefetcher::find(sim::Addr miss_line, CostTracker &cost)
-{
-    cost.instr(cost::hashRow);
-    const std::uint32_t set = setIndex(miss_line);
-    const std::uint32_t base_idx = set * params_.assoc;
-    // Rows are line-aligned: one access pulls a way's tag and all its
-    // levels together (Table 1: a single row access per prefetch).
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        ReplRow &row = rows_[base_idx + w];
-        cost.instr(cost::tagProbe);
-        cost.memRead(rowAddr(base_idx + w), rowBytes_);
-        if (row.valid && row.tag == miss_line) {
-            row.lruStamp = ++stampCounter_;
-            return &row;
-        }
-    }
-    return nullptr;
-}
-
-const ReplRow *
-ReplicatedPrefetcher::findNoCost(sim::Addr miss_line) const
-{
-    const std::uint32_t base_idx = setIndex(miss_line) * params_.assoc;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        const ReplRow &row = rows_[base_idx + w];
-        if (row.valid && row.tag == miss_line)
-            return &row;
-    }
-    return nullptr;
-}
-
-std::uint32_t
-ReplicatedPrefetcher::alloc(sim::Addr miss_line, CostTracker &cost)
-{
-    const std::uint32_t base_idx = setIndex(miss_line) * params_.assoc;
-    std::uint32_t victim = base_idx;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        ReplRow &row = rows_[base_idx + w];
-        if (!row.valid) {
-            victim = base_idx + w;
-            break;
-        }
-        if (row.lruStamp < rows_[victim].lruStamp)
-            victim = base_idx + w;
-    }
-    ++insertions_;
-    if (rows_[victim].valid)
-        ++replacements_;
-
-    cost.instr(cost::rowAlloc);
-    cost.memWrite(rowAddr(victim), rowBytes_);
-    ReplRow &row = rows_[victim];
-    row.tag = miss_line;
-    row.valid = true;
-    for (auto &lvl : row.levels)
-        lvl.clear();
-    row.lruStamp = ++stampCounter_;
-    return victim;
-}
-
-void
-ReplicatedPrefetcher::insertAtLevel(ReplRow &row, std::uint32_t level,
-                                    sim::Addr succ_line,
-                                    CostTracker &cost)
-{
-    auto &list = row.levels[level];
-    cost.instr(cost::succInsert);
-    auto it = std::find(list.begin(), list.end(), succ_line);
-    if (it != list.end()) {
-        cost.instr(cost::succShift *
-                   static_cast<std::uint32_t>(it - list.begin()));
-        std::rotate(list.begin(), it, it + 1);
-    } else {
-        list.insert(list.begin(), succ_line);
-        if (list.size() > params_.numSucc)
-            list.pop_back();
-        cost.instr(cost::succShift *
-                   static_cast<std::uint32_t>(list.size()));
-    }
-    // The pointers let the update go straight to the row: one write,
-    // no associative search (Section 3.3.2).
-    const std::size_t idx = static_cast<std::size_t>(&row - rows_.data());
-    cost.memWrite(rowAddr(static_cast<std::uint32_t>(idx)), 8);
 }
 
 void
@@ -127,11 +17,11 @@ ReplicatedPrefetcher::prefetchStep(sim::Addr miss_line,
 {
     // A single row access yields every level (Table 1: one row access,
     // low response time).
-    ReplRow *row = find(miss_line, cost);
-    if (!row)
+    const RowIndex row = table_.find(miss_line, cost);
+    if (row == noRow)
         return;
-    for (const auto &level : row->levels) {
-        for (sim::Addr s : level) {
+    for (std::uint32_t lvl = 0; lvl < params_.numLevels; ++lvl) {
+        for (sim::Addr s : table_.successors(row, lvl)) {
             cost.instr(cost::emitPrefetch);
             out.push_back(s);
         }
@@ -144,24 +34,20 @@ ReplicatedPrefetcher::learnStep(sim::Addr miss_line, CostTracker &cost)
     // Insert the new miss as the MRU successor at the correct level of
     // each trailing row (Fig. 4-c (i)/(ii)).
     for (std::uint32_t lvl = 0; lvl < params_.numLevels; ++lvl) {
-        RowPtr &ptr = ptrs_[lvl];
-        if (!ptr.valid)
-            continue;
-        ReplRow &row = rows_[ptr.index];
+        const RowPtr &ptr = ptrs_[lvl];
         // The pointed-to row may have been reallocated since; the tag
         // check catches that (stale pointers are simply skipped).
-        if (!row.valid || row.tag != ptr.expectedTag)
+        if (!ptr.valid || !table_.valid(ptr.index) ||
+            table_.tag(ptr.index) != ptr.expectedTag)
             continue;
-        insertAtLevel(row, lvl, miss_line, cost);
+        table_.insertSuccessor(ptr.index, lvl, miss_line, cost);
+        // The pointers let the update go straight to the row: one
+        // write, no associative search (Section 3.3.2).
+        cost.memWrite(table_.rowAddr(ptr.index), 8);
     }
 
     // Ensure a row exists for the new miss and shift the pointers.
-    std::uint32_t idx;
-    if (ReplRow *row = find(miss_line, cost)) {
-        idx = static_cast<std::uint32_t>(row - rows_.data());
-    } else {
-        idx = alloc(miss_line, cost);
-    }
+    const RowIndex idx = table_.findOrAlloc(miss_line, cost);
     for (std::size_t lvl = ptrs_.size(); lvl-- > 1;)
         ptrs_[lvl] = ptrs_[lvl - 1];
     ptrs_[0] = RowPtr{idx, miss_line, true};
@@ -172,9 +58,12 @@ ReplicatedPrefetcher::predict(sim::Addr miss_line,
                               LevelPredictions &out) const
 {
     out.assign(params_.numLevels, {});
-    if (const ReplRow *row = findNoCost(miss_line)) {
-        for (std::uint32_t lvl = 0; lvl < params_.numLevels; ++lvl)
-            out[lvl] = row->levels[lvl];
+    const RowIndex row = table_.findNoCost(miss_line);
+    if (row == noRow)
+        return;
+    for (std::uint32_t lvl = 0; lvl < params_.numLevels; ++lvl) {
+        const auto succ = table_.successors(row, lvl);
+        out[lvl].assign(succ.begin(), succ.end());
     }
 }
 
@@ -185,29 +74,7 @@ ReplicatedPrefetcher::saveState(ckpt::StateWriter &w) const
     w.u32(params_.numSucc);
     w.u32(params_.assoc);
     w.u32(params_.numLevels);
-    w.u64(stampCounter_);
-    w.u64(insertions_);
-    w.u64(replacements_);
-
-    std::uint64_t valid = 0;
-    for (const ReplRow &row : rows_) {
-        if (row.valid)
-            ++valid;
-    }
-    w.u64(valid);
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const ReplRow &row = rows_[i];
-        if (!row.valid)
-            continue;
-        w.u64(i);
-        w.u64(row.tag);
-        w.u64(row.lruStamp);
-        for (const auto &level : row.levels) {
-            w.u64(level.size());
-            for (sim::Addr s : level)
-                w.u64(s);
-        }
-    }
+    table_.saveRows(w);
 
     // The trailing pointers are the learning context: they decide
     // which rows the next miss is inserted into.
@@ -228,38 +95,7 @@ ReplicatedPrefetcher::restoreState(ckpt::StateReader &r)
             "replicated-table geometry in checkpoint does not match "
             "this configuration");
     }
-    stampCounter_ = r.u64();
-    insertions_ = r.u64();
-    replacements_ = r.u64();
-
-    for (ReplRow &row : rows_) {
-        row.tag = sim::invalidAddr;
-        row.valid = false;
-        row.lruStamp = 0;
-        for (auto &lvl : row.levels)
-            lvl.clear();
-    }
-    const std::uint64_t valid = r.u64();
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        const std::uint64_t idx = r.u64();
-        if (idx >= rows_.size()) {
-            throw ckpt::CkptError(
-                "replicated-table row index out of range");
-        }
-        ReplRow &row = rows_[idx];
-        row.valid = true;
-        row.tag = r.u64();
-        row.lruStamp = r.u64();
-        for (auto &level : row.levels) {
-            const std::uint64_t count = r.u64();
-            if (count > params_.numSucc) {
-                throw ckpt::CkptError(
-                    "replicated-table successor list too long");
-            }
-            for (std::uint64_t s = 0; s < count; ++s)
-                level.push_back(r.u64());
-        }
-    }
+    table_.restoreRows(r, "replicated-table");
 
     if (r.u64() != ptrs_.size()) {
         throw ckpt::CkptError(
@@ -269,7 +105,7 @@ ReplicatedPrefetcher::restoreState(ckpt::StateReader &r)
         p.index = r.u32();
         p.expectedTag = r.u64();
         p.valid = r.b();
-        if (p.valid && p.index >= rows_.size()) {
+        if (p.valid && p.index >= params_.numRows) {
             throw ckpt::CkptError(
                 "replicated-table trailing pointer out of range");
         }
@@ -277,114 +113,18 @@ ReplicatedPrefetcher::restoreState(ckpt::StateReader &r)
 }
 
 void
-ReplicatedPrefetcher::onPageRemap(sim::Addr old_page, sim::Addr new_page,
-                                  std::uint32_t page_bytes,
-                                  CostTracker &cost)
-{
-    constexpr std::uint32_t line_bytes = 64;
-    // Same sweep cost model as remapPairTable: the page's lines hit
-    // consecutive sets, so the scan is a packed tag compare and only
-    // rows that actually hold the moved page pay probe + rewrite.
-    const std::uint32_t lines = page_bytes / line_bytes;
-    cost.instr(lines < cost::remapSweepTagsPerCycle
-                   ? 1u
-                   : lines / cost::remapSweepTagsPerCycle);
-    for (std::uint32_t off = 0; off < page_bytes; off += line_bytes) {
-        const sim::Addr old_line = old_page * page_bytes + off;
-        if (!findNoCost(old_line))
-            continue;
-        ReplRow *row = find(old_line, cost);
-        if (!row)
-            continue;
-        ReplRow copy = *row;
-        // The row's simulated bytes move: any memory-side table cache
-        // must drop (and flush) its copy or serve stale rows.
-        cost.memInvalidate(
-            rowAddr(static_cast<std::uint32_t>(row - rows_.data())),
-            rowBytes_);
-        row->valid = false;
-
-        const sim::Addr new_line = new_page * page_bytes + off;
-        std::uint32_t idx;
-        if (ReplRow *existing = find(new_line, cost))
-            idx = static_cast<std::uint32_t>(existing - rows_.data());
-        else
-            idx = alloc(new_line, cost);
-        ReplRow &dest = rows_[idx];
-        for (std::uint32_t lvl = 0; lvl < params_.numLevels; ++lvl) {
-            dest.levels[lvl].clear();
-            for (sim::Addr s : copy.levels[lvl]) {
-                if (s / page_bytes == old_page)
-                    s = new_page * page_bytes + s % page_bytes;
-                dest.levels[lvl].push_back(s);
-            }
-        }
-        cost.memWrite(rowAddr(idx), rowBytes_);
-    }
-}
-
-void
 ReplicatedPrefetcher::checkInvariants(check::CheckContext &ctx) const
 {
     const std::string who = "table.Repl";
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const ReplRow *base =
-            &rows_[static_cast<std::size_t>(set) * params_.assoc];
-        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-            const ReplRow &row = base[w];
-            if (!row.valid)
-                continue;
-            ctx.require(setIndex(row.tag) == set, who,
-                        "row tag " + check::hex(row.tag) +
-                            " resident in set " + std::to_string(set) +
-                            " but hashes to set " +
-                            std::to_string(setIndex(row.tag)));
-            ctx.require(row.lruStamp <= stampCounter_, who,
-                        "row " + check::hex(row.tag) +
-                            " carries LRU stamp " +
-                            std::to_string(row.lruStamp) +
-                            " beyond the counter " +
-                            std::to_string(stampCounter_));
-            ctx.require(row.levels.size() == params_.numLevels, who,
-                        "row " + check::hex(row.tag) + " has " +
-                            std::to_string(row.levels.size()) +
-                            " levels, configured " +
-                            std::to_string(params_.numLevels));
-            for (std::size_t lvl = 0; lvl < row.levels.size(); ++lvl) {
-                const auto &list = row.levels[lvl];
-                ctx.require(list.size() <= params_.numSucc, who,
-                            "row " + check::hex(row.tag) + " level " +
-                                std::to_string(lvl + 1) + " holds " +
-                                std::to_string(list.size()) +
-                                " successors, NumSucc " +
-                                std::to_string(params_.numSucc));
-                for (std::size_t i = 0; i < list.size(); ++i) {
-                    for (std::size_t j = i + 1; j < list.size(); ++j) {
-                        ctx.require(list[i] != list[j], who,
-                                    "row " + check::hex(row.tag) +
-                                        " level " +
-                                        std::to_string(lvl + 1) +
-                                        " repeats successor " +
-                                        check::hex(list[i]));
-                    }
-                }
-            }
-            for (std::uint32_t v = w + 1; v < params_.assoc; ++v) {
-                ctx.require(!base[v].valid || base[v].tag != row.tag,
-                            who,
-                            "duplicate row tag " + check::hex(row.tag) +
-                                " in set " + std::to_string(set));
-            }
-        }
-    }
+    table_.checkInvariants(ctx, who);
     for (std::size_t i = 0; i < ptrs_.size(); ++i) {
         const RowPtr &ptr = ptrs_[i];
         if (!ptr.valid)
             continue;
-        ctx.require(ptr.index < rows_.size(), who,
+        ctx.require(ptr.index < params_.numRows, who,
                     "trailing pointer " + std::to_string(i) +
                         " indexes row " + std::to_string(ptr.index) +
-                        " of " + std::to_string(rows_.size()));
+                        " of " + std::to_string(params_.numRows));
     }
 }
 

@@ -22,19 +22,10 @@
 #include <vector>
 
 #include "core/correlation_prefetcher.hh"
+#include "core/pair_table.hh"
 #include "core/params.hh"
 
 namespace core {
-
-/** One row of the replicated table. */
-struct ReplRow
-{
-    sim::Addr tag = sim::invalidAddr;
-    bool valid = false;
-    std::uint64_t lruStamp = 0;
-    /** levels[l] = MRU-ordered successors at level l+1. */
-    std::vector<std::vector<sim::Addr>> levels;
-};
 
 /** The Replicated algorithm. */
 class ReplicatedPrefetcher : public CorrelationPrefetcher
@@ -51,19 +42,26 @@ class ReplicatedPrefetcher : public CorrelationPrefetcher
     void predict(sim::Addr miss_line,
                  LevelPredictions &out) const override;
 
-    std::size_t tableBytes() const override
+    std::size_t tableBytes() const override { return table_.tableBytes(); }
+    std::uint64_t insertions() const override
     {
-        return static_cast<std::size_t>(params_.numRows) * rowBytes_;
+        return table_.insertions();
     }
-    std::uint64_t insertions() const override { return insertions_; }
-    std::uint64_t replacements() const override { return replacements_; }
+    std::uint64_t replacements() const override
+    {
+        return table_.replacements();
+    }
 
-    void onPageRemap(sim::Addr old_page, sim::Addr new_page,
-                     std::uint32_t page_bytes,
-                     CostTracker &cost) override;
+    void
+    onPageRemap(sim::Addr old_page, sim::Addr new_page,
+                std::uint32_t page_bytes, CostTracker &cost) override
+    {
+        table_.remapPage(old_page, new_page, page_bytes,
+                         RowRewrite::WholeRow, cost);
+    }
 
     /** Simulated row size in bytes (28 B for NumLevels=3, NumSucc=2). */
-    std::uint32_t rowBytes() const { return rowBytes_; }
+    std::uint32_t rowBytes() const { return table_.rowBytes(); }
 
     /** Serialize valid rows (sparse), the trailing row pointers and
      *  the LRU/sizing counters. */
@@ -71,11 +69,9 @@ class ReplicatedPrefetcher : public CorrelationPrefetcher
     void restoreState(ckpt::StateReader &r) override;
 
     /**
-     * Invariants: valid rows hash to the set they sit in with unique
-     * tags, every level list is bounded by NumSucc with no repeated
-     * address, LRU stamps never exceed the counter, and each trailing
-     * pointer indexes a real row (staleness is legal -- the tag check
-     * skips it -- but an out-of-range index never is).
+     * Invariants: the table's (CorrelationTable::checkInvariants), and
+     * each trailing pointer indexes a real row (staleness is legal --
+     * the tag check skips it -- but an out-of-range index never is).
      */
     void checkInvariants(check::CheckContext &ctx) const override;
 
@@ -90,24 +86,11 @@ class ReplicatedPrefetcher : public CorrelationPrefetcher
         bool valid = false;
     };
 
-    std::uint32_t setIndex(sim::Addr miss_line) const;
-    sim::Addr rowAddr(std::uint32_t index) const;
-    ReplRow *find(sim::Addr miss_line, CostTracker &cost);
-    const ReplRow *findNoCost(sim::Addr miss_line) const;
-    std::uint32_t alloc(sim::Addr miss_line, CostTracker &cost);
-    void insertAtLevel(ReplRow &row, std::uint32_t level,
-                       sim::Addr succ_line, CostTracker &cost);
-
     CorrelationParams params_;
-    std::uint32_t rowBytes_;
-    std::uint32_t rowStride_ = 0;  //!< line-aligned pitch in memory
-    std::uint32_t numSets_;
-    std::vector<ReplRow> rows_;
+    /** Rows fill ways 0..A-1 (unlike PairTable's way-1-first order). */
+    CorrelationTable table_;
     /** ptrs_[0] = row of the last miss, ptrs_[1] = second last, ... */
     std::vector<RowPtr> ptrs_;
-    std::uint64_t stampCounter_ = 0;
-    std::uint64_t insertions_ = 0;
-    std::uint64_t replacements_ = 0;
 };
 
 } // namespace core

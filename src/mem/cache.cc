@@ -5,46 +5,22 @@
 namespace mem {
 
 Cache::Cache(std::string name, const CacheGeometry &geom)
-    : name_(std::move(name)), geom_(geom), numSets_(geom.numSets()),
-      lines_(static_cast<std::size_t>(numSets_) * geom.assoc)
+    : name_(std::move(name)), geom_(geom),
+      ways_(geom.numSets(), geom.assoc)
 {
     SIM_ASSERT(geom_.lineBytes > 0 &&
                std::has_single_bit(geom_.lineBytes),
                "%s: line size must be a power of two", name_.c_str());
-    SIM_ASSERT(numSets_ > 0 && std::has_single_bit(numSets_),
+    SIM_ASSERT(ways_.sets() > 0 && std::has_single_bit(ways_.sets()),
                "%s: set count must be a power of two", name_.c_str());
     SIM_ASSERT(geom_.assoc > 0, "%s: zero associativity", name_.c_str());
-}
-
-std::uint32_t
-Cache::setIndex(sim::Addr addr) const
-{
-    return static_cast<std::uint32_t>(
-        (addr / geom_.lineBytes) & (numSets_ - 1));
-}
-
-CacheLine *
-Cache::setBase(std::uint32_t set)
-{
-    return &lines_[static_cast<std::size_t>(set) * geom_.assoc];
-}
-
-const CacheLine *
-Cache::setBase(std::uint32_t set) const
-{
-    return &lines_[static_cast<std::size_t>(set) * geom_.assoc];
 }
 
 CacheLine *
 Cache::find(sim::Addr addr)
 {
-    const sim::Addr line = lineAddr(addr);
-    CacheLine *base = setBase(setIndex(addr));
-    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return &base[w];
-    }
-    return nullptr;
+    const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
+    return i == Ways::npos ? nullptr : &ways_.data(i);
 }
 
 const CacheLine *
@@ -56,14 +32,14 @@ Cache::find(sim::Addr addr) const
 CacheLine *
 Cache::access(sim::Addr addr)
 {
-    CacheLine *line = find(addr);
-    if (line) {
-        ++stats_.hits;
-        touch(line);
-    } else {
+    const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
+    if (i == Ways::npos) {
         ++stats_.misses;
+        return nullptr;
     }
-    return line;
+    ++stats_.hits;
+    touch(i);
+    return &ways_.data(i);
 }
 
 CacheLine *
@@ -74,62 +50,44 @@ Cache::insert(sim::Addr addr, sim::Cycle now, sim::Cycle ready_at,
     SIM_ASSERT(find(addr) == nullptr,
                "%s: inserting already-resident line", name_.c_str());
 
-    CacheLine *base = setBase(setIndex(addr));
-    CacheLine *victim = nullptr;
-    CacheLine *settled_victim = nullptr;
-    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-        CacheLine *cand = &base[w];
-        if (!cand->valid) {
-            victim = cand;
-            settled_victim = cand;
-            break;
-        }
-        if (!victim || cand->lruStamp < victim->lruStamp)
-            victim = cand;
-        if (cand->readyAt <= now &&
-            (!settled_victim || cand->lruStamp < settled_victim->lruStamp))
-            settled_victim = cand;
-    }
     // Prefer to displace a line whose fill already completed; fall back
     // to a pending one only when the whole set is in flight.
-    if (settled_victim)
-        victim = settled_victim;
+    const std::size_t v = ways_.victim(
+        setIndex(addr),
+        [&](std::size_t i) { return ways_.data(i).readyAt <= now; });
+    CacheLine &line = ways_.data(v);
 
     evicted = Eviction{};
-    if (victim->valid) {
+    if (ways_.valid(v)) {
         evicted.valid = true;
-        evicted.lineAddr = victim->tag;
-        evicted.dirty = victim->dirty;
-        evicted.prefetched = victim->prefetched;
-        evicted.cpuPrefetched = victim->cpuPrefetched;
+        evicted.lineAddr = ways_.tag(v);
+        evicted.dirty = line.dirty;
+        evicted.prefetched = line.prefetched;
+        evicted.cpuPrefetched = line.cpuPrefetched;
         ++stats_.evictions;
-        if (victim->dirty)
+        if (line.dirty)
             ++stats_.dirtyEvictions;
     }
 
-    victim->tag = line_addr;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->prefetched = false;
-    victim->cpuPrefetched = false;
     // A reused way must not inherit the evicted line's origin: callers
     // that never set fillOrigin themselves (the memory-thread cache)
     // would otherwise report stale attribution.  All fills ultimately
     // come from memory; hierarchy paths that know better overwrite it.
-    victim->fillOrigin = sim::ServedBy::Memory;
-    victim->readyAt = ready_at;
-    touch(victim);
+    line = CacheLine{};
+    line.fillOrigin = sim::ServedBy::Memory;
+    line.readyAt = ready_at;
+    ways_.install(v, line_addr);
     if (shadow_)
         shadow_->onInsert(line_addr, now, ready_at);
-    return victim;
+    return &line;
 }
 
 bool
 Cache::setAllPending(sim::Addr addr, sim::Cycle now) const
 {
-    const CacheLine *base = setBase(setIndex(addr));
-    for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-        if (!base[w].valid || base[w].readyAt <= now)
+    const std::size_t base = ways_.index(setIndex(addr), 0);
+    for (std::size_t i = base; i < base + geom_.assoc; ++i) {
+        if (!ways_.valid(i) || ways_.data(i).readyAt <= now)
             return false;
     }
     return true;
@@ -138,19 +96,18 @@ Cache::setAllPending(sim::Addr addr, sim::Cycle now) const
 void
 Cache::invalidate(sim::Addr addr)
 {
-    if (CacheLine *line = find(addr)) {
-        line->valid = false;
-        if (shadow_)
-            shadow_->onInvalidate(line->tag);
-    }
+    const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
+    if (i == Ways::npos)
+        return;
+    ways_.invalidate(i);
+    if (shadow_)
+        shadow_->onInvalidate(ways_.tag(i));
 }
 
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = CacheLine{};
-    stampCounter_ = 0;
+    ways_.reset();
     stats_ = CacheStats{};
     if (shadow_)
         shadow_->onReset();
@@ -161,115 +118,73 @@ Cache::checkInvariants(check::CheckContext &ctx,
                        std::optional<sim::ServedBy> expected_origin) const
 {
     const std::string who = "cache." + name_;
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const CacheLine *base = setBase(set);
-        for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
-            const CacheLine &line = base[w];
-            if (!line.valid)
-                continue;
-            ctx.require(lineAddr(line.tag) == line.tag, who,
-                        "set " + std::to_string(set) + " way " +
-                            std::to_string(w) + " tag " +
-                            check::hex(line.tag) +
-                            " is not line-aligned");
-            ctx.require(setIndex(line.tag) == set, who,
-                        "tag " + check::hex(line.tag) +
-                            " resident in set " + std::to_string(set) +
-                            " but maps to set " +
-                            std::to_string(setIndex(line.tag)));
-            ctx.require(line.lruStamp <= stampCounter_, who,
-                        "tag " + check::hex(line.tag) +
-                            " carries LRU stamp " +
-                            std::to_string(line.lruStamp) +
-                            " beyond the counter " +
-                            std::to_string(stampCounter_));
-            if (expected_origin) {
-                ctx.require(
-                    line.fillOrigin == *expected_origin, who,
-                    "tag " + check::hex(line.tag) +
-                        " carries a stale fillOrigin (" +
-                        std::to_string(static_cast<int>(
-                            line.fillOrigin)) +
-                        ")");
-            }
-            for (std::uint32_t v = w + 1; v < geom_.assoc; ++v) {
-                ctx.require(!base[v].valid || base[v].tag != line.tag,
-                            who,
-                            "duplicate tag " + check::hex(line.tag) +
-                                " in set " + std::to_string(set));
-            }
-        }
-    }
+    ways_.checkStructure(ctx, who,
+                         [&](sim::Addr tag) { return setIndex(tag); });
+    forEachLine([&](const Ways::Entry &e, const CacheLine &line) {
+        if (lineAddr(e.tag) != e.tag)
+            ctx.fail(who, "set " + std::to_string(e.set) + " way " +
+                              std::to_string(e.way) + " tag " +
+                              check::hex(e.tag) + " is not line-aligned");
+        if (expected_origin && line.fillOrigin != *expected_origin)
+            ctx.fail(who, "tag " + check::hex(e.tag) +
+                              " carries a stale fillOrigin (" +
+                              std::to_string(static_cast<int>(
+                                  line.fillOrigin)) +
+                              ")");
+    });
 }
 
 void
 Cache::saveState(ckpt::StateWriter &w) const
 {
     // Geometry guard: sets * assoc * lineBytes pins the shape.
-    w.u32(numSets_);
+    w.u32(ways_.sets());
     w.u32(geom_.assoc);
     w.u32(geom_.lineBytes);
-    w.u64(stampCounter_);
+    w.u64(ways_.clock());
     w.u64(stats_.hits);
     w.u64(stats_.misses);
     w.u64(stats_.evictions);
     w.u64(stats_.dirtyEvictions);
-
-    std::uint64_t valid = 0;
-    for (const CacheLine &line : lines_)
-        valid += line.valid ? 1 : 0;
-    w.u64(valid);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const CacheLine &line = lines_[i];
-        if (!line.valid)
-            continue;
-        w.u64(i);
-        w.u64(line.tag);
+    ways_.saveSparse(w, [&](std::size_t i) {
+        const CacheLine &line = ways_.data(i);
         w.b(line.dirty);
         w.b(line.prefetched);
         w.b(line.cpuPrefetched);
         w.u8(static_cast<std::uint8_t>(line.fillOrigin));
         w.u64(line.readyAt);
-        w.u64(line.lruStamp);
-    }
+        w.u64(ways_.stamp(i));
+    });
 }
 
 void
 Cache::restoreState(ckpt::StateReader &r)
 {
-    if (r.u32() != numSets_ || r.u32() != geom_.assoc ||
+    if (r.u32() != ways_.sets() || r.u32() != geom_.assoc ||
         r.u32() != geom_.lineBytes)
         throw ckpt::CkptError(
             "cache '" + name_ +
             "': checkpoint geometry does not match this configuration");
-    for (auto &line : lines_)
-        line = CacheLine{};
-    stampCounter_ = r.u64();
+    ways_.setClock(r.u64());
     stats_.hits = r.u64();
     stats_.misses = r.u64();
     stats_.evictions = r.u64();
     stats_.dirtyEvictions = r.u64();
-
-    const std::uint64_t valid = r.u64();
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        const std::uint64_t i = r.u64();
-        if (i >= lines_.size())
-            throw ckpt::CkptError("cache '" + name_ +
-                                  "': line index out of range");
-        CacheLine &line = lines_[i];
-        line.valid = true;
-        line.tag = r.u64();
-        line.dirty = r.b();
-        line.prefetched = r.b();
-        line.cpuPrefetched = r.b();
-        const std::uint8_t origin = r.u8();
-        if (origin > static_cast<std::uint8_t>(sim::ServedBy::Memory))
-            throw ckpt::CkptError("cache '" + name_ +
-                                  "': corrupt fillOrigin");
-        line.fillOrigin = static_cast<sim::ServedBy>(origin);
-        line.readyAt = r.u64();
-        line.lruStamp = r.u64();
-    }
+    ways_.restoreSparse(
+        r, "cache '" + name_ + "': line index out of range",
+        [&](std::size_t i) {
+            CacheLine &line = ways_.data(i);
+            line.dirty = r.b();
+            line.prefetched = r.b();
+            line.cpuPrefetched = r.b();
+            const std::uint8_t origin = r.u8();
+            if (origin > static_cast<std::uint8_t>(sim::ServedBy::Memory))
+                throw ckpt::CkptError("cache '" + name_ +
+                                      "': corrupt fillOrigin");
+            line.fillOrigin = static_cast<sim::ServedBy>(origin);
+            line.readyAt = r.u64();
+            ways_.setStamp(i, r.u64());
+        });
 }
 
 } // namespace mem

@@ -17,12 +17,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "check/check.hh"
 #include "ckpt/state.hh"
 #include "mem/timing_params.hh"
 #include "sim/logging.hh"
+#include "sim/set_assoc.hh"
 #include "sim/types.hh"
 
 namespace mem {
@@ -38,9 +38,7 @@ class CacheShadow
 {
   public:
     virtual ~CacheShadow() = default;
-    /** A resident line was promoted to MRU.  Fires for the internal
-     *  touch inside insert() too (before onInsert); implementations
-     *  ignore addresses they do not know yet. */
+    /** A resident line was promoted to MRU. */
     virtual void onTouch(sim::Addr line_addr) = 0;
     /** A line was installed (victim selection already happened). */
     virtual void onInsert(sim::Addr line_addr, sim::Cycle now,
@@ -51,11 +49,10 @@ class CacheShadow
     virtual void onReset() = 0;
 };
 
-/** Metadata of one cache line. */
+/** Metadata of one cache line (the tag, valid bit and LRU stamp live
+ *  in the line's sim::SetAssoc entry). */
 struct CacheLine
 {
-    sim::Addr tag = 0;          //!< full line address (not just tag bits)
-    bool valid = false;
     bool dirty = false;
     /** Pushed by the ULMT and not yet referenced by a demand access. */
     bool prefetched = false;
@@ -64,7 +61,6 @@ struct CacheLine
     /** Where the fill came from (for stall attribution on delayed hits). */
     sim::ServedBy fillOrigin = sim::ServedBy::L1;
     sim::Cycle readyAt = 0;     //!< cycle when the data is available
-    std::uint64_t lruStamp = 0; //!< larger = more recently used
 };
 
 /** What fell out of a set when a new line was installed. */
@@ -92,6 +88,8 @@ struct CacheStats
 class Cache
 {
   public:
+    using Ways = sim::SetAssoc<CacheLine>;
+
     Cache(std::string name, const CacheGeometry &geom);
 
     /** Strip the offset bits: the line-aligned address. */
@@ -102,7 +100,7 @@ class Cache
     }
 
     std::uint32_t lineBytes() const { return geom_.lineBytes; }
-    std::uint32_t numSets() const { return numSets_; }
+    std::uint32_t numSets() const { return ways_.sets(); }
     std::uint32_t assoc() const { return geom_.assoc; }
     const std::string &name() const { return name_; }
     const CacheStats &stats() const { return stats_; }
@@ -118,9 +116,7 @@ class Cache
     void
     touch(CacheLine *line)
     {
-        line->lruStamp = ++stampCounter_;
-        if (shadow_)
-            shadow_->onTouch(line->tag);
+        touch(ways_.indexOf(line));
     }
 
     /** Attach/detach the deep checker's shadow (nullptr = off). */
@@ -173,16 +169,14 @@ class Cache
      */
     void restoreState(ckpt::StateReader &r);
 
-    /** Read-only walk over every way: fn(set, way, line). */
+    /** Read-only walk over the valid lines: fn(entry, line), where
+     *  entry carries set, way, tag and LRU stamp. */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (std::uint32_t set = 0; set < numSets_; ++set) {
-            const CacheLine *base = setBase(set);
-            for (std::uint32_t w = 0; w < geom_.assoc; ++w)
-                fn(set, w, base[w]);
-        }
+        ways_.forEach(
+            [&](const Ways::Entry &e) { fn(e, ways_.data(e.index)); });
     }
 
     /**
@@ -200,15 +194,24 @@ class Cache
   private:
     friend struct check::CheckTestPeer;
 
-    std::uint32_t setIndex(sim::Addr addr) const;
-    CacheLine *setBase(std::uint32_t set);
-    const CacheLine *setBase(std::uint32_t set) const;
+    std::uint32_t
+    setIndex(sim::Addr addr) const
+    {
+        return static_cast<std::uint32_t>((addr / geom_.lineBytes) &
+                                          (ways_.sets() - 1));
+    }
+
+    void
+    touch(std::size_t i)
+    {
+        ways_.touch(i);
+        if (shadow_)
+            shadow_->onTouch(ways_.tag(i));
+    }
 
     std::string name_;
     CacheGeometry geom_;
-    std::uint32_t numSets_;
-    std::vector<CacheLine> lines_;
-    std::uint64_t stampCounter_ = 0;
+    Ways ways_;
     CacheStats stats_;
     CacheShadow *shadow_ = nullptr;
 };

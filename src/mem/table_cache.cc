@@ -10,7 +10,7 @@ TableCache::configure(const TableCacheSpec &spec,
                       std::uint32_t dram_row_bytes)
 {
     SIM_ASSERT(spec.on(), "table cache configured with zero entries");
-    SIM_ASSERT(numSets_ == 0, "table cache configured twice");
+    SIM_ASSERT(!enabled(), "table cache configured twice");
     SIM_ASSERT(spec.assoc > 0, "table cache: zero associativity");
     SIM_ASSERT(spec.entries % spec.assoc == 0,
                "table cache: %u entries not divisible by assoc %u",
@@ -20,37 +20,9 @@ TableCache::configure(const TableCacheSpec &spec,
                "table cache: DRAM row smaller than a line");
     lineBytes_ = line_bytes;
     rowBytes_ = dram_row_bytes;
-    assoc_ = spec.assoc;
-    numSets_ = spec.entries / spec.assoc;
-    lines_.assign(static_cast<std::size_t>(numSets_) * assoc_,
-                  TableCacheLine{});
+    ways_ = Ways(spec.entries / spec.assoc, spec.assoc);
     dirtyBuf_.clear();
     dirtyBuf_.reserve(tableCacheDirtyBufEntries + 1);
-}
-
-std::uint32_t
-TableCache::setIndex(sim::Addr line_addr) const
-{
-    return static_cast<std::uint32_t>((line_addr / lineBytes_) %
-                                      numSets_);
-}
-
-sim::Addr
-TableCache::lineAddr(sim::Addr addr) const
-{
-    return addr - addr % lineBytes_;
-}
-
-TableCacheLine *
-TableCache::find(sim::Addr line_addr)
-{
-    TableCacheLine *base =
-        &lines_[std::size_t(setIndex(line_addr)) * assoc_];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == line_addr)
-            return &base[w];
-    }
-    return nullptr;
 }
 
 bool
@@ -62,10 +34,10 @@ TableCache::access(sim::Addr addr, bool is_write,
     if (shadow_)
         shadow_->onAccess(line, is_write);
 
-    if (TableCacheLine *hit = find(line)) {
+    if (const std::size_t hit = find(line); hit != Ways::npos) {
         ++stats_.hits;
-        hit->lruStamp = ++stampCounter_;
-        hit->dirty = hit->dirty || is_write;
+        ways_.touch(hit);
+        ways_.data(hit).dirty |= is_write;
         return true;
     }
 
@@ -91,24 +63,11 @@ void
 TableCache::install(sim::Addr line_addr, bool dirty,
                     std::vector<sim::Addr> &writebacks)
 {
-    TableCacheLine *base =
-        &lines_[std::size_t(setIndex(line_addr)) * assoc_];
-    TableCacheLine *victim = &base[0];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        TableCacheLine *cand = &base[w];
-        if (!cand->valid) {
-            victim = cand;
-            break;
-        }
-        if (cand->lruStamp < victim->lruStamp)
-            victim = cand;
-    }
-    if (victim->valid && victim->dirty)
-        pushDirty(victim->tag, writebacks);
-    victim->tag = line_addr;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lruStamp = ++stampCounter_;
+    const std::size_t v = ways_.victim(setIndex(line_addr));
+    if (ways_.valid(v) && ways_.data(v).dirty)
+        pushDirty(ways_.tag(v), writebacks);
+    ways_.install(v, line_addr);
+    ways_.data(v).dirty = dirty;
 }
 
 void
@@ -153,16 +112,16 @@ TableCache::invalidateRange(sim::Addr lo, sim::Addr hi,
         return;
     if (shadow_)
         shadow_->onInvalidateRange(lo, hi);
-    for (auto &line : lines_) {
-        if (!line.valid || line.tag < lo || line.tag >= hi)
-            continue;
-        if (line.dirty) {
-            writebacks.push_back(line.tag);
+    ways_.forEach([&](const Ways::Entry &e) {
+        if (e.tag < lo || e.tag >= hi)
+            return;
+        if (ways_.data(e.index).dirty) {
+            writebacks.push_back(e.tag);
             ++stats_.writebacks;
             ++stats_.dramAccesses;
         }
-        line.valid = false;
-    }
+        ways_.invalidate(e.index);
+    });
     for (std::size_t i = 0; i < dirtyBuf_.size();) {
         if (dirtyBuf_[i] >= lo && dirtyBuf_[i] < hi) {
             writebacks.push_back(dirtyBuf_[i]);
@@ -179,10 +138,8 @@ TableCache::invalidateRange(sim::Addr lo, sim::Addr hi,
 void
 TableCache::reset()
 {
-    for (auto &line : lines_)
-        line = TableCacheLine{};
+    ways_.reset();
     dirtyBuf_.clear();
-    stampCounter_ = 0;
     stats_ = TableCacheStats{};
     if (shadow_)
         shadow_->onReset();
@@ -206,11 +163,11 @@ void
 TableCache::saveState(ckpt::StateWriter &w) const
 {
     // Geometry guard: sets * assoc * lineBytes pins the shape.
-    w.u32(numSets_);
-    w.u32(assoc_);
+    w.u32(ways_.sets());
+    w.u32(ways_.ways());
     w.u32(lineBytes_);
     w.u32(rowBytes_);
-    w.u64(stampCounter_);
+    w.u64(ways_.clock());
     w.u64(stats_.hits);
     w.u64(stats_.misses);
     w.u64(stats_.writebacks);
@@ -218,19 +175,10 @@ TableCache::saveState(ckpt::StateWriter &w) const
     w.u64(stats_.dirtyBufHighWater);
     w.u64(stats_.dramAccesses);
 
-    std::uint64_t valid = 0;
-    for (const TableCacheLine &line : lines_)
-        valid += line.valid ? 1 : 0;
-    w.u64(valid);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const TableCacheLine &line = lines_[i];
-        if (!line.valid)
-            continue;
-        w.u64(i);
-        w.u64(line.tag);
-        w.b(line.dirty);
-        w.u64(line.lruStamp);
-    }
+    ways_.saveSparse(w, [&](std::size_t i) {
+        w.b(ways_.data(i).dirty);
+        w.u64(ways_.stamp(i));
+    });
 
     w.u64(dirtyBuf_.size());
     for (sim::Addr addr : dirtyBuf_)
@@ -240,15 +188,13 @@ TableCache::saveState(ckpt::StateWriter &w) const
 void
 TableCache::restoreState(ckpt::StateReader &r)
 {
-    if (r.u32() != numSets_ || r.u32() != assoc_ ||
+    if (r.u32() != ways_.sets() || r.u32() != ways_.ways() ||
         r.u32() != lineBytes_ || r.u32() != rowBytes_)
         throw ckpt::CkptError(
             "table cache: checkpoint geometry does not match this "
             "--table-cache configuration");
-    for (auto &line : lines_)
-        line = TableCacheLine{};
     dirtyBuf_.clear();
-    stampCounter_ = r.u64();
+    ways_.setClock(r.u64());
     stats_.hits = r.u64();
     stats_.misses = r.u64();
     stats_.writebacks = r.u64();
@@ -256,18 +202,11 @@ TableCache::restoreState(ckpt::StateReader &r)
     stats_.dirtyBufHighWater = r.u64();
     stats_.dramAccesses = r.u64();
 
-    const std::uint64_t valid = r.u64();
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        const std::uint64_t i = r.u64();
-        if (i >= lines_.size())
-            throw ckpt::CkptError(
-                "table cache: line index out of range");
-        TableCacheLine &line = lines_[i];
-        line.valid = true;
-        line.tag = r.u64();
-        line.dirty = r.b();
-        line.lruStamp = r.u64();
-    }
+    ways_.restoreSparse(r, "table cache: line index out of range",
+                        [&](std::size_t i) {
+                            ways_.data(i).dirty = r.b();
+                            ways_.setStamp(i, r.u64());
+                        });
 
     const std::uint64_t buffered = r.u64();
     if (buffered > tableCacheDirtyBufEntries)
@@ -281,37 +220,14 @@ void
 TableCache::checkInvariants(check::CheckContext &ctx) const
 {
     const std::string who = "memsys.tcache";
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const TableCacheLine *base =
-            &lines_[std::size_t(set) * assoc_];
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
-            const TableCacheLine &line = base[w];
-            if (!line.valid)
-                continue;
-            ctx.require(lineAddr(line.tag) == line.tag, who,
-                        "set " + std::to_string(set) + " way " +
-                            std::to_string(w) + " tag " +
-                            check::hex(line.tag) +
-                            " is not line-aligned");
-            ctx.require(setIndex(line.tag) == set, who,
-                        "tag " + check::hex(line.tag) +
-                            " resident in set " + std::to_string(set) +
-                            " but maps to set " +
-                            std::to_string(setIndex(line.tag)));
-            ctx.require(line.lruStamp <= stampCounter_, who,
-                        "tag " + check::hex(line.tag) +
-                            " carries LRU stamp " +
-                            std::to_string(line.lruStamp) +
-                            " beyond the counter " +
-                            std::to_string(stampCounter_));
-            for (std::uint32_t v = w + 1; v < assoc_; ++v) {
-                ctx.require(!base[v].valid || base[v].tag != line.tag,
-                            who,
-                            "duplicate tag " + check::hex(line.tag) +
-                                " in set " + std::to_string(set));
-            }
-        }
-    }
+    ways_.checkStructure(ctx, who,
+                         [&](sim::Addr tag) { return setIndex(tag); });
+    ways_.forEach([&](const Ways::Entry &e) {
+        if (lineAddr(e.tag) != e.tag)
+            ctx.fail(who, "set " + std::to_string(e.set) + " way " +
+                              std::to_string(e.way) + " tag " +
+                              check::hex(e.tag) + " is not line-aligned");
+    });
     ctx.require(dirtyBuf_.size() <= tableCacheDirtyBufEntries, who,
                 "dirty buffer holds " +
                     std::to_string(dirtyBuf_.size()) +
@@ -322,8 +238,7 @@ TableCache::checkInvariants(check::CheckContext &ctx) const
         ctx.require(lineAddr(addr) == addr, who,
                     "buffered write-back " + check::hex(addr) +
                         " is not line-aligned");
-        ctx.require(
-            const_cast<TableCache *>(this)->find(addr) == nullptr, who,
+        ctx.require(find(addr) == Ways::npos, who,
             "buffered write-back " + check::hex(addr) +
                 " is also resident in the tag array");
         for (std::size_t j = i + 1; j < dirtyBuf_.size(); ++j) {

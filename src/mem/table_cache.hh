@@ -32,6 +32,7 @@
 #include "check/check.hh"
 #include "ckpt/state.hh"
 #include "sim/logging.hh"
+#include "sim/set_assoc.hh"
 #include "sim/stat_registry.hh"
 #include "sim/types.hh"
 
@@ -91,19 +92,18 @@ struct TableCacheStats
     std::uint64_t dramAccesses = 0;
 };
 
-/** One entry of the table cache's tag array. */
+/** Payload of one table-cache entry (tags are full line addresses). */
 struct TableCacheLine
 {
-    sim::Addr tag = 0;          //!< full line address
-    bool valid = false;
     bool dirty = false;
-    std::uint64_t lruStamp = 0; //!< larger = more recently used
 };
 
 /** The MSCache tag array, dirty buffer and drain policy. */
 class TableCache
 {
   public:
+    using Ways = sim::SetAssoc<TableCacheLine>;
+
     TableCache() = default;
 
     /**
@@ -120,11 +120,11 @@ class TableCache
     void configure(const TableCacheSpec &spec, std::uint32_t line_bytes,
                    std::uint32_t dram_row_bytes);
 
-    bool enabled() const { return numSets_ != 0; }
+    bool enabled() const { return ways_.sets() != 0; }
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint32_t rowBytes() const { return rowBytes_; }
-    std::uint32_t numSets() const { return numSets_; }
-    std::uint32_t assoc() const { return assoc_; }
+    std::uint32_t numSets() const { return ways_.sets(); }
+    std::uint32_t assoc() const { return ways_.ways(); }
     const TableCacheStats &stats() const { return stats_; }
 
     /**
@@ -159,15 +159,14 @@ class TableCache
         return dirtyBuf_;
     }
 
-    /** Read-only walk over every way: fn(set, way, line). */
+    /** Read-only walk over the valid lines: fn(entry, line), where
+     *  entry carries set, way, tag and LRU stamp. */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (std::uint32_t set = 0; set < numSets_; ++set) {
-            for (std::uint32_t w = 0; w < assoc_; ++w)
-                fn(set, w, lines_[std::size_t(set) * assoc_ + w]);
-        }
+        ways_.forEach(
+            [&](const Ways::Entry &e) { fn(e, ways_.data(e.index)); });
     }
 
     /** Register the tcache.* counters under @p prefix. */
@@ -196,9 +195,25 @@ class TableCache
   private:
     friend struct check::CheckTestPeer;
 
-    std::uint32_t setIndex(sim::Addr line_addr) const;
-    sim::Addr lineAddr(sim::Addr addr) const;
-    TableCacheLine *find(sim::Addr line_addr);
+    /** The set count need not be a power of two: index by modulo. */
+    std::uint32_t
+    setIndex(sim::Addr line_addr) const
+    {
+        return static_cast<std::uint32_t>((line_addr / lineBytes_) %
+                                          ways_.sets());
+    }
+
+    sim::Addr lineAddr(sim::Addr addr) const
+    {
+        return addr - addr % lineBytes_;
+    }
+
+    std::size_t
+    find(sim::Addr line_addr) const
+    {
+        return ways_.find(setIndex(line_addr), line_addr);
+    }
+
     /** Install @p line_addr, spilling a dirty victim into the buffer
      *  (which may overflow into a row-batched drain). */
     void install(sim::Addr line_addr, bool dirty,
@@ -212,12 +227,9 @@ class TableCache
 
     std::uint32_t lineBytes_ = 0;
     std::uint32_t rowBytes_ = 0;
-    std::uint32_t numSets_ = 0;
-    std::uint32_t assoc_ = 0;
-    std::vector<TableCacheLine> lines_;
+    Ways ways_;
     /** Evicted dirty lines awaiting write-back, oldest first. */
     std::vector<sim::Addr> dirtyBuf_;
-    std::uint64_t stampCounter_ = 0;
     TableCacheStats stats_;
     TableCacheShadow *shadow_ = nullptr;
 };

@@ -140,11 +140,9 @@ Vm::Vm(sim::EventQueue &eq, const VmSpec &spec, unsigned cores)
     }
     for (Tlb &tlb : tlbs_) {
         tlb.classes.push_back(
-            {shift4k, tlb4kSets, tlb4kWays,
-             std::vector<TlbEntry>(tlb4kSets * tlb4kWays)});
+            {sim::SetAssoc<std::uint64_t>(tlb4kSets, tlb4kWays)});
         tlb.classes.push_back(
-            {shift2m, tlb2mSets, tlb2mWays,
-             std::vector<TlbEntry>(tlb2mSets * tlb2mWays)});
+            {sim::SetAssoc<std::uint64_t>(tlb2mSets, tlb2mWays)});
     }
 }
 
@@ -167,23 +165,16 @@ Vm::translate(unsigned core, sim::Addr vaddr, sim::Cycle &when)
     const sim::Addr offset =
         vaddr & ((sim::Addr(1) << pageShift_) - 1);
 
-    // ULB-style lookup: probe each page-size class in order.  Only the
-    // class matching this machine's page size ever holds entries, but
-    // the probe order is part of the modeled lookup.
-    Tlb &tlb = tlbs_[core];
-    for (TlbSizeClass &cls : tlb.classes) {
-        if (cls.pageShift != pageShift_)
-            continue;
-        const std::uint32_t set =
-            static_cast<std::uint32_t>(vpage) & (cls.sets - 1);
-        for (std::uint32_t w = 0; w < cls.ways; ++w) {
-            TlbEntry &e = cls.entries[set * cls.ways + w];
-            if (e.valid && e.vpage == vpage) {
-                ++st.tlbHits;
-                e.stamp = ++tlb.lruTick;
-                return (sim::Addr(e.frame) << pageShift_) | offset;
-            }
-        }
+    // ULB-style lookup: only the class matching this machine's page
+    // size ever holds entries, so it is the only one probed.
+    TlbSizeClass &cls = tlbs_[core].classes[activeClass()];
+    sim::SetAssoc<std::uint64_t> &tlb = cls.entries;
+    const std::uint32_t set = cls.setOf(vpage);
+    if (const std::size_t hit = tlb.find(set, vpage);
+        hit != tlb.npos) {
+        ++st.tlbHits;
+        tlb.touch(hit);
+        return (sim::Addr(tlb.data(hit)) << pageShift_) | offset;
     }
 
     // Miss: walk the page table (allocate-on-touch) and refill.
@@ -196,46 +187,25 @@ Vm::translate(unsigned core, sim::Addr vaddr, sim::Cycle &when)
     if (inserted)
         it->second.frame = allocFrame();
     ++it->second.touches;
-    tlbFill(tlb, pageShift_, vpage, it->second.frame);
+    const std::size_t fill = tlb.victim(set);
+    tlb.install(fill, vpage);
+    tlb.data(fill) = it->second.frame;
     return (sim::Addr(it->second.frame) << pageShift_) | offset;
 }
 
-void
-Vm::tlbFill(Tlb &tlb, std::uint32_t page_shift, std::uint64_t vpage,
-            std::uint64_t frame)
+std::size_t
+Vm::activeClass() const
 {
-    for (TlbSizeClass &cls : tlb.classes) {
-        if (cls.pageShift != page_shift)
-            continue;
-        const std::uint32_t set =
-            static_cast<std::uint32_t>(vpage) & (cls.sets - 1);
-        TlbEntry *victim = &cls.entries[set * cls.ways];
-        for (std::uint32_t w = 0; w < cls.ways; ++w) {
-            TlbEntry &e = cls.entries[set * cls.ways + w];
-            if (!e.valid) {
-                victim = &e;
-                break;
-            }
-            if (e.stamp < victim->stamp)
-                victim = &e;
-        }
-        victim->vpage = vpage;
-        victim->frame = frame;
-        victim->stamp = ++tlb.lruTick;
-        victim->valid = true;
-        return;
-    }
-    SIM_ASSERT(false, "no TLB class for this page size");
+    return pageShift_ == shift4k ? 0 : 1;
 }
 
 void
 Vm::tlbInvalidate(Tlb &tlb, std::uint64_t vpage)
 {
     for (TlbSizeClass &cls : tlb.classes) {
-        for (TlbEntry &e : cls.entries) {
-            if (e.valid && e.vpage == vpage)
-                e.valid = false;
-        }
+        const std::size_t i = cls.entries.find(cls.setOf(vpage), vpage);
+        if (i != cls.entries.npos)
+            cls.entries.invalidate(i);
     }
 }
 
@@ -357,14 +327,16 @@ Vm::saveState(ckpt::StateWriter &w) const
             w.u64(e.touches);
         }
     }
+    // Dense: every entry of both classes, after the one LRU tick.
     for (const Tlb &tlb : tlbs_) {
-        w.u64(tlb.lruTick);
+        w.u64(tlb.classes[activeClass()].entries.clock());
         for (const TlbSizeClass &cls : tlb.classes) {
-            for (const TlbEntry &e : cls.entries) {
-                w.b(e.valid);
-                w.u64(e.vpage);
-                w.u64(e.frame);
-                w.u64(e.stamp);
+            const sim::SetAssoc<std::uint64_t> &e = cls.entries;
+            for (std::size_t i = 0; i < e.size(); ++i) {
+                w.b(e.valid(i));
+                w.u64(e.tag(i));
+                w.u64(e.data(i));
+                w.u64(e.stamp(i));
             }
         }
     }
@@ -404,13 +376,15 @@ Vm::restoreState(ckpt::StateReader &r)
         }
     }
     for (Tlb &tlb : tlbs_) {
-        tlb.lruTick = r.u64();
+        const std::uint64_t tick = r.u64();
         for (TlbSizeClass &cls : tlb.classes) {
-            for (TlbEntry &e : cls.entries) {
-                e.valid = r.b();
-                e.vpage = r.u64();
-                e.frame = r.u64();
-                e.stamp = r.u64();
+            sim::SetAssoc<std::uint64_t> &e = cls.entries;
+            e.setClock(tick);
+            for (std::size_t i = 0; i < e.size(); ++i) {
+                const bool valid = r.b();
+                const std::uint64_t vpage = r.u64();
+                e.data(i) = r.u64();
+                e.load(i, valid, vpage, r.u64());
             }
         }
     }

@@ -46,6 +46,7 @@
 
 #include "ckpt/state.hh"
 #include "sim/event_queue.hh"
+#include "sim/set_assoc.hh"
 #include "sim/stat_registry.hh"
 #include "sim/types.hh"
 
@@ -201,35 +202,32 @@ class Vm
         std::map<std::uint64_t, PageEntry> pages;
     };
 
-    /** One TLB entry (tagged by virtual page number). */
-    struct TlbEntry
-    {
-        std::uint64_t vpage = 0;
-        std::uint64_t frame = 0;
-        std::uint64_t stamp = 0;  //!< LRU clock at last use
-        bool valid = false;
-    };
-
-    /** One page size's set-associative array (the ULB keeps one of
-     *  these per supported size and probes them in order). */
+    /** One page size's set-associative array, tagged by virtual page
+     *  number with the frame as payload (the ULB keeps one of these
+     *  per supported size: 4 KB first, then 2 MB). */
     struct TlbSizeClass
     {
-        std::uint32_t pageShift;
-        std::uint32_t sets;
-        std::uint32_t ways;
-        std::vector<TlbEntry> entries;  //!< sets * ways, set-major
+        sim::SetAssoc<std::uint64_t> entries;
+
+        std::uint32_t
+        setOf(std::uint64_t vpage) const
+        {
+            return static_cast<std::uint32_t>(vpage) &
+                   (entries.sets() - 1);
+        }
     };
 
-    /** One core's TLB: a list of per-page-size arrays + LRU clock. */
+    /** One core's TLB: a list of per-page-size arrays.  Only the
+     *  machine's page size ever fills, so that class's LRU clock is
+     *  the TLB's one tick. */
     struct Tlb
     {
         std::vector<TlbSizeClass> classes;
-        std::uint64_t lruTick = 0;
     };
 
     std::uint64_t allocFrame();
-    void tlbFill(Tlb &tlb, std::uint32_t page_shift,
-                 std::uint64_t vpage, std::uint64_t frame);
+    /** Index of the TLB class matching this machine's page size. */
+    std::size_t activeClass() const;
     void tlbInvalidate(Tlb &tlb, std::uint64_t vpage);
     void doRemap();
 

@@ -40,7 +40,7 @@ TEST(Cache, MissThenHit)
     EXPECT_FALSE(ev.valid);
     mem::CacheLine *line = c.access(0x100);
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->tag, 0x100u);
+    EXPECT_EQ(line, c.find(0x100));
     // Any address within the line hits.
     EXPECT_NE(c.access(0x11f), nullptr);
     EXPECT_EQ(c.access(0x120), nullptr);

@@ -61,7 +61,25 @@ struct CheckTestPeer
     static mem::CacheLine &
     line(mem::Cache &c, std::uint32_t set, std::uint32_t way)
     {
-        return c.setBase(set)[way];
+        return c.ways_.data(c.ways_.index(set, way));
+    }
+
+    static bool
+    valid(mem::Cache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return c.ways_.valid(c.ways_.index(set, way));
+    }
+
+    static std::uint64_t &
+    tag(mem::Cache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return c.ways_.tag_[c.ways_.index(set, way)];
+    }
+
+    static std::uint64_t &
+    stamp(mem::Cache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return c.ways_.stamp_[c.ways_.index(set, way)];
     }
 
     // --- MemorySystem ------------------------------------------------
@@ -90,18 +108,56 @@ struct CheckTestPeer
         ms.inflightCpuPf_.clear();
     }
 
-    // --- PairTable ---------------------------------------------------
-    static std::vector<core::PairRow> &
-    rows(core::PairTable &t)
+    // --- CorrelationTable (PairTable, Repl's rows) -----------------
+    static std::size_t
+    firstValidRow(const core::CorrelationTable &t)
     {
-        return t.rows_;
+        for (std::size_t i = 0; i < t.rows_.size(); ++i) {
+            if (t.rows_.valid(i))
+                return i;
+        }
+        ADD_FAILURE() << "no valid row";
+        return 0;
+    }
+
+    static std::uint64_t &
+    tag(core::CorrelationTable &t, std::size_t row)
+    {
+        return t.rows_.tag_[row];
+    }
+
+    static std::uint64_t &
+    stamp(core::CorrelationTable &t, std::size_t row)
+    {
+        return t.rows_.stamp_[row];
+    }
+
+    /** Live length of a successor list (may be set past NumSucc). */
+    static std::uint32_t &
+    count(core::CorrelationTable &t, std::size_t row,
+          std::uint32_t level = 0)
+    {
+        return t.count_[t.listIndex(core::RowIndex(row), level)];
+    }
+
+    /** Overwrite a successor list (at most NumSucc entries). */
+    static void
+    setList(core::CorrelationTable &t, std::size_t row,
+            std::uint32_t level, const std::vector<sim::Addr> &list)
+    {
+        ASSERT_LE(list.size(), t.params_.numSucc);
+        const std::size_t l = t.listIndex(core::RowIndex(row), level);
+        std::copy(list.begin(), list.end(),
+                  t.succ_.begin() +
+                      std::ptrdiff_t(l * t.params_.numSucc));
+        t.count_[l] = static_cast<std::uint32_t>(list.size());
     }
 
     // --- ReplicatedPrefetcher ---------------------------------------
-    static std::vector<core::ReplRow> &
-    rows(core::ReplicatedPrefetcher &r)
+    static core::CorrelationTable &
+    table(core::ReplicatedPrefetcher &r)
     {
-        return r.rows_;
+        return r.table_;
     }
 
     static void
@@ -109,8 +165,7 @@ struct CheckTestPeer
     {
         ASSERT_FALSE(r.ptrs_.empty());
         r.ptrs_[0].valid = true;
-        r.ptrs_[0].index =
-            static_cast<std::uint32_t>(r.rows_.size()) + 7;
+        r.ptrs_[0].index = r.params_.numRows + 7;
     }
 
     // --- UlmtEngine --------------------------------------------------
@@ -279,7 +334,7 @@ TEST_F(CacheInvariants, CleanCachePasses)
 
 TEST_F(CacheInvariants, DuplicateTagFires)
 {
-    CheckTestPeer::line(c, 0, 1).tag = 0x0;  // same as way 0
+    CheckTestPeer::tag(c, 0, 1) = 0x0;  // same as way 0
     CheckContext ctx;
     c.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -287,7 +342,7 @@ TEST_F(CacheInvariants, DuplicateTagFires)
 
 TEST_F(CacheInvariants, WrongSetTagFires)
 {
-    CheckTestPeer::line(c, 0, 0).tag = 0x40;  // maps to set 1
+    CheckTestPeer::tag(c, 0, 0) = 0x40;  // maps to set 1
     CheckContext ctx;
     c.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -295,7 +350,7 @@ TEST_F(CacheInvariants, WrongSetTagFires)
 
 TEST_F(CacheInvariants, UnalignedTagFires)
 {
-    CheckTestPeer::line(c, 0, 0).tag = 0x8;  // not line-aligned
+    CheckTestPeer::tag(c, 0, 0) = 0x8;  // not line-aligned
     CheckContext ctx;
     c.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -303,7 +358,7 @@ TEST_F(CacheInvariants, UnalignedTagFires)
 
 TEST_F(CacheInvariants, StampAboveCounterFires)
 {
-    CheckTestPeer::line(c, 0, 0).lruStamp = 1u << 20;
+    CheckTestPeer::stamp(c, 0, 0) = 1u << 20;
     CheckContext ctx;
     c.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -381,15 +436,10 @@ struct PairTableInvariants : public ::testing::Test
             learner.learn(a, cost);
     }
 
-    core::PairRow &
+    std::size_t
     firstValidRow()
     {
-        for (auto &row : CheckTestPeer::rows(table)) {
-            if (row.valid)
-                return row;
-        }
-        ADD_FAILURE() << "no valid row";
-        return CheckTestPeer::rows(table)[0];
+        return CheckTestPeer::firstValidRow(table);
     }
 
     core::PairTable table;
@@ -405,9 +455,8 @@ TEST_F(PairTableInvariants, CleanTablePasses)
 
 TEST_F(PairTableInvariants, SuccessorOverflowFires)
 {
-    core::PairRow &row = firstValidRow();
-    while (row.succ.size() <= table.params().numSucc)
-        row.succ.push_back(0xdead000 + 0x40 * row.succ.size());
+    CheckTestPeer::count(table, firstValidRow()) =
+        table.params().numSucc + 1;
     CheckContext ctx;
     table.checkInvariants(ctx, "table.test");
     EXPECT_FALSE(ctx.ok());
@@ -415,8 +464,8 @@ TEST_F(PairTableInvariants, SuccessorOverflowFires)
 
 TEST_F(PairTableInvariants, RepeatedSuccessorFires)
 {
-    core::PairRow &row = firstValidRow();
-    row.succ.assign(2, 0xbeef00);  // same address twice
+    // The same address twice.
+    CheckTestPeer::setList(table, firstValidRow(), 0, {0xbeef00, 0xbeef00});
     CheckContext ctx;
     table.checkInvariants(ctx, "table.test");
     EXPECT_FALSE(ctx.ok());
@@ -425,8 +474,7 @@ TEST_F(PairTableInvariants, RepeatedSuccessorFires)
 TEST_F(PairTableInvariants, WrongSetTagFires)
 {
     // Move a valid row's tag so it hashes into a different set.
-    core::PairRow &row = firstValidRow();
-    row.tag += 0x40;
+    CheckTestPeer::tag(table, firstValidRow()) += 0x40;
     CheckContext ctx;
     table.checkInvariants(ctx, "table.test");
     EXPECT_FALSE(ctx.ok());
@@ -434,7 +482,7 @@ TEST_F(PairTableInvariants, WrongSetTagFires)
 
 TEST_F(PairTableInvariants, StampAboveCounterFires)
 {
-    firstValidRow().lruStamp = ~0ULL;
+    CheckTestPeer::stamp(table, firstValidRow()) = ~0ULL;
     CheckContext ctx;
     table.checkInvariants(ctx, "table.test");
     EXPECT_FALSE(ctx.ok());
@@ -449,15 +497,11 @@ struct ReplInvariants : public ::testing::Test
             repl.learnStep(a, cost);
     }
 
-    core::ReplRow &
+    core::CorrelationTable &table() { return CheckTestPeer::table(repl); }
+    std::size_t
     firstValidRow()
     {
-        for (auto &row : CheckTestPeer::rows(repl)) {
-            if (row.valid)
-                return row;
-        }
-        ADD_FAILURE() << "no valid row";
-        return CheckTestPeer::rows(repl)[0];
+        return CheckTestPeer::firstValidRow(table());
     }
 
     core::ReplicatedPrefetcher repl;
@@ -472,10 +516,8 @@ TEST_F(ReplInvariants, CleanTablePasses)
 
 TEST_F(ReplInvariants, LevelListOverflowFires)
 {
-    core::ReplRow &row = firstValidRow();
-    auto &lvl = row.levels[0];
-    while (lvl.size() <= repl.levels())
-        lvl.push_back(0xdead000 + 0x40 * lvl.size());
+    CheckTestPeer::count(table(), firstValidRow(), 0) =
+        table().params().numSucc + 1;
     CheckContext ctx;
     repl.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -483,7 +525,7 @@ TEST_F(ReplInvariants, LevelListOverflowFires)
 
 TEST_F(ReplInvariants, RepeatedLevelEntryFires)
 {
-    firstValidRow().levels[0].assign(2, 0xbeef00);
+    CheckTestPeer::setList(table(), firstValidRow(), 0, {0xbeef00, 0xbeef00});
     CheckContext ctx;
     repl.checkInvariants(ctx);
     EXPECT_FALSE(ctx.ok());
@@ -544,9 +586,8 @@ TEST(RefLruCache, TracksInsertsAccessesAndDetectsCorruption)
 
     // Any divergence in the real structure must show in the diff.
     for (std::uint32_t set = 0; set < c.numSets(); ++set) {
-        mem::CacheLine &l = CheckTestPeer::line(c, set, 0);
-        if (l.valid) {
-            l.readyAt += 1;
+        if (CheckTestPeer::valid(c, set, 0)) {
+            CheckTestPeer::line(c, set, 0).readyAt += 1;
             break;
         }
     }
@@ -568,11 +609,10 @@ TEST(RefLruCache, ResyncRepairsAfterExternalMutation)
 
     // invalidate() does notify; emulate a restore by detaching first.
     sim::Addr victim = sim::invalidAddr;
-    c.forEachLine(
-        [&](std::uint32_t, std::uint32_t, const mem::CacheLine &l) {
-            if (l.valid && victim == sim::invalidAddr)
-                victim = l.tag;
-        });
+    c.forEachLine([&](const auto &e, const mem::CacheLine &) {
+        if (victim == sim::invalidAddr)
+            victim = e.tag;
+    });
     ASSERT_NE(victim, sim::invalidAddr);
     c.setShadow(nullptr);
     c.invalidate(victim);
@@ -642,13 +682,14 @@ TEST(RefPairTable, DetectsSuccessorDivergence)
     }
 
     bool corrupted = false;
-    for (auto &row : CheckTestPeer::rows(base.table())) {
-        if (row.valid && row.succ.size() >= 2) {
-            std::swap(row.succ[0], row.succ[1]);
+    base.table().forEachRow([&](const auto &row) {
+        const auto succ = base.table().successors(core::RowIndex(row.index));
+        if (!corrupted && succ.size() >= 2) {
+            CheckTestPeer::setList(base.table(), row.index, 0,
+                                   {succ[1], succ[0]});
             corrupted = true;
-            break;
         }
-    }
+    });
     ASSERT_TRUE(corrupted);
     CheckContext ctx;
     ref.diff(base.table(), ctx);
@@ -691,13 +732,14 @@ TEST(RefPairTable, ResyncDoesNotMaskCorruptionAfterRemap)
     ref.resync(base.table(), base.learner());
 
     bool corrupted = false;
-    for (auto &row : CheckTestPeer::rows(base.table())) {
-        if (row.valid && row.succ.size() >= 2) {
-            std::swap(row.succ[0], row.succ[1]);
+    base.table().forEachRow([&](const auto &row) {
+        const auto succ = base.table().successors(core::RowIndex(row.index));
+        if (!corrupted && succ.size() >= 2) {
+            CheckTestPeer::setList(base.table(), row.index, 0,
+                                   {succ[1], succ[0]});
             corrupted = true;
-            break;
         }
-    }
+    });
     ASSERT_TRUE(corrupted);
     CheckContext ctx;
     ref.diff(base.table(), ctx);

@@ -19,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -405,12 +406,16 @@ expectSameTable(core::PairTable &a, core::PairTable &b)
     std::vector<std::tuple<sim::Addr, std::uint64_t,
                            std::vector<sim::Addr>>>
         ra, rb;
-    a.forEachRow([&](const core::PairRow &row) {
-        ra.emplace_back(row.tag, row.lruStamp, row.succ);
-    });
-    b.forEachRow([&](const core::PairRow &row) {
-        rb.emplace_back(row.tag, row.lruStamp, row.succ);
-    });
+    const auto rows = [](const core::PairTable &t, auto &out) {
+        t.forEachRow([&](const auto &row) {
+            const auto succ = t.successors(core::RowIndex(row.index));
+            out.emplace_back(row.tag, row.stamp,
+                             std::vector<sim::Addr>(succ.begin(),
+                                                    succ.end()));
+        });
+    };
+    rows(a, ra);
+    rows(b, rb);
     EXPECT_EQ(ra, rb);
     EXPECT_EQ(a.insertions(), b.insertions());
     EXPECT_EQ(a.replacements(), b.replacements());
@@ -429,9 +434,9 @@ TEST(PairTableRestore, EvictionOrderingSurvivesRestore)
     core::PairTable live(p, 12);
     auto touch = [&](core::PairTable &t, sim::Addr miss,
                      sim::Addr succ) {
-        core::PairRow *row = t.findOrAlloc(miss, nc);
-        ASSERT_NE(row, nullptr);
-        t.insertSuccessor(*row, succ, nc);
+        const core::RowIndex row = t.findOrAlloc(miss, nc);
+        ASSERT_NE(row, core::noRow);
+        t.insertSuccessor(row, succ, nc);
     };
     // Warm phase: overflow every set once and reorder some MRU lists.
     for (sim::Addr m = 0; m < 24; ++m)
@@ -737,19 +742,27 @@ TEST(ListWorkloads, EnumeratesThePaperApplications)
 // header), so the test reconstructs the exact configuration it was
 // taken under and compares against a live straight-through run.
 
+/** Parameter: "<file> [machine flags...]".  The flags rebuild the
+ *  machine the snapshot was taken on (driver::parseMachineFlag), as
+ *  the corpus README's ulmt-ckpt create commands give them. */
 class GoldenCkptCorpus : public ::testing::TestWithParam<const char *>
 {
 };
 
 TEST_P(GoldenCkptCorpus, RestoreFingerprintMatchesStraightRun)
 {
+    std::istringstream words(GetParam());
+    std::string file;
+    words >> file;
     const std::string path =
-        std::string(ULMT_SOURCE_DIR) + "/corpus/ckpt/" + GetParam();
+        std::string(ULMT_SOURCE_DIR) + "/corpus/ckpt/" + file;
     const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(path);
 
     driver::ExperimentOptions opt;
     opt.scale = h.scale;
     opt.seed = h.seed;
+    for (std::string flag; words >> flag;)
+        ASSERT_TRUE(driver::parseMachineFlag(flag, opt.machine)) << flag;
     const driver::SystemConfig cfg = driver::ulmtConfig(
         opt, core::parseUlmtAlgo(h.label), h.workload);
 
@@ -760,19 +773,22 @@ TEST_P(GoldenCkptCorpus, RestoreFingerprintMatchesStraightRun)
               driver::resultFingerprint(straight));
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, GoldenCkptCorpus,
-                         ::testing::Values("mst_base.ulmtckp",
-                                           "mst_chain.ulmtckp",
-                                           "mst_repl.ulmtckp",
-                                           "tree_base.ulmtckp",
-                                           "tree_chain.ulmtckp",
-                                           "tree_repl.ulmtckp"),
-                         [](const auto &info) {
-                             std::string n(info.param);
-                             for (char &c : n)
-                                 if (c == '.')
-                                     c = '_';
-                             return n;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, GoldenCkptCorpus,
+    ::testing::Values(
+        "mst_base.ulmtckp", "mst_chain.ulmtckp", "mst_repl.ulmtckp",
+        "tree_base.ulmtckp", "tree_chain.ulmtckp", "tree_repl.ulmtckp",
+        "mst_chain_2c_vm_tc.ulmtckp --cores=2 --vm=on "
+        "--remap-rate=100 --table-cache=256,4",
+        "mst_repl_2c_vm_tc.ulmtckp --cores=2 --vm=on "
+        "--remap-rate=100 --table-cache=256,4"),
+    [](const auto &info) {
+        std::string n(info.param);
+        n = n.substr(0, n.find(' '));
+        for (char &c : n)
+            if (c == '.')
+                c = '_';
+        return n;
+    });
 
 } // namespace

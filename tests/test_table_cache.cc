@@ -32,7 +32,13 @@ struct CheckTestPeer
     static mem::TableCacheLine &
     line(mem::TableCache &c, std::uint32_t set, std::uint32_t way)
     {
-        return c.lines_[set * c.assoc_ + way];
+        return c.ways_.data(c.ways_.index(set, way));
+    }
+
+    static bool
+    valid(mem::TableCache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return c.ways_.valid(c.ways_.index(set, way));
     }
 
     static std::vector<sim::Addr> &
@@ -254,20 +260,19 @@ TEST(TableCacheCkpt, SaveRestoreRoundTripsBitIdentically)
 
     // Identical contents...
     std::vector<std::string> la, lb;
-    a.forEachLine([&](std::uint32_t set, std::uint32_t way,
-                      const mem::TableCacheLine &l) {
-        la.push_back(std::to_string(set) + ":" + std::to_string(way) +
-                     ":" + std::to_string(l.tag) + ":" +
-                     std::to_string(l.dirty) + ":" +
-                     std::to_string(l.lruStamp));
-    });
-    b.forEachLine([&](std::uint32_t set, std::uint32_t way,
-                      const mem::TableCacheLine &l) {
-        lb.push_back(std::to_string(set) + ":" + std::to_string(way) +
-                     ":" + std::to_string(l.tag) + ":" +
-                     std::to_string(l.dirty) + ":" +
-                     std::to_string(l.lruStamp));
-    });
+    const auto lines = [](const mem::TableCache &c,
+                          std::vector<std::string> &out) {
+        c.forEachLine([&](const auto &e, const mem::TableCacheLine &l) {
+            out.push_back(std::to_string(e.set) + ":" +
+                          std::to_string(e.way) + ":" +
+                          std::to_string(e.tag) + ":" +
+                          std::to_string(l.dirty) + ":" +
+                          std::to_string(e.stamp));
+        });
+    };
+    lines(a, la);
+    lines(b, lb);
+    EXPECT_EQ(la.size(), a.numSets() * a.assoc());  // every way valid
     EXPECT_EQ(la, lb);
     EXPECT_EQ(a.dirtyBuffer(), b.dirtyBuffer());
     EXPECT_EQ(a.stats().hits, b.stats().hits);
@@ -338,7 +343,7 @@ TEST(RefTableCacheOracle, DetectsSeededDirtyBitCorruption)
     for (std::uint32_t set = 0; set < c.numSets() && !flipped; ++set) {
         for (std::uint32_t way = 0; way < c.assoc(); ++way) {
             mem::TableCacheLine &l = CheckTestPeer::line(c, set, way);
-            if (l.valid && l.dirty) {
+            if (CheckTestPeer::valid(c, set, way) && l.dirty) {
                 l.dirty = false;
                 flipped = true;
                 break;

@@ -116,16 +116,20 @@ TEST(PairTable, SuccessorListIsMruWithLruReplacement)
 {
     core::CorrelationParams p = figureParams(2, 1);
     core::PairTable table(p, 12);
-    core::PairRow *row = table.findOrAlloc(A, nc);
-    table.insertSuccessor(*row, B, nc);
-    table.insertSuccessor(*row, C, nc);
-    EXPECT_EQ(row->succ, (std::vector<sim::Addr>{C, B}));
+    const core::RowIndex row = table.findOrAlloc(A, nc);
+    const auto succ = [&] {
+        const auto s = table.successors(row);
+        return std::vector<sim::Addr>(s.begin(), s.end());
+    };
+    table.insertSuccessor(row, B, nc);
+    table.insertSuccessor(row, C, nc);
+    EXPECT_EQ(succ(), (std::vector<sim::Addr>{C, B}));
     // Re-inserting B promotes it.
-    table.insertSuccessor(*row, B, nc);
-    EXPECT_EQ(row->succ, (std::vector<sim::Addr>{B, C}));
+    table.insertSuccessor(row, B, nc);
+    EXPECT_EQ(succ(), (std::vector<sim::Addr>{B, C}));
     // A third distinct successor displaces the LRU one (C).
-    table.insertSuccessor(*row, D, nc);
-    EXPECT_EQ(row->succ, (std::vector<sim::Addr>{D, B}));
+    table.insertSuccessor(row, D, nc);
+    EXPECT_EQ(succ(), (std::vector<sim::Addr>{D, B}));
 }
 
 TEST(PairTable, SetConflictsReplaceLruRow)
@@ -142,8 +146,8 @@ TEST(PairTable, SetConflictsReplaceLruRow)
     table.find(A, nc);  // touch A: B becomes LRU
     table.findOrAlloc(C, nc);
     EXPECT_EQ(table.replacements(), 1u);
-    EXPECT_NE(table.findNoCost(A), nullptr);
-    EXPECT_EQ(table.findNoCost(B), nullptr);
+    EXPECT_NE(table.findNoCost(A), core::noRow);
+    EXPECT_EQ(table.findNoCost(B), core::noRow);
 }
 
 TEST(PairTable, SizeAccountingMatchesPaper)

@@ -8,8 +8,8 @@
  *
  * Each seed deterministically derives one machine configuration
  * (algorithm, table geometry, queue depth, filter size, placement,
- * Conven4, Verbose, core count, ULMT serving mode) and one short
- * workload, then runs it to completion
+ * Conven4, Verbose, core count, ULMT serving mode, table cache,
+ * virtual memory) and one short workload, then runs it to completion
  * with the invariant checker armed -- by default in Deep mode, so the
  * lockstep reference models are diffed too.  The same seed always
  * produces the same configuration, on every host.
@@ -34,6 +34,7 @@
 #include "check/check.hh"
 #include "driver/experiment.hh"
 #include "sim/random.hh"
+#include "vm/vm.hh"
 
 namespace {
 
@@ -54,22 +55,39 @@ struct Scenario
     core::UlmtMode mode = core::UlmtMode::Shared;
     std::uint32_t tcacheEntries = 0;  //!< 0 = no table cache
     std::uint32_t tcacheAssoc = 4;
+    bool vm = false;                  //!< translate at all
+    std::uint32_t pageBytes = 4096;
+    double remapRate = 0.0;           //!< remaps per million cycles
 
     std::string
     describe() const
     {
-        char buf[288];
+        char buf[352];
         std::snprintf(
             buf, sizeof(buf),
             "app=%s algo=%s rows=%u levels=%u verbose=%d conven4=%d "
             "placement=%s queueDepth=%u filterEntries=%u scale=%g "
-            "cores=%u mode=%s tcache=%u,%u",
+            "cores=%u mode=%s tcache=%u,%u %s",
             app.c_str(), core::to_string(algo).c_str(), numRows,
             numLevels, verbose, conven4,
             placement == mem::MemProcPlacement::InDram ? "InDram"
                                                        : "NorthBridge",
             queueDepth, filterEntries, scale, cores,
-            core::to_string(mode).c_str(), tcacheEntries, tcacheAssoc);
+            core::to_string(mode).c_str(), tcacheEntries, tcacheAssoc,
+            vmFlags().c_str());
+        return buf;
+    }
+
+    /** The VM dimensions as the machine flags that rebuild them. */
+    std::string
+    vmFlags() const
+    {
+        if (!vm)
+            return "--vm=off";
+        char buf[96];
+        std::snprintf(buf, sizeof(buf),
+                      "--vm=on --page-size=%s --remap-rate=%g",
+                      vm::pageSizeName(pageBytes).c_str(), remapRate);
         return buf;
     }
 };
@@ -122,6 +140,21 @@ deriveScenario(std::uint64_t seed, double scale)
         s.tcacheEntries = tcEntries[rng.below(3)];
         s.tcacheAssoc = rng.chance(0.5) ? 4 : 8;
     }
+    // The VM draws are newer still, so they come last.  A 2 MB remap
+    // sweeps 32K table lines, so huge pages only churn slowly: at 100
+    // remaps per million cycles a seed costs ~8x one without VM, at
+    // 0-2 about the same.
+    if (rng.chance(0.5)) {
+        s.vm = true;
+        if (rng.chance(0.5)) {
+            static const double rates4k[] = {0, 20, 100};
+            s.remapRate = rates4k[rng.below(3)];
+        } else {
+            static const double rates2m[] = {0, 1, 2};
+            s.pageBytes = 2u << 20;
+            s.remapRate = rates2m[rng.below(3)];
+        }
+    }
     // N cores replay N workload copies; divide the trace down so every
     // seed costs about the same and the sweep's wall time stays flat.
     if (s.cores > 1)
@@ -154,6 +187,9 @@ buildConfig(const Scenario &s)
     cfg.ulmtMode = s.mode;
     cfg.tableCache.entries = s.tcacheEntries;
     cfg.tableCache.assoc = s.tcacheAssoc;
+    cfg.vm.enabled = s.vm;
+    cfg.vm.pageBytes = s.pageBytes;
+    cfg.vm.remapRate = s.remapRate;
     cfg.metricsInterval = 0;  // fuzzing needs no time series
     return cfg;
 }
@@ -176,6 +212,17 @@ runScenario(const Scenario &s, const check::CheckOptions &chk)
         return e.what();
     }
     return "";
+}
+
+/** @p s with the VM layer off (and its dimensions at their defaults). */
+Scenario
+withoutVm(Scenario s)
+{
+    const Scenario defaults;
+    s.vm = defaults.vm;
+    s.pageBytes = defaults.pageBytes;
+    s.remapRate = defaults.remapRate;
+    return s;
 }
 
 /**
@@ -201,6 +248,7 @@ shrink(Scenario s, const check::CheckOptions &chk, bool verbose_log)
                 changed = true;
             }
         };
+        trial([&](Scenario &t) { t = withoutVm(t); }, "vm=off");
         trial([&](Scenario &t) { t.tcacheEntries = 0; }, "tcache=off");
         trial([&](Scenario &t) { t.cores = 1; }, "cores=1");
         trial([&](Scenario &t) { t.mode = core::UlmtMode::Shared; },
