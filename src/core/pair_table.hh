@@ -31,6 +31,7 @@
 #include "ckpt/state.hh"
 #include "core/cost.hh"
 #include "core/params.hh"
+#include "sim/mapped_alloc.hh"
 #include "sim/set_assoc.hh"
 #include "sim/types.hh"
 
@@ -177,9 +178,9 @@ class CorrelationTable
     std::uint32_t firstFillWay_;
     Rows rows_;
     /** numRows x levels x numSucc successor addresses. */
-    std::vector<sim::Addr> succ_;
+    sim::MappedVector<sim::Addr> succ_;
     /** Live length of each of the numRows x levels lists. */
-    std::vector<std::uint32_t> count_;
+    sim::MappedVector<std::uint32_t> count_;
     std::uint64_t insertions_ = 0;
     std::uint64_t replacements_ = 0;
 };

@@ -32,6 +32,7 @@
 
 #include "check/check.hh"
 #include "ckpt/state.hh"
+#include "sim/mapped_alloc.hh"
 
 namespace sim {
 
@@ -277,11 +278,11 @@ class SetAssoc
 
     std::uint32_t sets_ = 0;
     std::uint32_t ways_ = 0;
-    std::vector<std::uint64_t> tag_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint64_t> stamp_;
+    MappedVector<std::uint64_t> tag_;
+    MappedVector<std::uint8_t> valid_;
+    MappedVector<std::uint64_t> stamp_;
     /** Empty for an empty Payload. */
-    std::vector<Payload> data_;
+    MappedVector<Payload> data_;
     std::uint64_t clock_ = 0;
 };
 

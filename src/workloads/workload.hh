@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cpu/trace.hh"
+#include "sim/mapped_alloc.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -44,7 +45,10 @@ struct WorkloadParams
  * traceChunkRecords (1 MiB each).  Every chunk but the last is full.
  */
 inline constexpr std::size_t traceChunkRecords = std::size_t{1} << 16;
-using TraceChunks = std::vector<std::vector<cpu::TraceRecord>>;
+using TraceChunk = std::vector<
+    cpu::TraceRecord,
+    sim::RecyclingAllocator<cpu::TraceRecord, traceChunkRecords>>;
+using TraceChunks = std::vector<TraceChunk>;
 
 /**
  * Accumulates the dynamic trace of a kernel.  Records are appended

@@ -19,6 +19,7 @@
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/logging.hh"
+#include "sim/mapped_alloc.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "ref_priority_timeline.hh"
@@ -411,6 +412,73 @@ TEST(FlatSet, MatchesUnorderedSet)
     s.clear();
     EXPECT_EQ(s.size(), 0u);
     EXPECT_TRUE(s.insert(want.empty() ? 64 : want.front()));
+}
+
+namespace {
+
+struct Defaulted
+{
+    std::uint32_t a = 7;
+    std::uint64_t b = 9;
+};
+
+template <typename T>
+bool
+allEqual(const sim::MappedVector<T> &v, const T &want)
+{
+    return std::all_of(v.begin(), v.end(),
+                       [&](const T &x) { return x == want; });
+}
+
+} // namespace
+
+TEST(MappedVector, ValueInitializesSmallAndMappedArrays)
+{
+    // Both sides of minBytes, twice each: the second array may reuse
+    // the first one's memory, which was dirtied before it was freed.
+    for (const std::size_t n : {std::size_t(1000), std::size_t(1) << 20}) {
+        for (int round = 0; round < 2; ++round) {
+            sim::MappedVector<std::uint64_t> v(n);
+            ASSERT_EQ(v.size(), n);
+            EXPECT_TRUE(allEqual<std::uint64_t>(v, 0)) << n;
+            std::fill(v.begin(), v.end(), ~std::uint64_t(0));
+
+            sim::MappedVector<Defaulted> d;
+            d.resize(n);
+            EXPECT_TRUE(std::all_of(d.begin(), d.end(), [](const auto &x) {
+                return x.a == 7 && x.b == 9;
+            })) << n;
+        }
+    }
+    sim::MappedVector<std::uint32_t> copied(std::size_t(1) << 16, 5);
+    sim::MappedVector<std::uint32_t> copy = copied;
+    EXPECT_TRUE(allEqual<std::uint32_t>(copy, 5));
+}
+
+TEST(RecyclingAllocator, HandsAFreedBlockOutAgain)
+{
+    using Alloc = sim::RecyclingAllocator<std::uint64_t, 4096>;
+    Alloc a;
+    std::uint64_t *p = a.allocate(4096);
+    p[4095] = 42;
+    a.deallocate(p, 4096);
+    std::uint64_t *q = a.allocate(4096);
+    EXPECT_EQ(q, p);
+    std::uint64_t *r = a.allocate(4096);
+    EXPECT_NE(r, q);
+    // Other sizes go to operator new.
+    std::uint64_t *s = a.allocate(10);
+    s[9] = 1;
+    a.deallocate(s, 10);
+    a.deallocate(r, 4096);
+    a.deallocate(q, 4096);
+
+    std::vector<std::uint64_t, Alloc> v;
+    v.reserve(4096);
+    EXPECT_EQ(v.data(), q);  // the last block freed
+    for (std::uint64_t i = 0; i < 4096; ++i)
+        v.push_back(i);
+    EXPECT_EQ(v.back(), 4095u);
 }
 
 TEST(PriorityTimeline, HighDisplacesUnstartedLowButNotInProgress)
