@@ -52,9 +52,24 @@ MainProcessor::retireCompleted(sim::Cycle c)
 void
 MainProcessor::step()
 {
-    const sim::Cycle now = eq_.now();
+    sim::Cycle now = eq_.now();
     sim::Cycle c = now;
     std::uint32_t processed = 0;
+
+    // Yield to resume at @p when.  If that resume is the queue's very
+    // next event, become it instead: restart the loop exactly as a
+    // freshly popped step() would, and return true.
+    const auto resumeInline = [&](sim::Cycle when) {
+        stats_.totalCycles = c;
+        if (!eq_.continueAt(when)) {
+            eq_.schedule(when, sim::EventKind::ProcStep, core_, 0,
+                         stepAction());
+            return false;
+        }
+        now = c = when;
+        processed = 0;
+        return true;
+    };
 
     while (true) {
         if (!haveRec_) {
@@ -122,9 +137,8 @@ MainProcessor::step()
             // Never touch the hierarchy far ahead of the event clock:
             // yield and resume at the access's issue cycle.
             if (c > now + maxSkew) {
-                stats_.totalCycles = c;
-                eq_.schedule(c, sim::EventKind::ProcStep, core_, 0,
-                             stepAction());
+                if (resumeInline(c))
+                    continue;
                 return;
             }
 
@@ -139,9 +153,8 @@ MainProcessor::step()
         haveRec_ = false;
 
         if (c > now + maxSkew || ++processed >= 64) {
-            stats_.totalCycles = c;
-            eq_.schedule(c > now ? c : now + 1, sim::EventKind::ProcStep,
-                         core_, 0, stepAction());
+            if (resumeInline(c > now ? c : now + 1))
+                continue;
             return;
         }
     }
@@ -152,7 +165,8 @@ MainProcessor::saveState(ckpt::StateWriter &w) const
 {
     auto saveQueue = [&w](const PendingQueue &q) {
         w.u64(q.size());
-        for (const Pending &p : q) {
+        for (std::uint32_t i = 0; i < q.size(); ++i) {
+            const Pending &p = q[i];
             w.u64(p.complete);
             w.u8(static_cast<std::uint8_t>(p.served));
             w.u64(p.opStamp);
@@ -199,6 +213,11 @@ MainProcessor::restoreState(ckpt::StateReader &r)
     auto restoreQueue = [&](PendingQueue &q) {
         q.clear();
         const std::uint64_t n = r.u64();
+        if (n > q.window())
+            throw ckpt::CkptError(sim::strformat(
+                "processor state holds %llu pending references, more "
+                "than the window of %u",
+                (unsigned long long)n, q.window()));
         for (std::uint64_t i = 0; i < n; ++i) {
             Pending p{};
             p.complete = r.u64();

@@ -17,17 +17,21 @@
  * The model is a resumable state machine over the global event queue:
  * whenever the core's local clock would run more than a few cycles
  * ahead of the event clock (a stall, or accumulated busy work), it
- * reschedules itself, so that cache/memory state it observes is never
- * stale with respect to concurrent ULMT activity.
+ * yields to resume at its local clock, so that cache/memory state it
+ * observes is never stale with respect to concurrent ULMT activity.
+ * When its resume would be the queue's very next event anyway
+ * (sim::EventQueue::continueAt), it carries on inline as that event
+ * instead of rescheduling itself.
  */
 
 #ifndef CPU_MAIN_PROCESSOR_HH
 #define CPU_MAIN_PROCESSOR_HH
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "ckpt/state.hh"
 #include "cpu/hierarchy.hh"
@@ -74,7 +78,8 @@ class MainProcessor
                   Hierarchy &hierarchy, TraceSource &source,
                   unsigned core = 0)
         : eq_(eq), tp_(tp), hierarchy_(hierarchy), source_(source),
-          core_(core)
+          core_(core), pendingLoads_(tp.maxPendingLoads),
+          pendingStores_(tp.maxPendingStores)
     {
     }
 
@@ -150,8 +155,62 @@ class MainProcessor
         std::uint64_t opStamp;
     };
 
-    /** Program-order queue of in-flight references. */
-    using PendingQueue = std::deque<Pending>;
+    /**
+     * Program-order queue of in-flight references: a fixed ring of
+     * its window rounded up to a power of two.  step() pops the oldest
+     * entry before it pushes into a full window, so the ring never
+     * holds more than the window.
+     */
+    class PendingQueue
+    {
+      public:
+        explicit PendingQueue(std::uint32_t window)
+            : window_(window), buf_(std::bit_ceil(window)),
+              mask_(static_cast<std::uint32_t>(buf_.size()) - 1)
+        {
+            SIM_ASSERT(window > 0, "empty load/store window");
+        }
+
+        std::uint32_t window() const { return window_; }
+        bool empty() const { return size_ == 0; }
+        std::uint32_t size() const { return size_; }
+        const Pending &front() const { return buf_[head_]; }
+        /** The @p i-th oldest entry. */
+        const Pending &
+        operator[](std::uint32_t i) const
+        {
+            return buf_[(head_ + i) & mask_];
+        }
+
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+
+        void
+        push_back(const Pending &p)
+        {
+            SIM_ASSERT(size_ < window_, "pending window overflow");
+            buf_[(head_ + size_) & mask_] = p;
+            ++size_;
+        }
+
+        void
+        clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
+
+      private:
+        std::uint32_t window_;
+        std::vector<Pending> buf_;
+        std::uint32_t mask_;
+        std::uint32_t head_ = 0;
+        std::uint32_t size_ = 0;
+    };
 
     /** Resume execution at the current event time. */
     void step();

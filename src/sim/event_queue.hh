@@ -162,6 +162,36 @@ class EventQueue
     }
 
     /**
+     * Run an event at @p when inline instead of scheduling it, when
+     * that is exactly what run() would do next.  The caller is the
+     * action now executing; it asks whether an event it would
+     * schedule at @p when (necessarily with the highest seq so far)
+     * would be the very next one popped with nothing in between.  That
+     * holds when every pending event is strictly later (an equal-time
+     * one owns a lower seq and goes first), no ticker, inspector or
+     * break check would fire after the current event, and run()'s
+     * event limit leaves room for one more.  On true the queue
+     * advances exactly as a push followed by a pop would -- the event
+     * consumes a seq, counts as executed and moves the clock to
+     * @p when -- and the caller continues as that event.  On false
+     * nothing changes and the caller schedules as usual.
+     */
+    bool
+    continueAt(Cycle when)
+    {
+        SIM_ASSERT(when >= now_, "continued at %llu before now %llu",
+                   (unsigned long long)when, (unsigned long long)now_);
+        if ((!heap_.empty() && heap_.front().when <= when) ||
+            now_ >= tickDue_ || executed_ >= inspectDue_ ||
+            breakCheck_ || executed_ >= runLimit_)
+            return false;
+        ++nextSeq_;
+        ++executed_;
+        now_ = when;
+        return true;
+    }
+
+    /**
      * Snapshot the pending events' tags, sorted by execution order
      * (when, seq).  Entries with kind == Untagged cannot be restored;
      * the checkpoint layer rejects them.
@@ -243,6 +273,14 @@ class EventQueue
     bool
     run(std::uint64_t max_events = UINT64_MAX)
     {
+        // continueAt() may run events only inside run(), up to its
+        // limit; the guard closes that window on every exit.
+        struct LimitGuard
+        {
+            std::uint64_t &limit;
+            ~LimitGuard() { limit = 0; }
+        } guard{runLimit_};
+        runLimit_ = max_events;
         breakHit_ = false;
         while (!heap_.empty()) {
             if (executed_ >= max_events)
@@ -409,6 +447,8 @@ class EventQueue
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    /** The running run()'s max_events; 0 outside run() (continueAt). */
+    std::uint64_t runLimit_ = 0;
     /** Passive observability ticker (neverCycle = disabled). */
     Cycle tickDue_ = neverCycle;
     Cycle tickInterval_ = 0;

@@ -117,7 +117,7 @@ struct RecyclingAllocator
         if (n != Count)
             return std::allocator<T>().deallocate(p, n);
         std::lock_guard<std::mutex> lock(mutex_);
-        std::memcpy(p, &free_, sizeof free_);
+        std::memcpy(static_cast<void *>(p), &free_, sizeof free_);
         free_ = p;
     }
 

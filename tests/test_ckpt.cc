@@ -395,6 +395,33 @@ TEST_F(CkptCorruption, MismatchedWorkloadRejected)
     EXPECT_THROW(sys.restoreCheckpoint(path_), ckpt::CkptError);
 }
 
+TEST_F(CkptCorruption, OverfullProcessorWindowRejected)
+{
+    // The pending-load and pending-store rings hold at most their
+    // windows (8 and 16 by default); a larger count is corrupt state.
+    workloads::WorkloadParams wp;
+    wp.scale = 0.01;
+    auto wl = workloads::makeWorkload("MST", wp);
+    driver::System sys(cfg_, *wl);
+    const mem::TimingParams tp;
+    for (const bool stores : {false, true}) {
+        ckpt::StateWriter w;
+        if (stores)
+            w.u64(0);  // an empty load window
+        w.u64((stores ? tp.maxPendingStores : tp.maxPendingLoads) + 1);
+        ckpt::StateReader r(w.buffer());
+        try {
+            sys.processor().restoreState(r);
+            FAIL() << "overfull " << (stores ? "store" : "load")
+                   << " window accepted";
+        } catch (const ckpt::CkptError &e) {
+            EXPECT_NE(std::string(e.what()).find("window"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Table restores: the MRU-sensitive structures.
 

@@ -7,12 +7,16 @@
  * checkpoint round trip -- a restored N=4 run must finish
  * bit-identical to the uninterrupted one in every serving mode, and a
  * snapshot must be loudly rejected by a machine with a different core
- * count or serving mode.
+ * count or serving mode.  Runs whose steps continue inline match runs
+ * forced through the event heap.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -197,6 +201,117 @@ TEST(Multicore, DeepCheckCleanInEveryMode)
         EXPECT_NO_THROW((void)makeSystem(cfg, "MST", 0.003)->run());
     }
 }
+
+/** Every core's ProcessorStats, flattened for comparison. */
+std::vector<double>
+processorStats(driver::System &sys)
+{
+    std::vector<double> out;
+    for (unsigned c = 0; c < sys.numCores(); ++c) {
+        const cpu::ProcessorStats &p = sys.processor(c).stats();
+        for (const double v :
+             {double(p.totalCycles), double(p.busyCycles),
+              double(p.uptoL2Stall), double(p.beyondL2Stall),
+              double(p.records), double(p.ops), double(p.stallDependence),
+              double(p.stallLoadWindow), double(p.stallStoreWindow),
+              double(p.stallDrain), double(p.beyondWaits.count()),
+              p.beyondWaits.sum(), p.beyondWaits.min(),
+              p.beyondWaits.max(), double(p.uptoWaits.count()),
+              p.uptoWaits.sum(), p.uptoWaits.min(), p.uptoWaits.max()})
+            out.push_back(v);
+    }
+    return out;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+struct InlineCase
+{
+    const char *app;
+    unsigned cores;
+};
+
+// Keeps the listed test name free of the app pointer's bytes.
+void
+PrintTo(const InlineCase &c, std::ostream *os)
+{
+    *os << c.app << "/" << c.cores;
+}
+
+class InlineSteps : public ::testing::TestWithParam<InlineCase>
+{
+};
+
+/**
+ * A core's step() runs its own next step inline when that is the
+ * queue's next event (EventQueue::continueAt).  An every-event
+ * inspector refuses every continuation, so the same run goes through
+ * the heap step by step; both must agree on everything.  Checkpoints
+ * at a fixed cycle must be byte-identical as well, and a run that
+ * paused for one ends as the straight run does.
+ */
+TEST_P(InlineSteps, MatchTheHeapOnlyRun)
+{
+    const auto [app, cores] = GetParam();
+    const driver::SystemConfig cfg =
+        mcConfig(cores, core::UlmtMode::Shared, app);
+    struct Outcome
+    {
+        std::string fp;
+        std::uint64_t events;
+        std::uint64_t nextSeq;
+        std::vector<double> proc;
+        std::string ckpt;
+    };
+    const auto run = [&](bool heapOnly, const std::string &trigger) {
+        auto sys = makeSystem(cfg, app);
+        if (heapOnly)
+            sys->eventQueue().setInspector(1, [] {});
+        const std::string path =
+            tmpPath(std::string("inline_") + app + std::to_string(cores) +
+                    (heapOnly ? "_heap" : "_inline") + ".ulmtckp");
+        if (!trigger.empty())
+            sys->setCheckpointTrigger(trigger, path);
+        const driver::RunResult r = sys->run();
+        return Outcome{driver::resultFingerprint(r), r.eventsExecuted,
+                       sys->eventQueue().nextSeq(), processorStats(*sys),
+                       trigger.empty() ? "" : readBytes(path)};
+    };
+
+    const Outcome plain = run(false, "");
+    const Outcome heap = run(true, "");
+    EXPECT_EQ(plain.fp, heap.fp);
+    EXPECT_EQ(plain.events, heap.events);
+    EXPECT_EQ(plain.nextSeq, heap.nextSeq);
+    EXPECT_EQ(plain.proc, heap.proc);
+
+    const std::string trigger =
+        std::to_string(static_cast<std::uint64_t>(plain.proc[0]) / 2) + "c";
+    const Outcome plainCkpt = run(false, trigger);
+    const Outcome heapCkpt = run(true, trigger);
+    ASSERT_FALSE(plainCkpt.ckpt.empty()) << "trigger never fired";
+    EXPECT_EQ(plainCkpt.ckpt, heapCkpt.ckpt);
+    EXPECT_EQ(plainCkpt.fp, plain.fp);
+    EXPECT_EQ(heapCkpt.fp, plain.fp);
+    EXPECT_EQ(plainCkpt.events, plain.events);
+}
+
+// Tree is compute-heavy: most of its steps continue inline.
+INSTANTIATE_TEST_SUITE_P(Machines, InlineSteps,
+                         ::testing::Values(InlineCase{"MST", 1},
+                                           InlineCase{"MST", 4},
+                                           InlineCase{"Tree", 1}),
+                         [](const auto &info) {
+                             return std::string(info.param.app) + "_" +
+                                    std::to_string(info.param.cores) +
+                                    "core";
+                         });
 
 class MulticoreCkpt : public ::testing::TestWithParam<core::UlmtMode>
 {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -116,10 +117,17 @@ struct RandomSchedule
 {
     static constexpr std::size_t target = 200;
 
-    explicit RandomSchedule(std::uint64_t limit) : limit(limit) {}
+    explicit RandomSchedule(std::uint64_t limit, bool continueInline = false)
+        : limit(limit), continueInline(continueInline)
+    {
+    }
 
     sim::EventQueue eq;
     std::uint64_t limit;
+    /** Run an event's last child inline when EventQueue::continueAt
+     *  allows it, as MainProcessor::step does. */
+    bool continueInline;
+    std::uint64_t inlined = 0;
     std::uint64_t nextId = 0;
     /** (when, seq) each id was scheduled with. */
     std::vector<std::pair<sim::Cycle, std::uint64_t>> key;
@@ -145,20 +153,38 @@ struct RandomSchedule
     sim::EventQueue::Action
     action(std::uint64_t id)
     {
-        return [this, id] {
-            EXPECT_EQ(eq.now(), key[id].first);
-            const std::size_t at = log.size();
-            log.push_back(id);
-            const std::uint64_t h = mix(id);
-            const unsigned children =
-                eq.pending() < target ? 1 + (h & 1) : (h >> 1) & 1;
-            for (unsigned c = 0; c < children && nextId < limit; ++c) {
-                const std::uint64_t d = (h >> (8 + 4 * c)) & 15;
-                spawn(eq.now() + (d < 8 ? 0 : d < 13 ? 1 : d));
+        return [this, id]() mutable {
+            for (;;) {
+                EXPECT_EQ(eq.now(), key[id].first);
+                const std::size_t at = log.size();
+                log.push_back(id);
+                const std::uint64_t h = mix(id);
+                const unsigned children =
+                    eq.pending() < target ? 1 + (h & 1) : (h >> 1) & 1;
+                bool continued = false;
+                std::uint64_t next = 0;
+                for (unsigned c = 0; c < children && nextId < limit; ++c) {
+                    const std::uint64_t d = (h >> (8 + 4 * c)) & 15;
+                    const sim::Cycle when =
+                        eq.now() + (d < 8 ? 0 : d < 13 ? 1 : d);
+                    const std::uint64_t seq = eq.nextSeq();
+                    if (continueInline && c + 1 == children &&
+                        eq.continueAt(when)) {
+                        key.emplace_back(when, seq);
+                        next = nextId++;
+                        ++inlined;
+                        continued = true;
+                    } else {
+                        spawn(when);
+                    }
+                }
+                // The capture outlives the spawns, which may reuse this
+                // event's slot or grow the slab.
+                EXPECT_EQ(log[at], id);
+                if (!continued)
+                    return;
+                id = next;
             }
-            // The capture outlives the spawns, which may reuse this
-            // event's slot or grow the slab.
-            EXPECT_EQ(log[at], id);
         };
     }
 
@@ -248,6 +274,162 @@ TEST(EventQueue, MidRunRestoreContinuesInIdenticalOrder)
         EXPECT_EQ(resumed.eq.nextSeq(), straight.eq.nextSeq());
         EXPECT_EQ(resumed.eq.now(), straight.eq.now());
     }
+}
+
+/** Clock, counts and pending events of a queue at one instant. */
+struct QueueState
+{
+    sim::Cycle now;
+    std::uint64_t executed;
+    std::uint64_t nextSeq;
+    std::vector<sim::SavedEvent> pending;
+};
+
+QueueState
+stateOf(const sim::EventQueue &eq)
+{
+    return {eq.now(), eq.executed(), eq.nextSeq(), eq.saveEvents()};
+}
+
+void
+expectSameState(const QueueState &a, const QueueState &b)
+{
+    EXPECT_EQ(a.now, b.now);
+    EXPECT_EQ(a.executed, b.executed);
+    EXPECT_EQ(a.nextSeq, b.nextSeq);
+    ASSERT_EQ(a.pending.size(), b.pending.size());
+    for (std::size_t i = 0; i < a.pending.size(); ++i) {
+        EXPECT_EQ(a.pending[i].when, b.pending[i].when);
+        EXPECT_EQ(a.pending[i].seq, b.pending[i].seq);
+        EXPECT_EQ(a.pending[i].kind, b.pending[i].kind);
+        EXPECT_EQ(a.pending[i].arg0, b.pending[i].arg0);
+        EXPECT_EQ(a.pending[i].arg1, b.pending[i].arg1);
+    }
+}
+
+TEST(EventQueue, InlineContinuationRunsTheSameScheduleAsTheHeap)
+{
+    RandomSchedule heap(200000);
+    heap.seed(64);
+    ASSERT_TRUE(heap.eq.run());
+
+    RandomSchedule inl(200000, true);
+    inl.seed(64);
+    ASSERT_TRUE(inl.eq.run());
+    // With ~200 events pending a child seldom precedes them all.
+    EXPECT_GT(inl.inlined, 1000u);
+    expectReferenceOrder(inl);
+    EXPECT_EQ(inl.log, heap.log);
+    EXPECT_EQ(inl.key, heap.key);
+    expectSameState(stateOf(inl.eq), stateOf(heap.eq));
+
+    // Stopped at an event limit, both runs hold the same events,
+    // counts and pending queue.
+    for (std::uint64_t stop : {1u, 777u, 50001u}) {
+        RandomSchedule a(100000), b(100000, true);
+        a.seed(64);
+        b.seed(64);
+        ASSERT_FALSE(a.eq.run(stop));
+        ASSERT_FALSE(b.eq.run(stop));
+        EXPECT_EQ(b.eq.executed(), stop);
+        EXPECT_EQ(b.log, a.log) << "stopped at " << stop;
+        expectSameState(stateOf(b.eq), stateOf(a.eq));
+    }
+}
+
+/** From inside an event at cycle 5, ask whether an event at @p when
+ *  may run inline; @p setup arms the queue first. */
+bool
+continuesAt(sim::Cycle when,
+            const std::function<void(sim::EventQueue &)> &setup,
+            std::uint64_t max_events = UINT64_MAX)
+{
+    sim::EventQueue eq;
+    setup(eq);
+    bool answer = false;
+    eq.schedule(5, [&] { answer = eq.continueAt(when); });
+    eq.run(max_events);
+    return answer;
+}
+
+TEST(EventQueue, ContinueAtRefusesWhenAnotherEventComesFirst)
+{
+    const auto pendingAt10 = [](sim::EventQueue &eq) {
+        eq.schedule(10, [] {});
+    };
+    EXPECT_TRUE(continuesAt(9, pendingAt10));
+    // An equal-time pending event owns a lower seq, so it runs first.
+    EXPECT_FALSE(continuesAt(10, pendingAt10));
+    EXPECT_FALSE(continuesAt(11, pendingAt10));
+    EXPECT_TRUE(continuesAt(5, [](sim::EventQueue &) {}));
+    EXPECT_TRUE(continuesAt(1000, [](sim::EventQueue &) {}));
+
+    // Outside run() there is no event to continue from.
+    sim::EventQueue idle;
+    EXPECT_FALSE(idle.continueAt(0));
+    EXPECT_EQ(idle.executed(), 0u);
+    EXPECT_EQ(idle.nextSeq(), 0u);
+}
+
+TEST(EventQueue, ContinueAtRefusesWhileAHookIsDue)
+{
+    const auto noTick = [](sim::Cycle) {};
+    // The ticker is due at cycle 5, after the event at 5.
+    EXPECT_FALSE(continuesAt(6, [&](sim::EventQueue &eq) {
+        eq.setTicker(5, noTick);
+    }));
+    EXPECT_TRUE(continuesAt(6, [&](sim::EventQueue &eq) {
+        eq.setTicker(6, noTick);
+    }));
+    // The inspector is due after the first event.
+    EXPECT_FALSE(continuesAt(6, [](sim::EventQueue &eq) {
+        eq.setInspector(1, [] {});
+    }));
+    EXPECT_TRUE(continuesAt(6, [](sim::EventQueue &eq) {
+        eq.setInspector(2, [] {});
+    }));
+    // Any armed break check is asked after every event.
+    EXPECT_FALSE(continuesAt(6, [](sim::EventQueue &eq) {
+        eq.setBreakCheck([](sim::Cycle) { return false; });
+    }));
+    // run(max_events) stops at its limit before the next event.
+    const auto none = [](sim::EventQueue &) {};
+    EXPECT_FALSE(continuesAt(6, none, 1));
+    EXPECT_TRUE(continuesAt(6, none, 2));
+}
+
+TEST(EventQueue, ContinueAtAdvancesLikeAPushAndPop)
+{
+    // One event at 5 follows on at 12, inline or through the heap;
+    // the follow-on records the queue state and schedules one more.
+    const auto twin = [](bool inl, QueueState &inside, QueueState &end) {
+        sim::EventQueue eq;
+        eq.schedule(20, sim::EventKind::ProcStep, 7, 0, [] {});
+        eq.schedule(3, [] {});
+        const auto followOn = [&] {
+            inside = stateOf(eq);
+            eq.schedule(15, sim::EventKind::VmRemap, 1, 2, [] {});
+        };
+        eq.schedule(5, [&] {
+            if (inl) {
+                EXPECT_TRUE(eq.continueAt(12));
+                followOn();
+            } else {
+                eq.schedule(12, sim::EventKind::ProcStep, 0, 0, followOn);
+            }
+        });
+        EXPECT_TRUE(eq.run());
+        end = stateOf(eq);
+    };
+    QueueState heapInside, heapEnd, inlInside, inlEnd;
+    twin(false, heapInside, heapEnd);
+    twin(true, inlInside, inlEnd);
+    EXPECT_EQ(heapInside.now, 12u);
+    EXPECT_EQ(heapInside.executed, 3u);
+    EXPECT_EQ(heapInside.pending.size(), 1u);
+    expectSameState(inlInside, heapInside);
+    EXPECT_EQ(heapEnd.executed, 5u);
+    expectSameState(inlEnd, heapEnd);
 }
 
 /** Random line-aligned and core-packed keys in a small universe, so
