@@ -101,15 +101,9 @@ parseArgs(int argc, char **argv, double default_scale,
                 sim::fatal(
                     "unexpected argument '%s' (usage: bench [scale] "
                     "[--jobs=N] [--apps=A,B,...] [--trace-events=PATH] "
-                    "[--metrics-interval=N] [--check[=basic|deep]] "
-                    "[--check-interval=N] [--audit=on|off] "
                     "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
-                    "[--restore-from=PATH] [--cores=N] "
-                    "[--ulmt-mode=shared|percore|sharded] "
-                    "[--vm=on|off] [--page-size=4k|2m] [--remap-rate=R] "
-                    "[--table-cache=<entries>[,<assoc>]] "
-                    "[--list-workloads])",
-                    arg);
+                    "[--restore-from=PATH] %s [--list-workloads])",
+                    arg, driver::machineFlagUsage().c_str());
             }
         } catch (const std::invalid_argument &e) {
             sim::fatal("%s", e.what());

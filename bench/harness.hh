@@ -53,7 +53,7 @@ namespace bench {
  * Common bench CLI: `bench [scale] [--jobs=N] [--apps=A,B,...]
  * [--trace-events=PATH] [--checkpoint-at=SPEC] [--checkpoint-to=DIR]
  * [--restore-from=PATH] [machine flags] [--list-workloads]`, where the
- * machine flags are those of driver::parseMachineFlag.
+ * machine flags are the rows of driver::machineLayers.
  */
 struct Options
 {
@@ -84,8 +84,7 @@ struct Options
  * `--checkpoint-at=SPEC` snapshots every run after SPEC ("<N>" demand
  * L2 misses, "<N>c" at cycle N) into `--checkpoint-to=DIR`;
  * `--restore-from=PATH` resumes every run from a snapshot; every
- * machine flag (`--cores`, `--vm`, `--table-cache`, `--audit`,
- * `--check`, `--metrics-interval`, ...) sets the base machine all of
+ * machine flag (driver::machineLayers) sets the base machine all of
  * the bench's configurations start from; `--list-workloads` prints the
  * registered workload names and exits.
  *

@@ -54,20 +54,18 @@ MainProcessor::step()
 {
     sim::Cycle now = eq_.now();
     sim::Cycle c = now;
-    std::uint32_t processed = 0;
 
-    // Yield to resume at @p when.  If that resume is the queue's very
-    // next event, become it instead: restart the loop exactly as a
-    // freshly popped step() would, and return true.
-    const auto resumeInline = [&](sim::Cycle when) {
+    // Yield to resume at the local clock c.  If that resume is the
+    // queue's very next event, become it instead: restart the loop
+    // exactly as a freshly popped step() would, and return true.
+    const auto resumeInline = [&] {
         stats_.totalCycles = c;
-        if (!eq_.continueAt(when)) {
-            eq_.schedule(when, sim::EventKind::ProcStep, core_, 0,
+        if (!eq_.continueAt(c)) {
+            eq_.schedule(c, sim::EventKind::ProcStep, core_, 0,
                          stepAction());
             return false;
         }
-        now = c = when;
-        processed = 0;
+        now = c;
         return true;
     };
 
@@ -137,7 +135,7 @@ MainProcessor::step()
             // Never touch the hierarchy far ahead of the event clock:
             // yield and resume at the access's issue cycle.
             if (c > now + maxSkew) {
-                if (resumeInline(c))
+                if (resumeInline())
                     continue;
                 return;
             }
@@ -152,8 +150,9 @@ MainProcessor::step()
         }
         haveRec_ = false;
 
-        if (c > now + maxSkew || ++processed >= 64) {
-            if (resumeInline(c > now ? c : now + 1))
+        // Each record costs a cycle: this yields within maxSkew + 1.
+        if (c > now + maxSkew) {
+            if (resumeInline())
                 continue;
             return;
         }

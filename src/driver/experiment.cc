@@ -1,11 +1,11 @@
 #include "driver/experiment.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -38,26 +38,43 @@ snapshotName(const std::string &app, const std::string &label)
     return n + ".ulmtckp";
 }
 
-/** Refuse @p value of machine flag @p flag. */
-[[noreturn]] void
-badValue(const std::string &flag, const std::string &value,
-         const char *expected)
-{
-    throw std::invalid_argument("bad " + flag + " value '" + value +
-                                "' (expected " + expected + ")");
-}
-
-/** The whole of @p v as a base-10 integer in [lo, hi]. */
-long long
-intValue(const std::string &flag, const std::string &v, long long lo,
-         long long hi, const char *expected)
+/** All of @p v as a base-10 integer in [lo, hi], into @p field. */
+template <class T>
+bool
+setInt(const std::string &v, long long lo, long long hi, T &field)
 {
     char *end = nullptr;
     const long long n = std::strtoll(v.c_str(), &end, 10);
     if (v.empty() || *end != '\0' || n < lo || n > hi)
-        badValue(flag, v, expected);
-    return n;
+        return false;
+    field = static_cast<T>(n);
+    return true;
 }
+
+/** @p parse(@p v) into @p field; false when it throws. */
+template <class T, class P>
+bool
+setBy(P parse, const std::string &v, T &field)
+{
+    try {
+        field = parse(v);
+    } catch (const std::invalid_argument &) {
+        return false;
+    }
+    return true;
+}
+
+/** "on" or "off" into @p field. */
+bool
+setOnOff(const std::string &v, bool &field)
+{
+    if (v != "on" && v != "off")
+        return false;
+    field = v == "on";
+    return true;
+}
+
+constexpr long long maxInt = LLONG_MAX;
 
 /** All of @p text as an unsigned 64-bit integer in @p base. */
 std::uint64_t
@@ -76,86 +93,158 @@ parseUnsigned(const std::string &text, int base, const char *what)
 
 } // namespace
 
+const std::vector<MachineLayer> &
+machineLayers()
+{
+    using C = SystemConfig;
+    using V = const std::string &;
+    static const std::vector<MachineLayer> layers = {
+        {"multicore",
+         {{"--cores", "N", "1.." + std::to_string(sim::maxCores),
+           [](V v, C &c) { return setInt(v, 1, sim::maxCores, c.cores); },
+           [](const C &c) { return std::to_string(c.cores); }},
+          {"--ulmt-mode", "shared|percore|sharded",
+           "shared, percore or sharded",
+           [](V v, C &c) { return setBy(core::parseUlmtMode, v, c.ulmtMode); },
+           [](const C &c) { return core::to_string(c.ulmtMode); }}},
+         [](const C &c, ckpt::StateWriter &w) {
+             if (c.cores > 1 || c.ulmtMode != core::UlmtMode::Shared) {
+                 w.u32(c.cores);
+                 w.u32(static_cast<std::uint32_t>(c.ulmtMode));
+             }
+         }},
+        {"vm",
+         {{"--vm", "on|off", "on or off",
+           [](V v, C &c) { return setOnOff(v, c.vm.enabled); },
+           [](const C &c) {
+               return std::string(c.vm.enabled ? "on" : "off");
+           }},
+          {"--page-size", "4k|2m", "4k or 2m",
+           [](V v, C &c) {
+               return setBy(vm::parsePageSize, v, c.vm.pageBytes);
+           },
+           [](const C &c) { return vm::pageSizeName(c.vm.pageBytes); }},
+          {"--remap-rate", "R", "remaps per million cycles, 0..1e6",
+           [](V v, C &c) {
+               char *end = nullptr;
+               const double r = std::strtod(v.c_str(), &end);
+               if (v.empty() || *end != '\0' || !(r >= 0.0) || r > 1e6)
+                   return false;
+               c.vm.remapRate = r;
+               return true;
+           },
+           [](const C &c) {
+               return sim::strformat("%.17g", c.vm.remapRate);  // exact
+           }}},
+         [](const C &c, ckpt::StateWriter &w) {
+             if (c.vm.on()) {
+                 w.u32(c.vm.pageBytes);
+                 w.f64(c.vm.remapRate);
+                 w.u64(c.vm.seed);
+             }
+         }},
+        {"table-cache",
+         {{"--table-cache", "<entries>[,<assoc>]",
+           "<entries>[,<assoc>], entries 0..1048576 divisible by assoc "
+           "1..64, 0 disables",
+           [](V v, C &c) {
+               const std::size_t comma = v.find(',');
+               long long e, a = c.tableCache.assoc;
+               if (!setInt(v.substr(0, comma), 0, 1 << 20, e) ||
+                   (comma != std::string::npos &&
+                    !setInt(v.substr(comma + 1), 1, 64, a)) ||
+                   (e > 0 && e % a != 0))
+                   return false;
+               c.tableCache = {std::uint32_t(e), std::uint32_t(a)};
+               return true;
+           },
+           [](const C &c) {
+               return std::to_string(c.tableCache.entries) + "," +
+                      std::to_string(c.tableCache.assoc);
+           }}},
+         [](const C &c, ckpt::StateWriter &w) {
+             if (c.tableCache.on()) {
+                 w.u32(c.tableCache.entries);
+                 w.u32(c.tableCache.assoc);
+             }
+         }},
+        {"passive",
+         {{"--audit", "on|off", "on or off",
+           [](V v, C &c) { return setOnOff(v, c.audit); },
+           [](const C &c) { return std::string(c.audit ? "on" : "off"); }},
+          {"--check", "basic|deep", "basic or deep",
+           [](V v, C &c) {
+               if (v != "basic" && v != "deep")
+                   return false;
+               c.check.mode = v == "basic" ? check::CheckMode::Basic
+                                           : check::CheckMode::Deep;
+               return true;
+           },
+           [](const C &c) {
+               return std::string(c.check.deep()      ? "deep"
+                                  : c.check.enabled() ? "basic"
+                                                      : "off");
+           },
+           "basic"},
+          {"--check-interval", "N", "an event count >= 1",
+           [](V v, C &c) { return setInt(v, 1, maxInt, c.check.everyEvents); },
+           [](const C &c) { return std::to_string(c.check.everyEvents); }},
+          {"--metrics-interval", "N", "a cycle count >= 0",
+           [](V v, C &c) { return setInt(v, 0, maxInt, c.metricsInterval); },
+           [](const C &c) { return std::to_string(c.metricsInterval); }}},
+         nullptr},  // passive: never part of the fingerprint
+    };
+    return layers;
+}
+
 bool
 parseMachineFlag(const std::string &arg, SystemConfig &cfg)
 {
     const std::size_t eq = arg.find('=');
     const std::string flag = arg.substr(0, eq);
-    const bool has_value = eq != std::string::npos;
-    const std::string v = has_value ? arg.substr(eq + 1) : "";
-    if (flag == "--check" && !has_value) {
-        cfg.check.mode = check::CheckMode::Basic;
-        return true;
+    for (const MachineLayer &layer : machineLayers()) {
+        for (const MachineFlag &f : layer.flags) {
+            if (flag != f.name)
+                continue;
+            if (eq == std::string::npos && !f.bare)
+                throw std::invalid_argument(flag + " needs a value");
+            const std::string v =
+                eq == std::string::npos ? f.bare : arg.substr(eq + 1);
+            if (!f.parse(v, cfg))
+                throw std::invalid_argument("bad " + flag + " value '" +
+                                            v + "' (expected " +
+                                            f.expected + ")");
+            return true;
+        }
     }
-    static const char *const owned[] = {
-        "--cores", "--ulmt-mode", "--vm", "--page-size", "--remap-rate",
-        "--table-cache", "--audit", "--check", "--check-interval",
-        "--metrics-interval"};
-    if (std::find(std::begin(owned), std::end(owned), flag) ==
-        std::end(owned))
-        return false;
-    if (!has_value)
-        throw std::invalid_argument(flag + " needs a value");
+    return false;
+}
 
-    if (flag == "--cores") {
-        cfg.cores = static_cast<unsigned>(
-            intValue(flag, v, 1, sim::maxCores,
-                     ("1.." + std::to_string(sim::maxCores)).c_str()));
-    } else if (flag == "--ulmt-mode") {
-        try {
-            cfg.ulmtMode = core::parseUlmtMode(v);
-        } catch (const std::invalid_argument &) {
-            badValue(flag, v, "shared, percore or sharded");
+std::vector<std::string>
+machineFlags(const SystemConfig &cfg)
+{
+    const SystemConfig defaults;
+    std::vector<std::string> out;
+    for (const MachineLayer &layer : machineLayers()) {
+        for (const MachineFlag &f : layer.flags) {
+            const std::string v = f.print(cfg);
+            if (v != f.print(defaults))
+                out.push_back(std::string(f.name) + "=" + v);
         }
-    } else if (flag == "--vm") {
-        if (v != "on" && v != "off")
-            badValue(flag, v, "on or off");
-        cfg.vm.enabled = v == "on";
-    } else if (flag == "--page-size") {
-        try {
-            cfg.vm.pageBytes = vm::parsePageSize(v);
-        } catch (const std::invalid_argument &) {
-            badValue(flag, v, "4k or 2m");
-        }
-    } else if (flag == "--remap-rate") {
-        char *end = nullptr;
-        const double r = std::strtod(v.c_str(), &end);
-        if (v.empty() || *end != '\0' || !(r >= 0.0) || r > 1e6)
-            badValue(flag, v, "remaps per million cycles, 0..1e6");
-        cfg.vm.remapRate = r;
-    } else if (flag == "--table-cache") {
-        const char *expected = "<entries>[,<assoc>], entries 0..1048576 "
-                               "divisible by assoc 1..64, 0 disables";
-        const std::size_t comma = v.find(',');
-        const long long e = intValue(flag, v.substr(0, comma), 0, 1 << 20,
-                                     expected);
-        const long long a =
-            comma == std::string::npos
-                ? cfg.tableCache.assoc
-                : intValue(flag, v.substr(comma + 1), 1, 64, expected);
-        if (e > 0 && e % a != 0)
-            badValue(flag, v, expected);
-        cfg.tableCache.entries = static_cast<std::uint32_t>(e);
-        cfg.tableCache.assoc = static_cast<std::uint32_t>(a);
-    } else if (flag == "--audit") {
-        if (v != "on" && v != "off")
-            badValue(flag, v, "on or off");
-        cfg.audit = v == "on";
-    } else if (flag == "--check") {
-        if (v == "basic")
-            cfg.check.mode = check::CheckMode::Basic;
-        else if (v == "deep")
-            cfg.check.mode = check::CheckMode::Deep;
-        else
-            badValue(flag, v, "basic or deep");
-    } else if (flag == "--check-interval") {
-        cfg.check.everyEvents = static_cast<std::uint64_t>(
-            intValue(flag, v, 1, LLONG_MAX, "an event count >= 1"));
-    } else {
-        cfg.metricsInterval = static_cast<sim::Cycle>(
-            intValue(flag, v, 0, LLONG_MAX, "a cycle count >= 0"));
     }
-    return true;
+    return out;
+}
+
+std::string
+machineFlagUsage()
+{
+    std::string out;
+    for (const MachineLayer &layer : machineLayers()) {
+        for (const MachineFlag &f : layer.flags)
+            out += std::string(" [") + f.name + (f.bare ? "[=" : "=") +
+                   f.metavar + (f.bare ? "]]" : "]");
+    }
+    return out.substr(1);
 }
 
 double
@@ -179,6 +268,13 @@ std::uint64_t
 parseCount(const std::string &text)
 {
     return parseUnsigned(text, 10, "count");
+}
+
+const char *
+flagValue(const char *arg, const char *key)
+{
+    const std::size_t n = std::strlen(key);
+    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
 }
 
 double

@@ -43,18 +43,49 @@ struct ExperimentOptions
     std::shared_ptr<sim::TraceEventWriter> traceEvents;
 };
 
+/** One machine flag: "--name=value", or "--name" when bare is set. */
+struct MachineFlag
+{
+    const char *name;
+    const char *metavar;   //!< the value in usage lines: "N", "on|off"
+    std::string expected;  //!< the valid values, in a bad-value error
+    /** Set @p cfg from @p value; false when the value is bad. */
+    bool (*parse)(const std::string &value, SystemConfig &cfg);
+    /** The value that parse() reads back to @p cfg's setting. */
+    std::string (*print)(const SystemConfig &cfg);
+    const char *bare = nullptr;  //!< the value of a bare "--name"
+};
+
 /**
- * Apply one machine flag to @p cfg: `--cores=N`,
- * `--ulmt-mode=shared|percore|sharded`, `--vm=on|off`,
- * `--page-size=4k|2m`, `--remap-rate=R` (remaps per million cycles),
- * `--table-cache=<entries>[,<assoc>]` (0 entries = off),
- * `--audit=on|off`, `--check[=basic|deep]`, `--check-interval=N` and
- * `--metrics-interval=N` (0 = sampling off).
- *
+ * One layer of the machine: its flags and, unless passive, the bytes
+ * it appends to System::configFingerprint() (none at its default).
+ * Auditing, checking and sampling are passive: they never change
+ * simulated behaviour, so they never block a restore.
+ */
+struct MachineLayer
+{
+    const char *name;
+    std::vector<MachineFlag> flags;
+    void (*fingerprint)(const SystemConfig &cfg, ckpt::StateWriter &w);
+};
+
+/** The machine-knob table.  A new knob is one SystemConfig field plus
+ *  one row; parsing, printing, usage and fingerprint follow from it. */
+const std::vector<MachineLayer> &machineLayers();
+
+/**
+ * Apply one machine flag (a row of machineLayers()) to @p cfg.
  * @return false when @p arg is not a machine flag (@p cfg untouched).
  * @throws std::invalid_argument naming the flag on a bad value.
  */
 bool parseMachineFlag(const std::string &arg, SystemConfig &cfg);
+
+/** @p cfg's non-default machine flags, which parseMachineFlag() reads
+ *  back to the same machine; empty for the default machine. */
+std::vector<std::string> machineFlags(const SystemConfig &cfg);
+
+/** Every machine flag for a usage line: "[--cores=N] [--vm=on|off] ...". */
+std::string machineFlagUsage();
 
 /**
  * The workload scale of a CLI: all of @p text must be a finite number
@@ -74,6 +105,10 @@ std::uint64_t parseSeed(const std::string &text);
  * that fits 64 bits.  @throws std::invalid_argument otherwise.
  */
 std::uint64_t parseCount(const std::string &text);
+
+/** The value part of @p arg when it starts with @p key ("--scale="),
+ *  else nullptr. */
+const char *flagValue(const char *arg, const char *key);
 
 /** argv[@p i] as a scale (parseScale), or @p fallback when there is
  *  no such argument; a bad value is fatal (exit 1). */

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "ckpt/sim_state.hh"
+#include "driver/experiment.hh"
 #include "sim/logging.hh"
 
 namespace driver {
@@ -425,47 +426,28 @@ std::uint64_t
 System::configFingerprint() const
 {
     // Canonical serialization of everything that shapes simulated
-    // behaviour; metricsInterval is passive observability and is
-    // deliberately excluded so a sampling run can restore a
-    // non-sampling snapshot (and vice versa).
+    // behaviour.  An integer is one varint whatever its width.
     ckpt::StateWriter w;
+    const auto ints = [&w](std::initializer_list<std::uint64_t> values) {
+        for (std::uint64_t v : values)
+            w.u64(v);
+    };
     const mem::TimingParams &tp = cfg_.timing;
-    w.u32(tp.issueWidth);
-    w.u32(tp.maxPendingLoads);
-    w.u32(tp.maxPendingStores);
-    w.u32(tp.robSize);
-    for (const mem::CacheGeometry *g :
-         {&tp.l1, &tp.l2, &tp.memProcL1}) {
-        w.u32(g->sizeBytes);
-        w.u32(g->assoc);
-        w.u32(g->lineBytes);
-    }
-    w.u32(tp.streamNumSeq);
-    w.u32(tp.streamNumPref);
-    w.u64(tp.l1HitRt);
-    w.u64(tp.l2HitRt);
-    w.u32(tp.l2Mshrs);
-    w.u64(tp.busCyclesPerBeat);
-    w.u32(tp.busBytesPerBeat);
-    w.u64(tp.reqPathCycles);
-    w.u64(tp.respPathCycles);
-    w.u32(tp.dramChannels);
-    w.u32(tp.dramBanksPerChannel);
-    w.u32(tp.dramRowBytes);
-    w.u64(tp.bankRowHitCycles);
-    w.u64(tp.bankRowMissCycles);
-    w.u64(tp.channelXferCycles);
-    w.u64(tp.tableBankRowHitCycles);
-    w.u64(tp.tableBankRowMissCycles);
-    w.u64(tp.tableChannelXferCycles);
+    ints({tp.issueWidth, tp.maxPendingLoads, tp.maxPendingStores,
+          tp.robSize});
+    for (const mem::CacheGeometry *g : {&tp.l1, &tp.l2, &tp.memProcL1})
+        ints({g->sizeBytes, g->assoc, g->lineBytes});
+    ints({tp.streamNumSeq, tp.streamNumPref, tp.l1HitRt, tp.l2HitRt,
+          tp.l2Mshrs, tp.busCyclesPerBeat, tp.busBytesPerBeat,
+          tp.reqPathCycles, tp.respPathCycles, tp.dramChannels,
+          tp.dramBanksPerChannel, tp.dramRowBytes, tp.bankRowHitCycles,
+          tp.bankRowMissCycles, tp.channelXferCycles,
+          tp.tableBankRowHitCycles, tp.tableBankRowMissCycles,
+          tp.tableChannelXferCycles});
     w.u8(static_cast<std::uint8_t>(tp.placement));
-    w.u32(tp.memProcIssueWidth);
-    w.u64(tp.memProcL1HitRtMemCycles);
-    w.u64(tp.tableAccessFixedDram);
-    w.u64(tp.tableAccessFixedNorthBridge);
-    w.u64(tp.prefetchInjectDelay);
-    w.u32(tp.queueDepth);
-    w.u32(tp.filterEntries);
+    ints({tp.memProcIssueWidth, tp.memProcL1HitRtMemCycles,
+          tp.tableAccessFixedDram, tp.tableAccessFixedNorthBridge,
+          tp.prefetchInjectDelay, tp.queueDepth, tp.filterEntries});
 
     w.b(cfg_.conven4);
     w.u32(static_cast<std::uint32_t>(cfg_.ulmt.algo));
@@ -477,25 +459,11 @@ System::configFingerprint() const
     w.b(cfg_.recordMissStream);
     w.str(cfg_.label);
     w.str(workloadName_);
-    // Appended only for non-default machines so every pre-multicore
-    // fingerprint (one core, shared serving) stays bit-identical.
-    if (cfg_.cores > 1 || cfg_.ulmtMode != core::UlmtMode::Shared) {
-        w.u32(cfg_.cores);
-        w.u32(static_cast<std::uint32_t>(cfg_.ulmtMode));
-    }
-    // Same conditional-append idiom for the VM layer: only a machine
-    // that translates extends the fingerprint, so every pre-VM
-    // fingerprint stays bit-identical.
-    if (cfg_.vm.on()) {
-        w.u32(cfg_.vm.pageBytes);
-        w.f64(cfg_.vm.remapRate);
-        w.u64(cfg_.vm.seed);
-    }
-    // And for the table cache: --table-cache=0 machines keep the
-    // pre-MSCache fingerprint.
-    if (cfg_.tableCache.on()) {
-        w.u32(cfg_.tableCache.entries);
-        w.u32(cfg_.tableCache.assoc);
+    // Each behavioural layer of the machine-knob table appends its
+    // own bytes, and only when it is not at its default.
+    for (const MachineLayer &layer : machineLayers()) {
+        if (layer.fingerprint)
+            layer.fingerprint(cfg_, w);
     }
 
     const std::string &buf = w.buffer();

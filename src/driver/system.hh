@@ -70,30 +70,20 @@ struct SystemConfig
     bool hwCorrReplicated = false;
     /** Record the demand L2 miss stream (predictability studies). */
     bool recordMissStream = false;
-    /**
-     * Time-series sampling interval in cycles (0 disables).  Sampling
-     * is passive -- it never perturbs simulated timing, and the
-     * determinism fingerprint is identical with it on or off.
-     */
+    /* The next three fields are the passive layer of the machine-knob
+     * table (driver::machineLayers): never part of the fingerprint. */
+    /** Time-series sampling interval in cycles (0 disables). */
     sim::Cycle metricsInterval = 16384;
     /**
      * Runtime invariant checking (DESIGN.md section 10).  Off by
      * default; Basic walks structural invariants every
      * check.everyEvents executed events, Deep additionally diffs
-     * lockstep reference models.  Checking is passive -- simulated
-     * timing and results are bit-identical with it on or off -- so,
-     * like metricsInterval, it is excluded from configFingerprint().
-     * The ULMT_CHECK environment variable (1/basic/deep) enables it
-     * process-wide when this field is Off.
+     * lockstep reference models.  The ULMT_CHECK environment variable
+     * (1/basic/deep) enables it process-wide when this field is Off.
      */
     check::CheckOptions check;
-    /**
-     * Prefetch lifecycle auditing and per-tenant interference
-     * attribution (DESIGN.md section 12).  On by default; passive like
-     * metricsInterval and check -- simulated timing and determinism
-     * fingerprints are bit-identical with it on or off, so it is
-     * excluded from configFingerprint().
-     */
+    /** Prefetch lifecycle auditing and per-tenant interference
+     *  attribution (DESIGN.md section 12).  On by default. */
     bool audit = true;
     /**
      * Virtual-memory layer (DESIGN.md section 13): per-core TLBs, a

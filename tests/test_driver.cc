@@ -134,60 +134,124 @@ TEST(MachineFlags, DocumentedOffStatesKeepTheFlaglessMachine)
     EXPECT_NE(flagFingerprint({"--vm=on"}), flagless);
 }
 
+/** One machine flag and what it must set. */
+struct FlagCase
+{
+    const char *arg;
+    bool (*holds)(const driver::SystemConfig &);
+};
+const FlagCase flagCases[] = {
+    {"--cores=4", [](const driver::SystemConfig &c) {
+         return c.cores == 4;
+     }},
+    {"--ulmt-mode=sharded", [](const driver::SystemConfig &c) {
+         return c.ulmtMode == core::UlmtMode::Sharded;
+     }},
+    {"--vm=on", [](const driver::SystemConfig &c) {
+         return c.vm.enabled;
+     }},
+    {"--page-size=2m", [](const driver::SystemConfig &c) {
+         return c.vm.pageBytes == 2u << 20;
+     }},
+    {"--remap-rate=12.5", [](const driver::SystemConfig &c) {
+         return c.vm.remapRate == 12.5;
+     }},
+    {"--table-cache=1024,8", [](const driver::SystemConfig &c) {
+         return c.tableCache.entries == 1024 &&
+                c.tableCache.assoc == 8;
+     }},
+    {"--table-cache=256", [](const driver::SystemConfig &c) {
+         return c.tableCache.entries == 256 &&
+                c.tableCache.assoc == 4;
+     }},
+    {"--audit=off", [](const driver::SystemConfig &c) {
+         return !c.audit;
+     }},
+    {"--check", [](const driver::SystemConfig &c) {
+         return c.check.mode == check::CheckMode::Basic;
+     }},
+    {"--check=basic", [](const driver::SystemConfig &c) {
+         return c.check.mode == check::CheckMode::Basic;
+     }},
+    {"--check=deep", [](const driver::SystemConfig &c) {
+         return c.check.mode == check::CheckMode::Deep;
+     }},
+    {"--check-interval=512", [](const driver::SystemConfig &c) {
+         return c.check.everyEvents == 512;
+     }},
+    {"--metrics-interval=0", [](const driver::SystemConfig &c) {
+         return c.metricsInterval == 0;
+     }},
+};
+
 TEST(MachineFlags, EveryFlagSetsItsField)
 {
-    struct Case
-    {
-        const char *arg;
-        bool (*holds)(const driver::SystemConfig &);
-    };
-    const Case cases[] = {
-        {"--cores=4", [](const driver::SystemConfig &c) {
-             return c.cores == 4;
-         }},
-        {"--ulmt-mode=sharded", [](const driver::SystemConfig &c) {
-             return c.ulmtMode == core::UlmtMode::Sharded;
-         }},
-        {"--vm=on", [](const driver::SystemConfig &c) {
-             return c.vm.enabled;
-         }},
-        {"--page-size=2m", [](const driver::SystemConfig &c) {
-             return c.vm.pageBytes == 2u << 20;
-         }},
-        {"--remap-rate=12.5", [](const driver::SystemConfig &c) {
-             return c.vm.remapRate == 12.5;
-         }},
-        {"--table-cache=1024,8", [](const driver::SystemConfig &c) {
-             return c.tableCache.entries == 1024 &&
-                    c.tableCache.assoc == 8;
-         }},
-        {"--table-cache=256", [](const driver::SystemConfig &c) {
-             return c.tableCache.entries == 256 &&
-                    c.tableCache.assoc == 4;
-         }},
-        {"--audit=off", [](const driver::SystemConfig &c) {
-             return !c.audit;
-         }},
-        {"--check", [](const driver::SystemConfig &c) {
-             return c.check.mode == check::CheckMode::Basic;
-         }},
-        {"--check=basic", [](const driver::SystemConfig &c) {
-             return c.check.mode == check::CheckMode::Basic;
-         }},
-        {"--check=deep", [](const driver::SystemConfig &c) {
-             return c.check.mode == check::CheckMode::Deep;
-         }},
-        {"--check-interval=512", [](const driver::SystemConfig &c) {
-             return c.check.everyEvents == 512;
-         }},
-        {"--metrics-interval=0", [](const driver::SystemConfig &c) {
-             return c.metricsInterval == 0;
-         }},
-    };
-    for (const Case &c : cases) {
+    for (const FlagCase &c : flagCases) {
         driver::SystemConfig cfg;
         ASSERT_TRUE(driver::parseMachineFlag(c.arg, cfg)) << c.arg;
         EXPECT_TRUE(c.holds(cfg)) << c.arg;
+    }
+}
+
+/** The configuration fingerprint of a Repl machine @p machine on MST. */
+std::uint64_t
+machineFingerprint(const driver::SystemConfig &machine)
+{
+    driver::ExperimentOptions o;
+    o.machine = machine;
+    const driver::SystemConfig cfg =
+        driver::ulmtConfig(o, core::UlmtAlgo::Repl, "MST");
+    auto ws = driver::makeCoreWorkloads("MST", o.seed, 0.01, cfg.cores);
+    const std::string name = ws[0]->name();
+    return driver::System(cfg, std::move(ws), name).configFingerprint();
+}
+
+TEST(MachineFlags, PrintedFlagsReadBackToTheSameMachine)
+{
+    EXPECT_TRUE(driver::machineFlags(driver::SystemConfig{}).empty());
+
+    std::vector<driver::SystemConfig> machines;
+    for (const FlagCase &c : flagCases) {
+        machines.emplace_back();
+        ASSERT_TRUE(driver::parseMachineFlag(c.arg, machines.back()));
+    }
+    // Machines like the fuzzer's, and vm_churn's 2 MB rates (100 and
+    // 500 remaps per 4 KB-equivalent: 100 * 4096 / 2097152), which a
+    // six-digit printer would round.
+    driver::SystemConfig fuzzed;
+    fuzzed.cores = 4;
+    fuzzed.ulmtMode = core::UlmtMode::Sharded;
+    fuzzed.tableCache = {4096, 8};
+    fuzzed.vm.enabled = true;
+    fuzzed.vm.remapRate = 20;
+    fuzzed.metricsInterval = 0;
+    machines.push_back(fuzzed);
+    fuzzed.cores = 2;
+    fuzzed.ulmtMode = core::UlmtMode::PerCore;
+    fuzzed.tableCache = {0, 8};
+    fuzzed.vm.pageBytes = 2u << 20;
+    fuzzed.audit = false;
+    fuzzed.check = {check::CheckMode::Deep, 1024};
+    for (double rate : {100.0 * 4096 / 2097152, 500.0 * 4096 / 2097152}) {
+        fuzzed.vm.remapRate = rate;
+        machines.push_back(fuzzed);
+    }
+
+    for (const driver::SystemConfig &m : machines) {
+        const std::vector<std::string> flags = driver::machineFlags(m);
+        std::string text;
+        driver::SystemConfig back;
+        for (const std::string &f : flags) {
+            text += f + " ";
+            ASSERT_TRUE(driver::parseMachineFlag(f, back)) << f;
+        }
+        EXPECT_FALSE(flags.empty());
+        EXPECT_EQ(machineFingerprint(back), machineFingerprint(m)) << text;
+        EXPECT_EQ(back.vm.remapRate, m.vm.remapRate) << text;
+        EXPECT_EQ(back.audit, m.audit) << text;
+        EXPECT_EQ(back.check.mode, m.check.mode) << text;
+        EXPECT_EQ(back.check.everyEvents, m.check.everyEvents) << text;
+        EXPECT_EQ(back.metricsInterval, m.metricsInterval) << text;
     }
 }
 

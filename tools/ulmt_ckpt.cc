@@ -9,10 +9,9 @@
  *       "None" = no ULMT), snapshotting after SPEC ("<N>" demand L2
  *       misses, default 1000, or "<N>c" at cycle N), and report the
  *       run's result fingerprint.  The machine flags are the benches'
- *       (driver::parseMachineFlag: --cores, --ulmt-mode, --vm,
- *       --page-size, --remap-rate, --table-cache, ...); restoring
- *       needs the same machine shape.  A bad value exits 1, an
- *       unknown --algo or argument exits 2, and neither writes a
+ *       (the rows of driver::machineLayers, listed by the usage line);
+ *       restoring needs the same machine shape.  A bad value exits 1,
+ *       an unknown --algo or argument exits 2, and neither writes a
  *       snapshot.
  *
  *   ulmt-ckpt info <file>
@@ -38,7 +37,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <string>
@@ -58,25 +56,17 @@ usage(const char *argv0)
         stderr,
         "usage: %s <subcommand> ...\n"
         "  create <app> <out.ulmtckp> [--algo=NAME] [--at=SPEC]\n"
-        "         [--scale=S] [--seed=N] [--conven4] [--cores=N]\n"
-        "         [--ulmt-mode=shared|percore|sharded]\n"
-        "         [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]\n"
-        "         [--table-cache=<entries>[,<assoc>]]\n"
+        "         [--scale=S] [--seed=N] [--conven4] [machine flags]\n"
         "  info <file>\n"
         "  verify <file>\n"
         "  diff <a> <b>\n"
-        "  list-workloads\n",
-        argv0);
+        "  list-workloads\n"
+        "  machine flags: %s\n",
+        argv0, driver::machineFlagUsage().c_str());
     return 2;
 }
 
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
-}
+using driver::flagValue;
 
 [[noreturn]] void
 badFlag(const char *arg)

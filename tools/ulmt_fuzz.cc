@@ -15,9 +15,10 @@
  * produces the same configuration, on every host.
  *
  * On a violation the fuzzer greedily shrinks the failing
- * configuration -- resetting one dimension at a time to its simplest
- * value and keeping every reset that still fails -- then prints the
- * minimized repro and exits 1.  A clean sweep exits 0.
+ * configuration -- resetting each machine layer, then each other
+ * dimension, to its default and keeping every reset that still fails
+ * -- then prints the minimized repro (machine layers as machine flags,
+ * for `ulmt-stats dump`) and exits 1.  A clean sweep exits 0.
  *
  * Both `--seeds 50` and `--seeds=50` spellings are accepted (for all
  * value flags).
@@ -33,8 +34,8 @@
 
 #include "check/check.hh"
 #include "driver/experiment.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
-#include "vm/vm.hh"
 
 namespace {
 
@@ -42,53 +43,26 @@ namespace {
 struct Scenario
 {
     std::string app = "MST";
-    core::UlmtAlgo algo = core::UlmtAlgo::Base;
-    std::uint32_t numRows = 4096;
-    std::uint32_t numLevels = 3;
-    bool verbose = false;
-    bool conven4 = false;
-    mem::MemProcPlacement placement = mem::MemProcPlacement::InDram;
-    std::uint32_t queueDepth = 16;
-    std::uint32_t filterEntries = 32;
     double scale = 0.005;
-    unsigned cores = 1;
-    core::UlmtMode mode = core::UlmtMode::Shared;
-    std::uint32_t tcacheEntries = 0;  //!< 0 = no table cache
-    std::uint32_t tcacheAssoc = 4;
-    bool vm = false;                  //!< translate at all
-    std::uint32_t pageBytes = 4096;
-    double remapRate = 0.0;           //!< remaps per million cycles
+    driver::SystemConfig cfg;
 
+    /** The dimensions no machine flag sets, then the machine flags. */
     std::string
     describe() const
     {
-        char buf[352];
-        std::snprintf(
-            buf, sizeof(buf),
+        std::string out = sim::strformat(
             "app=%s algo=%s rows=%u levels=%u verbose=%d conven4=%d "
-            "placement=%s queueDepth=%u filterEntries=%u scale=%g "
-            "cores=%u mode=%s tcache=%u,%u %s",
-            app.c_str(), core::to_string(algo).c_str(), numRows,
-            numLevels, verbose, conven4,
-            placement == mem::MemProcPlacement::InDram ? "InDram"
-                                                       : "NorthBridge",
-            queueDepth, filterEntries, scale, cores,
-            core::to_string(mode).c_str(), tcacheEntries, tcacheAssoc,
-            vmFlags().c_str());
-        return buf;
-    }
-
-    /** The VM dimensions as the machine flags that rebuild them. */
-    std::string
-    vmFlags() const
-    {
-        if (!vm)
-            return "--vm=off";
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "--vm=on --page-size=%s --remap-rate=%g",
-                      vm::pageSizeName(pageBytes).c_str(), remapRate);
-        return buf;
+            "placement=%s queueDepth=%u filterEntries=%u scale=%g",
+            app.c_str(), core::to_string(cfg.ulmt.algo).c_str(),
+            cfg.ulmt.numRows, cfg.ulmt.numLevels, cfg.ulmt.verbose,
+            cfg.conven4,
+            cfg.timing.placement == mem::MemProcPlacement::InDram
+                ? "InDram"
+                : "NorthBridge",
+            cfg.timing.queueDepth, cfg.timing.filterEntries, scale);
+        for (const std::string &flag : driver::machineFlags(cfg))
+            out += " " + flag;
+        return out;
     }
 };
 
@@ -98,7 +72,6 @@ deriveScenario(std::uint64_t seed, double scale)
 {
     sim::Rng rng(seed);
     Scenario s;
-    s.scale = scale;
 
     static const char *apps[] = {"MST", "Tree", "Mcf"};
     s.app = apps[rng.below(3)];
@@ -110,88 +83,68 @@ deriveScenario(std::uint64_t seed, double scale)
         core::UlmtAlgo::Seq4Base, core::UlmtAlgo::Seq4Repl,
         core::UlmtAlgo::Seq1Repl,
     };
-    s.algo = algos[rng.below(sizeof(algos) / sizeof(algos[0]))];
+    core::UlmtSpec ulmt;
+    ulmt.algo = algos[rng.below(sizeof(algos) / sizeof(algos[0]))];
 
     // Power-of-two row counts keep every algorithm's set mapping legal.
-    s.numRows = 1024u << rng.below(4);        // 1K .. 8K
-    s.numLevels = 2 + (std::uint32_t)rng.below(4);  // 2 .. 5
-    s.verbose = rng.chance(0.25);
-    s.conven4 = rng.chance(0.4);
-    s.placement = rng.chance(0.5) ? mem::MemProcPlacement::InDram
-                                  : mem::MemProcPlacement::NorthBridge;
-    s.queueDepth = 1 + (std::uint32_t)rng.below(24);  // 1 .. 24
+    // The geometry is drawn even without a ULMT, to keep the stream.
+    ulmt.numRows = 1024u << rng.below(4);                  // 1K .. 8K
+    ulmt.numLevels = 2 + (std::uint32_t)rng.below(4);      // 2 .. 5
+    ulmt.verbose = rng.chance(0.25);
+    const bool conven4 = rng.chance(0.4);
+    driver::ExperimentOptions opt;
+    opt.placement = rng.chance(0.5) ? mem::MemProcPlacement::InDram
+                                    : mem::MemProcPlacement::NorthBridge;
+    driver::SystemConfig &cfg = s.cfg;
+    if (ulmt.enabled()) {
+        cfg = conven4
+                  ? driver::conven4PlusUlmtConfig(opt, ulmt.algo, s.app)
+                  : driver::ulmtConfig(opt, ulmt.algo, s.app);
+        cfg.ulmt = ulmt;
+    } else {
+        cfg = conven4 ? driver::conven4Config(opt) : driver::noPrefConfig(opt);
+    }
+    cfg.timing.queueDepth = 1 + (std::uint32_t)rng.below(24);  // 1 .. 24
     static const std::uint32_t filters[] = {0, 1, 2, 8, 32};
-    s.filterEntries = filters[rng.below(5)];
+    cfg.timing.filterEntries = filters[rng.below(5)];
 
     // Multicore draws come last so the single-core dimensions of a
     // seed stay what they were before the machine grew cores.
     static const unsigned coreCounts[] = {1, 1, 2, 4};
-    s.cores = coreCounts[rng.below(4)];
+    cfg.cores = coreCounts[rng.below(4)];
     static const core::UlmtMode serving[] = {core::UlmtMode::Shared,
                                              core::UlmtMode::PerCore,
                                              core::UlmtMode::Sharded};
-    s.mode = serving[rng.below(3)];
+    cfg.ulmtMode = serving[rng.below(3)];
 
     // Table-cache draws are newest, so they come after everything
     // else: a seed's pre-MSCache dimensions are unchanged and the
     // no-cache half of the space reproduces the old machines exactly.
     if (rng.chance(0.5)) {
         static const std::uint32_t tcEntries[] = {256, 1024, 4096};
-        s.tcacheEntries = tcEntries[rng.below(3)];
-        s.tcacheAssoc = rng.chance(0.5) ? 4 : 8;
+        cfg.tableCache.entries = tcEntries[rng.below(3)];
+        cfg.tableCache.assoc = rng.chance(0.5) ? 4 : 8;
     }
     // The VM draws are newer still, so they come last.  A 2 MB remap
     // sweeps 32K table lines, so huge pages only churn slowly: at 100
     // remaps per million cycles a seed costs ~8x one without VM, at
     // 0-2 about the same.
     if (rng.chance(0.5)) {
-        s.vm = true;
+        cfg.vm.enabled = true;
         if (rng.chance(0.5)) {
             static const double rates4k[] = {0, 20, 100};
-            s.remapRate = rates4k[rng.below(3)];
+            cfg.vm.remapRate = rates4k[rng.below(3)];
         } else {
             static const double rates2m[] = {0, 1, 2};
-            s.pageBytes = 2u << 20;
-            s.remapRate = rates2m[rng.below(3)];
+            cfg.vm.pageBytes = 2u << 20;
+            cfg.vm.remapRate = rates2m[rng.below(3)];
         }
     }
+    cfg.metricsInterval = 0;  // fuzzing needs no time series
     // N cores replay N workload copies; divide the trace down so every
     // seed costs about the same and the sweep's wall time stays flat.
-    if (s.cores > 1)
-        s.scale = scale / s.cores;
+    s.scale = cfg.cores > 1 ? scale / cfg.cores : scale;
     return s;
-}
-
-driver::SystemConfig
-buildConfig(const Scenario &s)
-{
-    driver::ExperimentOptions opt;
-    opt.scale = s.scale;
-    opt.placement = s.placement;
-
-    driver::SystemConfig cfg;
-    if (s.algo == core::UlmtAlgo::None) {
-        cfg = s.conven4 ? driver::conven4Config(opt)
-                        : driver::noPrefConfig(opt);
-    } else {
-        cfg = s.conven4
-                  ? driver::conven4PlusUlmtConfig(opt, s.algo, s.app)
-                  : driver::ulmtConfig(opt, s.algo, s.app);
-        cfg.ulmt.numRows = s.numRows;
-        cfg.ulmt.numLevels = s.numLevels;
-        cfg.ulmt.verbose = s.verbose;
-    }
-    cfg.timing.queueDepth = s.queueDepth;
-    cfg.timing.filterEntries = s.filterEntries;
-    cfg.cores = s.cores;
-    cfg.ulmtMode = s.mode;
-    cfg.tableCache.entries = s.tcacheEntries;
-    cfg.tableCache.assoc = s.tcacheAssoc;
-    cfg.vm.enabled = s.vm;
-    cfg.vm.pageBytes = s.pageBytes;
-    cfg.vm.remapRate = s.remapRate;
-    cfg.metricsInterval = 0;  // fuzzing needs no time series
-    return cfg;
 }
 
 /** Run one scenario; returns the failure message, empty on success. */
@@ -200,12 +153,11 @@ runScenario(const Scenario &s, const check::CheckOptions &chk)
 {
     driver::ExperimentOptions opt;
     opt.scale = s.scale;
-    opt.placement = s.placement;
-    driver::SystemConfig cfg = buildConfig(s);
+    driver::SystemConfig cfg = s.cfg;
     cfg.check = chk;
     // The checker's walk visits every per-core structure, so a tick
     // costs cores x more; stretch the cadence to keep overhead flat.
-    cfg.check.everyEvents = chk.everyEvents * s.cores;
+    cfg.check.everyEvents = chk.everyEvents * cfg.cores;
     try {
         (void)driver::runOne(s.app, cfg, opt);
     } catch (const std::exception &e) {
@@ -214,28 +166,18 @@ runScenario(const Scenario &s, const check::CheckOptions &chk)
     return "";
 }
 
-/** @p s with the VM layer off (and its dimensions at their defaults). */
-Scenario
-withoutVm(Scenario s)
-{
-    const Scenario defaults;
-    s.vm = defaults.vm;
-    s.pageBytes = defaults.pageBytes;
-    s.remapRate = defaults.remapRate;
-    return s;
-}
-
 /**
- * Greedy shrink: walk a fixed list of single-dimension
- * simplifications; keep each one that still reproduces a failure.
+ * Greedy shrink: walk a fixed list of simplifications (first every
+ * behavioural machine layer back to its default, then one dimension
+ * at a time); keep each one that still reproduces a failure.
  */
 Scenario
 shrink(Scenario s, const check::CheckOptions &chk, bool verbose_log)
 {
-    const Scenario defaults;
+    const driver::SystemConfig d;  // the default machine
     for (int round = 0; round < 2; ++round) {
         bool changed = false;
-        auto trial = [&](auto mutate, const char *what) {
+        auto trial = [&](auto mutate, const std::string &what) {
             Scenario t = s;
             mutate(t);
             if (t.describe() == s.describe())
@@ -243,37 +185,40 @@ shrink(Scenario s, const check::CheckOptions &chk, bool verbose_log)
             if (!runScenario(t, chk).empty()) {
                 if (verbose_log)
                     std::fprintf(stderr, "  shrink: %s still fails\n",
-                                 what);
+                                 what.c_str());
                 s = t;
                 changed = true;
             }
         };
-        trial([&](Scenario &t) { t = withoutVm(t); }, "vm=off");
-        trial([&](Scenario &t) { t.tcacheEntries = 0; }, "tcache=off");
-        trial([&](Scenario &t) { t.cores = 1; }, "cores=1");
-        trial([&](Scenario &t) { t.mode = core::UlmtMode::Shared; },
-              "mode=shared");
-        trial([&](Scenario &t) {
-                  t.tcacheEntries = std::min(t.tcacheEntries, 256u);
-                  t.tcacheAssoc = 4;
+        for (const driver::MachineLayer &layer : driver::machineLayers()) {
+            if (layer.fingerprint)  // a passive layer cannot fail a run
+                trial([&](auto &t) {
+                          for (const driver::MachineFlag &f : layer.flags)
+                              f.parse(f.print(d), t.cfg);
+                      },
+                      std::string(layer.name) + "=default");
+        }
+        trial([](auto &t) {
+                  mem::TableCacheSpec &tc = t.cfg.tableCache;
+                  tc = {std::min(tc.entries, 256u), 4};
               },
               "tcache=256,4");
-        trial([&](Scenario &t) { t.conven4 = false; }, "conven4=0");
-        trial([&](Scenario &t) { t.verbose = false; }, "verbose=0");
-        trial([&](Scenario &t) { t.placement = defaults.placement; },
+        trial([](auto &t) { t.cfg.conven4 = false; }, "conven4=0");
+        trial([](auto &t) { t.cfg.ulmt.verbose = false; }, "verbose=0");
+        trial([&](auto &t) { t.cfg.timing.placement = d.timing.placement; },
               "placement=InDram");
-        trial([&](Scenario &t) { t.algo = core::UlmtAlgo::Base; },
+        trial([](auto &t) { t.cfg.ulmt.algo = core::UlmtAlgo::Base; },
               "algo=Base");
-        trial([&](Scenario &t) { t.numLevels = defaults.numLevels; },
+        trial([&](auto &t) { t.cfg.ulmt.numLevels = d.ulmt.numLevels; },
               "levels=3");
-        trial([&](Scenario &t) { t.numRows = defaults.numRows; },
-              "rows=4096");
-        trial([&](Scenario &t) { t.filterEntries =
-                                     defaults.filterEntries; },
+        trial([](auto &t) { t.cfg.ulmt.numRows = 4096; }, "rows=4096");
+        trial([&](auto &t) {
+                  t.cfg.timing.filterEntries = d.timing.filterEntries;
+              },
               "filterEntries=32");
-        trial([&](Scenario &t) { t.queueDepth = defaults.queueDepth; },
+        trial([&](auto &t) { t.cfg.timing.queueDepth = d.timing.queueDepth; },
               "queueDepth=16");
-        trial([&](Scenario &t) { t.app = "MST"; }, "app=MST");
+        trial([](auto &t) { t.app = "MST"; }, "app=MST");
         if (!changed)
             break;
     }

@@ -18,10 +18,9 @@
  *   prefixed with "conven4+".  Default: conven4+Repl.  An unknown
  *   name exits 2 with the list of valid ones, before anything runs.
  *
- *   The machine flags are the benches' (driver::parseMachineFlag):
- *   --cores, --ulmt-mode, --vm, --page-size, --remap-rate,
- *   --table-cache, --audit, --check[=...], --check-interval and
- *   --metrics-interval.  A bad value exits 1 with a message.
+ *   The machine flags are the benches': every row of the machine-knob
+ *   table (driver::machineLayers, parsed by driver::parseMachineFlag;
+ *   the usage line lists them).  A bad value exits 1 with a message.
  *
  *   --cores/--ulmt-mode simulate a multicore machine; its per-core
  *   statistics land under "cpu.<id>.*", "ulmt.<id>.*" and
@@ -62,19 +61,15 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s dump <app> [--config=NAME] [--scale=S] [--seed=N]\n"
-        "       [--placement=dram|nb] [--metrics-interval=N]\n"
-        "       [--trace-events=PATH] [--cores=N]\n"
-        "       [--ulmt-mode=shared|percore|sharded]\n"
-        "       [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]\n"
-        "       [--table-cache=<entries>[,<assoc>]] [--audit=on|off]\n"
-        "       [--check[=basic|deep]] [--check-interval=N]\n"
-        "       [--core=ID] [--filter=GLOB] [--json|--table]\n"
+        "       [--placement=dram|nb] [--trace-events=PATH]\n"
+        "       [machine flags] [--core=ID] [--filter=GLOB] [--json|--table]\n"
+        "  machine flags: %s\n"
         "  filter: *?-glob (e.g. vm.*); a trailing '.' anchors a\n"
         "  subtree prefix exactly (vm.core.1. excludes vm.core.12.*)\n"
         "  config names: nopref, conven4, custom, <algo>,\n"
         "  conven4+<algo>  (algo: Base, Chain, Repl, Seq1, Seq4,\n"
         "  Seq1+Repl, Seq4+Repl; default conven4+Repl)\n",
-        argv0);
+        argv0, driver::machineFlagUsage().c_str());
     return 2;
 }
 
@@ -109,13 +104,7 @@ hasSegment(const std::string &name, const std::string &id)
     }
 }
 
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
-}
+using driver::flagValue;
 
 /** The --table renderer: one aligned "name  value" line per stat;
  *  samples and histograms fold to their summary fields. */

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
@@ -50,13 +49,7 @@ usage(const char *argv0)
     return 2;
 }
 
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
-}
+using driver::flagValue;
 
 [[noreturn]] void
 badFlag(const char *arg)
