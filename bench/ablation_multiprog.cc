@@ -92,7 +92,7 @@ main(int argc, char **argv)
     // fixed; the rest of the base machine applies.
     const bench::Options bopt = bench::parseArgs(
         argc, argv, 0.25,
-        {"--apps", "--cores", "--ulmt-mode", "--trace-events",
+        {"--apps", "multicore", "--trace-events",
          "--checkpoint-at", "--checkpoint-to", "--restore-from"});
     const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("ablation_multiprog", bopt);

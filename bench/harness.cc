@@ -22,18 +22,37 @@ Options
 parseArgs(int argc, char **argv, double default_scale,
           std::initializer_list<const char *> refused)
 {
+    // A refused name without the leading "--" is a machine layer:
+    // every flag of that layer is refused.
+    std::vector<std::string> refused_flags;
+    for (const char *r : refused) {
+        if (std::strncmp(r, "--", 2) == 0) {
+            refused_flags.push_back(r);
+            continue;
+        }
+        bool found = false;
+        for (const driver::MachineLayer &layer : driver::machineLayers()) {
+            if (std::strcmp(r, "machine") != 0 &&
+                std::strcmp(r, layer.name) != 0)
+                continue;
+            found = true;
+            for (const driver::MachineFlag &f : layer.flags)
+                refused_flags.push_back(f.name);
+        }
+        SIM_ASSERT(found, "unknown machine layer '%s'", r);
+    }
+
     Options opt;
     driver::ExperimentOptions &exp = opt.experiment;
     exp.scale = default_scale;
     bool scale_seen = false;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        for (const char *r : refused) {
-            const std::size_t n = std::strlen(r);
-            if (std::strncmp(arg, r, n) == 0 &&
-                (arg[n] == '\0' || arg[n] == '='))
-                sim::fatal("this bench sets %s itself; refusing '%s'", r,
-                           arg);
+        for (const std::string &r : refused_flags) {
+            if (std::strncmp(arg, r.c_str(), r.size()) == 0 &&
+                (arg[r.size()] == '\0' || arg[r.size()] == '='))
+                sim::fatal("this bench sets %s itself; refusing '%s'",
+                           r.c_str(), arg);
         }
         // Machine-flag and scale parsers throw; refuse the value.
         try {

@@ -89,7 +89,9 @@ struct Options
  * registered workload names and exits.
  *
  * @param refused flags this bench fixes or sweeps itself (e.g.
- *        "--cores"); passing one is a fatal error, as is any
+ *        "--apps"), or machine layers (driver::machineLayers, e.g.
+ *        "vm"; "machine" for every layer) whose flags it refuses all
+ *        of; passing a refused flag is a fatal error, as is any
  *        malformed or unknown argument.
  */
 Options parseArgs(int argc, char **argv, double default_scale,

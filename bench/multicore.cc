@@ -59,7 +59,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt =
-        bench::parseArgs(argc, argv, 0.05, {"--cores", "--ulmt-mode"});
+        bench::parseArgs(argc, argv, 0.05, {"multicore"});
     const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("multicore", bopt);
 

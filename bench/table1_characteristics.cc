@@ -105,9 +105,7 @@ main(int argc, char **argv)
     const bench::Options bopt = bench::parseArgs(
         argc, argv, 1.0,
         {"--apps", "--trace-events", "--checkpoint-at", "--checkpoint-to",
-         "--restore-from", "--cores", "--ulmt-mode", "--vm",
-         "--page-size", "--remap-rate", "--table-cache", "--audit",
-         "--check", "--check-interval", "--metrics-interval"});
+         "--restore-from", "machine"});
     bench::Harness harness("table1_characteristics", bopt);
 
     constexpr std::uint32_t rows = 8192;

@@ -58,7 +58,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Options bopt =
-        bench::parseArgs(argc, argv, 0.25, {"--table-cache"});
+        bench::parseArgs(argc, argv, 0.25, {"table-cache"});
     const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("table_cache", bopt);
 

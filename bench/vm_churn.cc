@@ -59,7 +59,7 @@ main(int argc, char **argv)
     // Coverage and accuracy come from the audit, so it stays on.
     const bench::Options bopt = bench::parseArgs(
         argc, argv, 0.25,
-        {"--vm", "--page-size", "--remap-rate", "--audit"});
+        {"vm", "--audit"});
     const driver::ExperimentOptions &opt = bopt.experiment;
     bench::Harness harness("vm_churn", bopt);
 

@@ -6,9 +6,9 @@
  * src/trace/format.hh -- little-endian fixed-width container fields,
  * LEB128 varints inside section payloads, per-section FNV-1a checksums
  * and a chain-checksummed trailer -- but is deliberately self-contained
- * so that ckpt stays a leaf module: components that implement
- * saveState()/restoreState() include this header (and state.hh) and
- * nothing else, and the sim/ layer never depends on ckpt at all.
+ * so that ckpt stays a leaf module: components that implement a
+ * checkpoint walk include state.hh (and through it this header) and
+ * nothing else of ckpt.
  *
  * Layout of a checkpoint file:
  *

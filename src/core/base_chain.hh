@@ -45,17 +45,10 @@ class PairLearner
     /** The last-miss context is part of the learning state: without it
      *  a restored run would miss one pair link. */
     void
-    saveState(ckpt::StateWriter &w) const
+    walk(ckpt::Stream &s)
     {
-        w.u64(lastMiss_);
-        w.b(lastValid_);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        lastMiss_ = r.u64();
-        lastValid_ = r.b();
+        s.u64(lastMiss_);
+        s.b(lastValid_);
     }
 
     /** Last-miss context (reference-model resync). */
@@ -130,17 +123,10 @@ class BasePrefetcher : public CorrelationPrefetcher
     }
 
     void
-    saveState(ckpt::StateWriter &w) const override
+    walk(ckpt::Stream &s) override
     {
-        table_.saveState(w);
-        learner_.saveState(w);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r) override
-    {
-        table_.restoreState(r);
-        learner_.restoreState(r);
+        table_.walk(s);
+        learner_.walk(s);
     }
 
     void
@@ -234,17 +220,10 @@ class ChainPrefetcher : public CorrelationPrefetcher
     }
 
     void
-    saveState(ckpt::StateWriter &w) const override
+    walk(ckpt::Stream &s) override
     {
-        table_.saveState(w);
-        learner_.saveState(w);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r) override
-    {
-        table_.restoreState(r);
-        learner_.restoreState(r);
+        table_.walk(s);
+        learner_.walk(s);
     }
 
     void

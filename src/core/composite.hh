@@ -138,28 +138,18 @@ class CompositePrefetcher : public CorrelationPrefetcher
             p->onPageRemap(old_page, new_page, page_bytes, cost);
     }
 
-    /** Serialize each component in order plus the short-circuit flag
-     *  that couples a prefetch step to the following learn step. */
+    /** Checkpoint walk: each component in order, then the
+     *  short-circuit flag that couples a prefetch step to the
+     *  following learn step. */
     void
-    saveState(ckpt::StateWriter &w) const override
+    walk(ckpt::Stream &s) override
     {
-        w.u64(parts_.size());
-        for (const auto &p : parts_)
-            p->saveState(w);
-        w.b(handledByFront_);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r) override
-    {
-        if (r.u64() != parts_.size()) {
-            throw ckpt::CkptError(
-                "composite component count in checkpoint does not "
-                "match the configuration");
-        }
+        s.expect(parts_.size(),
+                 "composite component count in checkpoint does not "
+                 "match the configuration");
         for (auto &p : parts_)
-            p->restoreState(r);
-        handledByFront_ = r.b();
+            p->walk(s);
+        s.b(handledByFront_);
     }
 
     void

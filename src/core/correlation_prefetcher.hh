@@ -85,21 +85,12 @@ class CorrelationPrefetcher
     }
 
     /**
-     * Serialize the complete table state (and any learning context)
-     * for a checkpoint.  Algorithms that do not implement this refuse,
-     * so a checkpoint is never silently missing table contents.
+     * Checkpoint walk of the complete table state (and any learning
+     * context).  Algorithms that do not implement it refuse, so a
+     * checkpoint is never silently missing table contents.
      */
     virtual void
-    saveState(ckpt::StateWriter & /*w*/) const
-    {
-        throw ckpt::CkptError("algorithm '" + name() +
-                              "' does not support checkpointing");
-    }
-
-    /** Restore state written by saveState on an identically configured
-     *  instance. */
-    virtual void
-    restoreState(ckpt::StateReader & /*r*/)
+    walk(ckpt::Stream & /*s*/)
     {
         throw ckpt::CkptError("algorithm '" + name() +
                               "' does not support checkpointing");

@@ -175,40 +175,24 @@ CorrelationTable::remapPage(sim::Addr old_page, sim::Addr new_page,
 }
 
 void
-CorrelationTable::saveRows(ckpt::StateWriter &w) const
+CorrelationTable::walkRows(ckpt::Stream &s, const std::string &what)
 {
-    w.u64(rows_.clock());
-    w.u64(insertions_);
-    w.u64(replacements_);
-    rows_.saveSparse(w, [&](std::size_t i) {
-        w.u64(rows_.stamp(i));
-        for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
-            const auto list = successors(RowIndex(i), lvl);
-            w.u64(list.size());
-            for (sim::Addr s : list)
-                w.u64(s);
-        }
-    });
-}
-
-void
-CorrelationTable::restoreRows(ckpt::StateReader &r, const std::string &what)
-{
-    rows_.setClock(r.u64());
-    insertions_ = r.u64();
-    replacements_ = r.u64();
-    std::fill(count_.begin(), count_.end(), 0u);
-    rows_.restoreSparse(r, what + " row index out of range",
-                        [&](std::size_t i) {
-        rows_.setStamp(i, r.u64());
+    rows_.walkClock(s);
+    s.u64(insertions_, replacements_);
+    if (s.restoring())
+        std::fill(count_.begin(), count_.end(), 0u);
+    rows_.walkSparse(s, what + " row index out of range",
+                     [&](std::size_t i) {
+        rows_.walkStamp(s, i);
         for (std::uint32_t lvl = 0; lvl < levels_; ++lvl) {
             const std::size_t list = listIndex(RowIndex(i), lvl);
-            const std::uint64_t n = r.u64();
+            const std::uint64_t n = s.count(count_[list]);
             if (n > params_.numSucc)
                 throw ckpt::CkptError(what + " successor list too long");
             for (std::uint64_t k = 0; k < n; ++k)
-                succ_[list * params_.numSucc + k] = r.u64();
-            count_[list] = static_cast<std::uint32_t>(n);
+                s.u64(succ_[list * params_.numSucc + k]);
+            if (s.restoring())
+                count_[list] = static_cast<std::uint32_t>(n);
         }
     });
 }
@@ -245,24 +229,14 @@ CorrelationTable::checkInvariants(check::CheckContext &ctx,
 }
 
 void
-PairTable::saveState(ckpt::StateWriter &w) const
+PairTable::walk(ckpt::Stream &s)
 {
-    w.u32(params().numRows);
-    w.u32(params().numSucc);
-    w.u32(params().assoc);
-    saveRows(w);
-}
-
-void
-PairTable::restoreState(ckpt::StateReader &r)
-{
-    if (r.u32() != params().numRows || r.u32() != params().numSucc ||
-        r.u32() != params().assoc) {
-        throw ckpt::CkptError(
-            "pair-table geometry in checkpoint does not match this "
-            "configuration");
-    }
-    restoreRows(r, "pair-table");
+    const char *shape = "pair-table geometry in checkpoint does not "
+                        "match this configuration";
+    s.expect(params().numRows, shape);
+    s.expect(params().numSucc, shape);
+    s.expect(params().assoc, shape);
+    walkRows(s, "pair-table");
 }
 
 } // namespace core

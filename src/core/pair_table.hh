@@ -130,13 +130,12 @@ class CorrelationTable
     const CorrelationParams &params() const { return params_; }
 
     /**
-     * Serialize the LRU stamp counter, the insertion/replacement
-     * counters and the valid rows (sparse: index, tag, stamp, then
-     * each level's count and addresses).  The owner writes and checks
-     * its geometry first; @p what prefixes restore errors.
+     * Checkpoint walk of the LRU stamp counter, the insertion and
+     * replacement counters and the valid rows (sparse: index, tag,
+     * stamp, then each level's count and addresses).  The owner walks
+     * its geometry guard first; @p what prefixes restore errors.
      */
-    void saveRows(ckpt::StateWriter &w) const;
-    void restoreRows(ckpt::StateReader &r, const std::string &what);
+    void walkRows(ckpt::Stream &s, const std::string &what);
 
     /** Visit every valid row: fn(const Rows::Entry &). */
     template <typename Fn>
@@ -218,10 +217,8 @@ class PairTable : public CorrelationTable
         cost.memWrite(rowAddr(row), rowBytes());
     }
 
-    /** Geometry guard plus the rows.  Restore validates the geometry
-     *  against this instance's configuration. */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    /** Checkpoint walk: a geometry guard, then the rows. */
+    void walk(ckpt::Stream &s);
 };
 
 } // namespace core

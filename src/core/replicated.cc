@@ -68,43 +68,24 @@ ReplicatedPrefetcher::predict(sim::Addr miss_line,
 }
 
 void
-ReplicatedPrefetcher::saveState(ckpt::StateWriter &w) const
+ReplicatedPrefetcher::walk(ckpt::Stream &s)
 {
-    w.u32(params_.numRows);
-    w.u32(params_.numSucc);
-    w.u32(params_.assoc);
-    w.u32(params_.numLevels);
-    table_.saveRows(w);
+    const char *shape = "replicated-table geometry in checkpoint does "
+                        "not match this configuration";
+    s.expect(params_.numRows, shape);
+    s.expect(params_.numSucc, shape);
+    s.expect(params_.assoc, shape);
+    s.expect(params_.numLevels, shape);
+    table_.walkRows(s, "replicated-table");
 
     // The trailing pointers are the learning context: they decide
     // which rows the next miss is inserted into.
-    w.u64(ptrs_.size());
-    for (const RowPtr &p : ptrs_) {
-        w.u32(p.index);
-        w.u64(p.expectedTag);
-        w.b(p.valid);
-    }
-}
-
-void
-ReplicatedPrefetcher::restoreState(ckpt::StateReader &r)
-{
-    if (r.u32() != params_.numRows || r.u32() != params_.numSucc ||
-        r.u32() != params_.assoc || r.u32() != params_.numLevels) {
-        throw ckpt::CkptError(
-            "replicated-table geometry in checkpoint does not match "
-            "this configuration");
-    }
-    table_.restoreRows(r, "replicated-table");
-
-    if (r.u64() != ptrs_.size()) {
-        throw ckpt::CkptError(
-            "replicated-table pointer count does not match NumLevels");
-    }
+    s.expect(ptrs_.size(),
+             "replicated-table pointer count does not match NumLevels");
     for (RowPtr &p : ptrs_) {
-        p.index = r.u32();
-        p.expectedTag = r.u64();
-        p.valid = r.b();
+        s.u32(p.index);
+        s.u64(p.expectedTag);
+        s.b(p.valid);
         if (p.valid && p.index >= params_.numRows) {
             throw ckpt::CkptError(
                 "replicated-table trailing pointer out of range");

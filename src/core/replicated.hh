@@ -63,10 +63,9 @@ class ReplicatedPrefetcher : public CorrelationPrefetcher
     /** Simulated row size in bytes (28 B for NumLevels=3, NumSucc=2). */
     std::uint32_t rowBytes() const { return table_.rowBytes(); }
 
-    /** Serialize valid rows (sparse), the trailing row pointers and
-     *  the LRU/sizing counters. */
-    void saveState(ckpt::StateWriter &w) const override;
-    void restoreState(ckpt::StateReader &r) override;
+    /** Checkpoint walk: valid rows (sparse), the trailing row
+     *  pointers and the LRU/sizing counters. */
+    void walk(ckpt::Stream &s) override;
 
     /**
      * Invariants: the table's (CorrelationTable::checkInvariants), and

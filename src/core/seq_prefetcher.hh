@@ -50,46 +50,21 @@ class SeqPrefetcher : public CorrelationPrefetcher
 
     std::uint64_t streamsDetected() const { return streamsDetected_; }
 
-    /** Serialize stream registers, miss history and counters. */
+    /** Checkpoint walk: stream registers, miss history, counters. */
     void
-    saveState(ckpt::StateWriter &w) const override
+    walk(ckpt::Stream &s) override
     {
-        w.u64(streams_.size());
-        for (const Stream &s : streams_) {
-            w.b(s.valid);
-            w.u64(s.nextExpected);
-            w.u64(s.lastMiss);
-            w.i64(s.stride);
-            w.u64(s.stamp);
+        s.expect(streams_.size(),
+                 "seq-prefetcher register count in checkpoint does not "
+                 "match the configuration");
+        for (Stream &st : streams_) {
+            s.b(st.valid);
+            s.u64(st.nextExpected, st.lastMiss);
+            s.i64(st.stride);
+            s.u64(st.stamp);
         }
-        w.u64(history_.size());
-        for (sim::Addr line : history_)
-            w.u64(line);
-        w.u64(streamsDetected_);
-        w.u64(stampCounter_);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r) override
-    {
-        if (r.u64() != streams_.size()) {
-            throw ckpt::CkptError(
-                "seq-prefetcher register count in checkpoint does not "
-                "match the configuration");
-        }
-        for (Stream &s : streams_) {
-            s.valid = r.b();
-            s.nextExpected = r.u64();
-            s.lastMiss = r.u64();
-            s.stride = r.i64();
-            s.stamp = r.u64();
-        }
-        history_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            history_.push_back(r.u64());
-        streamsDetected_ = r.u64();
-        stampCounter_ = r.u64();
+        s.u64s(history_);
+        s.u64(streamsDetected_, stampCounter_);
     }
 
   private:

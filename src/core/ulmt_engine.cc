@@ -270,89 +270,42 @@ UlmtEngine::pageRemap(sim::Addr old_page, sim::Addr new_page,
 }
 
 void
-UlmtEngine::saveState(ckpt::StateWriter &w) const
+UlmtEngine::walk(ckpt::Stream &s)
 {
     // Sub-queue count is configuration-derived (numCores_), so it is
-    // implied; each sub-queue is written in order.
-    for (const auto &q : queues2_) {
-        w.u64(q.size());
-        for (const Observation &obs : q) {
-            w.u64(obs.when);
-            w.u64(obs.line);
-            w.u64(obs.flow);
-            w.u32(obs.core);
-        }
-    }
-    w.u32(rrCursor_);
-    for (std::uint64_t served : servedPerCore_)
-        w.u64(served);
-    mpCache_.saveState(w);
-    w.u64(busyUntil_);
-    w.b(processingScheduled_);
-
-    w.u64(stats_.missesObserved);
-    w.u64(stats_.missesProcessed);
-    w.u64(stats_.missesDroppedQueueFull);
-    w.u64(stats_.prefetchesGenerated);
-    ckpt::save(w, stats_.responseTime);
-    ckpt::save(w, stats_.occupancyTime);
-    ckpt::save(w, stats_.responseBusy);
-    ckpt::save(w, stats_.responseMem);
-    ckpt::save(w, stats_.occupancyBusy);
-    ckpt::save(w, stats_.occupancyMem);
-    w.u64(stats_.busyCycles);
-    w.u64(stats_.memStallCycles);
-    w.u64(stats_.instructions);
-
-    for (const auto &s : shards_)
-        s->saveState(w);
-}
-
-void
-UlmtEngine::restoreState(ckpt::StateReader &r)
-{
-    std::uint64_t depth = 0;
+    // implied; each sub-queue is walked in order, all of them within
+    // the one queue-2 depth.
+    std::uint64_t room = tp_.queueDepth;
     for (auto &q : queues2_) {
-        q.clear();
-        const std::uint64_t n = r.u64();
-        depth += n;
-        if (depth > tp_.queueDepth)
-            throw ckpt::CkptError(
-                "queue-2 depth exceeds the configuration");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Observation obs{};
-            obs.when = r.u64();
-            obs.line = r.u64();
-            obs.flow = r.u64();
-            obs.core = r.u32();
-            q.push_back(obs);
-        }
+        s.seq(
+            q,
+            [&s](Observation &o) {
+                s.u64(o.when, o.line, o.flow);
+                s.u32(o.core);
+            },
+            room, "queue-2 depth exceeds the configuration");
+        room -= q.size();
     }
-    rrCursor_ = r.u32();
+    s.u32(rrCursor_);
     if (rrCursor_ >= numCores_)
         throw ckpt::CkptError("round-robin cursor out of range");
     for (std::uint64_t &served : servedPerCore_)
-        served = r.u64();
-    mpCache_.restoreState(r);
-    busyUntil_ = r.u64();
-    processingScheduled_ = r.b();
+        s.u64(served);
+    mpCache_.walk(s);
+    s.u64(busyUntil_);
+    s.b(processingScheduled_);
 
-    stats_.missesObserved = r.u64();
-    stats_.missesProcessed = r.u64();
-    stats_.missesDroppedQueueFull = r.u64();
-    stats_.prefetchesGenerated = r.u64();
-    ckpt::restore(r, stats_.responseTime);
-    ckpt::restore(r, stats_.occupancyTime);
-    ckpt::restore(r, stats_.responseBusy);
-    ckpt::restore(r, stats_.responseMem);
-    ckpt::restore(r, stats_.occupancyBusy);
-    ckpt::restore(r, stats_.occupancyMem);
-    stats_.busyCycles = r.u64();
-    stats_.memStallCycles = r.u64();
-    stats_.instructions = r.u64();
+    s.u64(stats_.missesObserved, stats_.missesProcessed,
+          stats_.missesDroppedQueueFull, stats_.prefetchesGenerated);
+    for (sim::SampleStat *st :
+         {&stats_.responseTime, &stats_.occupancyTime,
+          &stats_.responseBusy, &stats_.responseMem,
+          &stats_.occupancyBusy, &stats_.occupancyMem})
+        ckpt::walk(s, *st);
+    s.u64(stats_.busyCycles, stats_.memStallCycles, stats_.instructions);
 
-    for (const auto &s : shards_)
-        s->restoreState(r);
+    for (const auto &shard : shards_)
+        shard->walk(s);
 }
 
 void

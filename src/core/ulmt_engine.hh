@@ -196,10 +196,10 @@ class UlmtEngine : public mem::MissObserver
         return [this] { processNext(); };
     }
 
-    /** Serialize queue 2, the memory-processor cache, the thread's
-     *  occupancy state, the statistics and the algorithm's table. */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    /** Checkpoint walk: queue 2, the memory-processor cache, the
+     *  thread's occupancy state, the statistics and the algorithm's
+     *  table. */
+    void walk(ckpt::Stream &s);
 
   private:
     friend struct check::CheckTestPeer;

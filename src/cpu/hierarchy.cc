@@ -368,105 +368,30 @@ Hierarchy::registerStats(sim::StatRegistry &reg,
 }
 
 void
-Hierarchy::saveState(ckpt::StateWriter &w) const
+Hierarchy::walk(ckpt::Stream &s)
 {
-    l1_.saveState(w);
-    l2_.saveState(w);
-    l2Mshrs_.saveState(w);
+    l1_.walk(s);
+    l2_.walk(s);
+    l2Mshrs_.walk(s);
     if (streamPfEnabled_)
-        streamPf_.saveState(w);
+        streamPf_.walk(s);
+    s.sortedSet(claimedPush_);
+    s.sortedMap(wbQueue_, [&s](sim::Addr &line, sim::Cycle &retire) {
+        s.u64(line, retire);
+    });
 
-    // Sorted iteration keeps the checkpoint bytes deterministic.
-    std::vector<sim::Addr> claimed = claimedPush_.keys();
-    std::sort(claimed.begin(), claimed.end());
-    w.u64(claimed.size());
-    for (sim::Addr line : claimed)
-        w.u64(line);
+    s.u64(stats_.loads, stats_.stores, stats_.l1Hits, stats_.l1Misses,
+          stats_.l2Hits, stats_.l2Misses, stats_.l2MshrMerges,
+          stats_.ulmtHits, stats_.ulmtDelayedHits, stats_.nonPrefMisses,
+          stats_.ulmtReplaced, stats_.pushRedundantPresent,
+          stats_.pushRedundantWb, stats_.pushDroppedMshrFull,
+          stats_.pushDroppedSetPending, stats_.pushInstalled,
+          stats_.delayedHitSavedCycles, stats_.cpuPfIssued,
+          stats_.cpuPfToMemory, stats_.cpuPfUseful, stats_.cpuPfTimely,
+          stats_.cpuPfReplaced, stats_.cpuPfDroppedPageCross);
 
-    std::vector<std::pair<sim::Addr, sim::Cycle>> wb(wbQueue_.begin(),
-                                                     wbQueue_.end());
-    std::sort(wb.begin(), wb.end());
-    w.u64(wb.size());
-    for (const auto &[line, retire] : wb) {
-        w.u64(line);
-        w.u64(retire);
-    }
-
-    w.u64(stats_.loads);
-    w.u64(stats_.stores);
-    w.u64(stats_.l1Hits);
-    w.u64(stats_.l1Misses);
-    w.u64(stats_.l2Hits);
-    w.u64(stats_.l2Misses);
-    w.u64(stats_.l2MshrMerges);
-    w.u64(stats_.ulmtHits);
-    w.u64(stats_.ulmtDelayedHits);
-    w.u64(stats_.nonPrefMisses);
-    w.u64(stats_.ulmtReplaced);
-    w.u64(stats_.pushRedundantPresent);
-    w.u64(stats_.pushRedundantWb);
-    w.u64(stats_.pushDroppedMshrFull);
-    w.u64(stats_.pushDroppedSetPending);
-    w.u64(stats_.pushInstalled);
-    w.u64(stats_.delayedHitSavedCycles);
-    w.u64(stats_.cpuPfIssued);
-    w.u64(stats_.cpuPfToMemory);
-    w.u64(stats_.cpuPfUseful);
-    w.u64(stats_.cpuPfTimely);
-    w.u64(stats_.cpuPfReplaced);
-    w.u64(stats_.cpuPfDroppedPageCross);
-
-    ckpt::save(w, missGaps_);
-    w.u64(lastMissAtMemory_);
-}
-
-void
-Hierarchy::restoreState(ckpt::StateReader &r)
-{
-    l1_.restoreState(r);
-    l2_.restoreState(r);
-    l2Mshrs_.restoreState(r);
-    if (streamPfEnabled_)
-        streamPf_.restoreState(r);
-
-    claimedPush_.clear();
-    const std::uint64_t nClaimed = r.u64();
-    for (std::uint64_t i = 0; i < nClaimed; ++i)
-        claimedPush_.insert(r.u64());
-
-    wbQueue_.clear();
-    const std::uint64_t nWb = r.u64();
-    for (std::uint64_t i = 0; i < nWb; ++i) {
-        const sim::Addr line = r.u64();
-        wbQueue_[line] = r.u64();
-    }
-
-    stats_.loads = r.u64();
-    stats_.stores = r.u64();
-    stats_.l1Hits = r.u64();
-    stats_.l1Misses = r.u64();
-    stats_.l2Hits = r.u64();
-    stats_.l2Misses = r.u64();
-    stats_.l2MshrMerges = r.u64();
-    stats_.ulmtHits = r.u64();
-    stats_.ulmtDelayedHits = r.u64();
-    stats_.nonPrefMisses = r.u64();
-    stats_.ulmtReplaced = r.u64();
-    stats_.pushRedundantPresent = r.u64();
-    stats_.pushRedundantWb = r.u64();
-    stats_.pushDroppedMshrFull = r.u64();
-    stats_.pushDroppedSetPending = r.u64();
-    stats_.pushInstalled = r.u64();
-    stats_.delayedHitSavedCycles = r.u64();
-    stats_.cpuPfIssued = r.u64();
-    stats_.cpuPfToMemory = r.u64();
-    stats_.cpuPfUseful = r.u64();
-    stats_.cpuPfTimely = r.u64();
-    stats_.cpuPfReplaced = r.u64();
-    stats_.cpuPfDroppedPageCross = r.u64();
-
-    ckpt::restore(r, missGaps_);
-    lastMissAtMemory_ = r.u64();
+    ckpt::walk(s, missGaps_);
+    s.u64(lastMissAtMemory_);
 }
 
 } // namespace cpu

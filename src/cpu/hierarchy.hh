@@ -129,24 +129,9 @@ class MshrFile
 
     void clear() { busyUntil_.clear(); }
 
-    /** Serialize outstanding-fill deadlines (multiset iterates sorted,
-     *  so the encoding is deterministic). */
-    void
-    saveState(ckpt::StateWriter &w) const
-    {
-        w.u64(busyUntil_.size());
-        for (sim::Cycle c : busyUntil_)
-            w.u64(c);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        busyUntil_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            busyUntil_.insert(r.u64());
-    }
+    /** Checkpoint walk of the outstanding-fill deadlines (a multiset
+     *  iterates sorted, so the encoding is deterministic). */
+    void walk(ckpt::Stream &s) { s.u64s(busyUntil_); }
 
   private:
     std::uint32_t capacity_;
@@ -248,9 +233,9 @@ class Hierarchy
     void registerStats(sim::StatRegistry &reg,
                        const std::string &prefix = "") const;
 
-    /** Serialize both tag arrays, MSHRs, stream prefetcher, queues. */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    /** Checkpoint walk: both tag arrays, MSHRs, stream prefetcher,
+     *  queues. */
+    void walk(ckpt::Stream &s);
 
     /**
      * Optional observer of demand L2 misses (issue cycle, line addr),

@@ -160,98 +160,50 @@ MainProcessor::step()
 }
 
 void
-MainProcessor::saveState(ckpt::StateWriter &w) const
+MainProcessor::walk(ckpt::Stream &s)
 {
-    auto saveQueue = [&w](const PendingQueue &q) {
-        w.u64(q.size());
-        for (std::uint32_t i = 0; i < q.size(); ++i) {
-            const Pending &p = q[i];
-            w.u64(p.complete);
-            w.u8(static_cast<std::uint8_t>(p.served));
-            w.u64(p.opStamp);
-        }
+    const auto pending = [&s](Pending &p) {
+        s.u64(p.complete);
+        s.enumU8(p.served, sim::ServedBy::Memory,
+                 "corrupt ServedBy in processor state");
+        s.u64(p.opStamp);
     };
-    saveQueue(pendingLoads_);
-    saveQueue(pendingStores_);
-    w.u64(lastLoad_.complete);
-    w.u8(static_cast<std::uint8_t>(lastLoad_.served));
-    w.u64(lastLoad_.opStamp);
-    w.b(lastLoadValid_);
-    w.u64(opsIssued_);
-
-    w.b(haveRec_);
-    w.u32(rec_.computeOps);
-    w.u64(rec_.addr);
-    w.b(rec_.isWrite);
-    w.b(rec_.dependsOnPrev);
-    w.b(finished_);
-
-    w.u64(stats_.totalCycles);
-    w.u64(stats_.busyCycles);
-    w.u64(stats_.uptoL2Stall);
-    w.u64(stats_.beyondL2Stall);
-    w.u64(stats_.records);
-    w.u64(stats_.ops);
-    w.u64(stats_.stallDependence);
-    w.u64(stats_.stallLoadWindow);
-    w.u64(stats_.stallStoreWindow);
-    w.u64(stats_.stallDrain);
-    ckpt::save(w, stats_.beyondWaits);
-    ckpt::save(w, stats_.uptoWaits);
-}
-
-void
-MainProcessor::restoreState(ckpt::StateReader &r)
-{
-    auto readServed = [&r] {
-        const std::uint8_t v = r.u8();
-        if (v > static_cast<std::uint8_t>(sim::ServedBy::Memory))
-            throw ckpt::CkptError("corrupt ServedBy in processor state");
-        return static_cast<sim::ServedBy>(v);
-    };
-    auto restoreQueue = [&](PendingQueue &q) {
-        q.clear();
-        const std::uint64_t n = r.u64();
-        if (n > q.window())
+    for (PendingQueue *q : {&pendingLoads_, &pendingStores_}) {
+        const std::uint64_t n = s.count(q->size());
+        if (n > q->window())
             throw ckpt::CkptError(sim::strformat(
                 "processor state holds %llu pending references, more "
                 "than the window of %u",
-                (unsigned long long)n, q.window()));
+                (unsigned long long)n, q->window()));
+        if (s.saving()) {
+            for (std::uint32_t i = 0; i < n; ++i) {
+                Pending p = (*q)[i];
+                pending(p);
+            }
+            continue;
+        }
+        q->clear();
         for (std::uint64_t i = 0; i < n; ++i) {
             Pending p{};
-            p.complete = r.u64();
-            p.served = readServed();
-            p.opStamp = r.u64();
-            q.push_back(p);
+            pending(p);
+            q->push_back(p);
         }
-    };
-    restoreQueue(pendingLoads_);
-    restoreQueue(pendingStores_);
-    lastLoad_.complete = r.u64();
-    lastLoad_.served = readServed();
-    lastLoad_.opStamp = r.u64();
-    lastLoadValid_ = r.b();
-    opsIssued_ = r.u64();
+    }
+    pending(lastLoad_);
+    s.b(lastLoadValid_);
+    s.u64(opsIssued_);
 
-    haveRec_ = r.b();
-    rec_.computeOps = r.u32();
-    rec_.addr = r.u64();
-    rec_.isWrite = r.b();
-    rec_.dependsOnPrev = r.b();
-    finished_ = r.b();
+    s.b(haveRec_);
+    s.u32(rec_.computeOps);
+    s.u64(rec_.addr);
+    s.b(rec_.isWrite, rec_.dependsOnPrev, finished_);
 
-    stats_.totalCycles = r.u64();
-    stats_.busyCycles = r.u64();
-    stats_.uptoL2Stall = r.u64();
-    stats_.beyondL2Stall = r.u64();
-    stats_.records = r.u64();
-    stats_.ops = r.u64();
-    stats_.stallDependence = r.u64();
-    stats_.stallLoadWindow = r.u64();
-    stats_.stallStoreWindow = r.u64();
-    stats_.stallDrain = r.u64();
-    ckpt::restore(r, stats_.beyondWaits);
-    ckpt::restore(r, stats_.uptoWaits);
+    s.u64(stats_.totalCycles, stats_.busyCycles, stats_.uptoL2Stall,
+          stats_.beyondL2Stall, stats_.records, stats_.ops,
+          stats_.stallDependence, stats_.stallLoadWindow,
+          stats_.stallStoreWindow, stats_.stallDrain);
+    ckpt::walk(s, stats_.beyondWaits);
+    ckpt::walk(s, stats_.uptoWaits);
 }
 
 } // namespace cpu

@@ -105,14 +105,13 @@ class MainProcessor
     }
 
     /**
-     * Serialize the window state.  step() re-derives its local clock
-     * from the event queue on entry, so the members below are the
-     * complete resume state; the workload cursor (how many records
-     * source_ has produced) is stats_.records and is fast-forwarded by
-     * the driver, not here.
+     * Checkpoint walk of the window state.  step() re-derives its
+     * local clock from the event queue on entry, so the members below
+     * are the complete resume state; the workload cursor (how many
+     * records source_ has produced) is stats_.records and is
+     * fast-forwarded by the driver, not here.
      */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    void walk(ckpt::Stream &s);
 
     /**
      * Register core cycle/stall stats under "proc.*", prepending

@@ -70,43 +70,21 @@ class StreamPrefetcher
         stampCounter_ = 0;
     }
 
-    /** Serialize stream registers, miss history and counters. */
+    /** Checkpoint walk: stream registers, miss history, counters. */
     void
-    saveState(ckpt::StateWriter &w) const
+    walk(ckpt::Stream &s)
     {
-        w.u64(streams_.size());
-        for (const Stream &s : streams_) {
-            w.b(s.valid);
-            w.u64(s.nextExpected);
-            w.i64(s.stride);
-            w.u64(s.stamp);
+        s.expect(streams_.size(),
+                 "stream-prefetcher register count in checkpoint does "
+                 "not match the configuration");
+        for (Stream &st : streams_) {
+            s.b(st.valid);
+            s.u64(st.nextExpected);
+            s.i64(st.stride);
+            s.u64(st.stamp);
         }
-        w.u64(history_.size());
-        for (sim::Addr line : history_)
-            w.u64(line);
-        w.u64(streamsDetected_);
-        w.u64(stampCounter_);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        if (r.u64() != streams_.size())
-            throw ckpt::CkptError(
-                "stream-prefetcher register count in checkpoint does "
-                "not match the configuration");
-        for (Stream &s : streams_) {
-            s.valid = r.b();
-            s.nextExpected = r.u64();
-            s.stride = r.i64();
-            s.stamp = r.u64();
-        }
-        history_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            history_.push_back(r.u64());
-        streamsDetected_ = r.u64();
-        stampCounter_ = r.u64();
+        s.u64s(history_);
+        s.u64(streamsDetected_, stampCounter_);
     }
 
   private:

@@ -506,6 +506,73 @@ System::resolveEvent(const sim::SavedEvent &s)
     }
 }
 
+std::vector<System::Section>
+System::sections(QueueImage &queue)
+{
+    std::vector<Section> out;
+    out.push_back({"events", [this, &queue](ckpt::Stream &s) {
+        s.u64(queue.now, queue.nextSeq, queue.executed);
+        // Bounds the queue itself asserts: refuse them as input.
+        if (queue.nextSeq >= sim::EventQueue::seqLimit)
+            throw ckpt::CkptError("checkpoint event sequence counter "
+                                  "beyond the queue's 40-bit budget");
+        s.seq(
+            queue.events,
+            [&](sim::SavedEvent &e) {
+                if (s.saving() &&
+                    e.kind == static_cast<std::uint32_t>(
+                                  sim::EventKind::Untagged)) {
+                    throw ckpt::CkptError(
+                        "an untagged event is pending; the queue is not "
+                        "checkpointable at this instant");
+                }
+                s.u64(e.when, e.seq);
+                s.u32(e.kind);
+                s.u64(e.arg0, e.arg1);
+                if (e.kind == 0 ||
+                    e.kind > static_cast<std::uint32_t>(
+                                 sim::EventKind::VmRemap))
+                    throw ckpt::CkptError(
+                        "corrupt event kind in checkpoint");
+                if (e.when < queue.now || e.seq >= queue.nextSeq)
+                    throw ckpt::CkptError(
+                        "checkpoint event outside the snapshot bounds");
+            },
+            sim::EventQueue::maxPending,
+            "checkpoint holds more pending events than the queue has "
+            "slots");
+    }});
+    for (std::size_t c = 0; c < cpus_.size(); ++c)
+        out.push_back({sectionName("cpu", c), [this, c](ckpt::Stream &s) {
+                           cpus_[c]->walk(s);
+                       }});
+    for (std::size_t c = 0; c < hiers_.size(); ++c)
+        out.push_back({sectionName("hier", c), [this, c](ckpt::Stream &s) {
+                           hiers_[c]->walk(s);
+                       }});
+    out.push_back({"memsys", [this](ckpt::Stream &s) { ms_->walk(s); }});
+    for (std::size_t i = 0; i < engines_.size(); ++i)
+        out.push_back({sectionName("ulmt", i), [this, i](ckpt::Stream &s) {
+                           engines_[i]->walk(s);
+                       }});
+    if (vm_)
+        out.push_back({"vm", [this](ckpt::Stream &s) { vm_->walk(s); }});
+    if (cfg_.tableCache.on()) {
+        out.push_back({"tcache", [this](ckpt::Stream &s) {
+                           ms_->tableCache().walk(s);
+                       }});
+    }
+    out.push_back({"driver", [this](ckpt::Stream &s) {
+        bool recorded = cfg_.recordMissStream;
+        s.b(recorded);
+        if (s.restoring())
+            missStream_.clear();
+        if (recorded)
+            s.u64s(missStream_);
+    }});
+    return out;
+}
+
 void
 System::saveCheckpoint(const std::string &path)
 {
@@ -530,67 +597,13 @@ System::saveCheckpoint(const std::string &path)
     img.header.workload = ckptApp_;
     img.header.label = cfg_.label;
 
-    {
+    QueueImage queue{eq_.now(), eq_.nextSeq(), eq_.executed(),
+                     eq_.saveEvents()};
+    for (const Section &sec : sections(queue)) {
         ckpt::StateWriter w;
-        w.u64(eq_.now());
-        w.u64(eq_.nextSeq());
-        w.u64(eq_.executed());
-        const std::vector<sim::SavedEvent> evs = eq_.saveEvents();
-        w.u64(evs.size());
-        for (const sim::SavedEvent &e : evs) {
-            if (e.kind ==
-                static_cast<std::uint32_t>(sim::EventKind::Untagged)) {
-                throw ckpt::CkptError(
-                    "an untagged event is pending; the queue is not "
-                    "checkpointable at this instant");
-            }
-            w.u64(e.when);
-            w.u64(e.seq);
-            w.u32(e.kind);
-            w.u64(e.arg0);
-            w.u64(e.arg1);
-        }
-        img.addSection("events", w.take());
-    }
-    for (std::size_t c = 0; c < cpus_.size(); ++c) {
-        ckpt::StateWriter w;
-        cpus_[c]->saveState(w);
-        img.addSection(sectionName("cpu", c), w.take());
-    }
-    for (std::size_t c = 0; c < hiers_.size(); ++c) {
-        ckpt::StateWriter w;
-        hiers_[c]->saveState(w);
-        img.addSection(sectionName("hier", c), w.take());
-    }
-    {
-        ckpt::StateWriter w;
-        ms_->saveState(w);
-        img.addSection("memsys", w.take());
-    }
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        ckpt::StateWriter w;
-        engines_[i]->saveState(w);
-        img.addSection(sectionName("ulmt", i), w.take());
-    }
-    if (vm_) {
-        ckpt::StateWriter w;
-        vm_->saveState(w);
-        img.addSection("vm", w.take());
-    }
-    if (cfg_.tableCache.on()) {
-        ckpt::StateWriter w;
-        ms_->tableCache().saveState(w);
-        img.addSection("tcache", w.take());
-    }
-    {
-        ckpt::StateWriter w;
-        w.b(cfg_.recordMissStream);
-        if (cfg_.recordMissStream) {
-            w.u64(missStream_.size());
-            for (sim::Addr a : missStream_)
-                w.u64(a);
-        }
-        img.addSection("driver", w.take());
+        ckpt::Stream s(w);
+        sec.walk(s);
+        img.addSection(sec.name, w.take());
     }
 
     ckptBytes_ = img.writeFile(path);
@@ -666,44 +679,11 @@ System::restoreCheckpoint(const std::string &path)
                               "'");
     }
 
-    for (std::size_t c = 0; c < cpus_.size(); ++c) {
-        ckpt::StateReader r(img.section(sectionName("cpu", c)));
-        cpus_[c]->restoreState(r);
-        r.finish();
-    }
-    for (std::size_t c = 0; c < hiers_.size(); ++c) {
-        ckpt::StateReader r(img.section(sectionName("hier", c)));
-        hiers_[c]->restoreState(r);
-        r.finish();
-    }
-    {
-        ckpt::StateReader r(img.section("memsys"));
-        ms_->restoreState(r);
-        r.finish();
-    }
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        ckpt::StateReader r(img.section(sectionName("ulmt", i)));
-        engines_[i]->restoreState(r);
-        r.finish();
-    }
-    if (vm_) {
-        ckpt::StateReader r(img.section("vm"));
-        vm_->restoreState(r);
-        r.finish();
-    }
-    if (cfg_.tableCache.on()) {
-        ckpt::StateReader r(img.section("tcache"));
-        ms_->tableCache().restoreState(r);
-        r.finish();
-    }
-    {
-        ckpt::StateReader r(img.section("driver"));
-        missStream_.clear();
-        if (r.b()) {
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i)
-                missStream_.push_back(r.u64());
-        }
+    QueueImage queue;
+    for (const Section &sec : sections(queue)) {
+        ckpt::StateReader r(img.section(sec.name));
+        ckpt::Stream s(r);
+        sec.walk(s);
         r.finish();
     }
 
@@ -724,33 +704,10 @@ System::restoreCheckpoint(const std::string &path)
 
     // The event queue goes last: resolving closures needs the
     // components above in their restored state.
-    {
-        ckpt::StateReader r(img.section("events"));
-        const sim::Cycle now = r.u64();
-        const std::uint64_t next_seq = r.u64();
-        const std::uint64_t executed = r.u64();
-        const std::uint64_t count = r.u64();
-        std::vector<sim::SavedEvent> evs;
-        evs.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            sim::SavedEvent e;
-            e.when = r.u64();
-            e.seq = r.u64();
-            e.kind = r.u32();
-            e.arg0 = r.u64();
-            e.arg1 = r.u64();
-            if (e.kind == 0 ||
-                e.kind > static_cast<std::uint32_t>(
-                             sim::EventKind::VmRemap))
-                throw ckpt::CkptError("corrupt event kind in checkpoint");
-            evs.push_back(e);
-        }
-        r.finish();
-        eq_.restoreEvents(now, next_seq, executed, evs,
-                          [this](const sim::SavedEvent &s) {
-                              return resolveEvent(s);
-                          });
-    }
+    eq_.restoreEvents(queue.now, queue.nextSeq, queue.executed,
+                      queue.events, [this](const sim::SavedEvent &e) {
+                          return resolveEvent(e);
+                      });
 
     // The shadows saw none of the restored fills; rebuild them from
     // the real structures, then prove the restored state is sane.

@@ -21,12 +21,14 @@
 #ifndef DRIVER_SYSTEM_HH
 #define DRIVER_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/invariant_checker.hh"
 #include "ckpt/checkpoint.hh"
+#include "ckpt/state.hh"
 #include "core/factory.hh"
 #include "core/ulmt_engine.hh"
 #include "driver/hw_correlation.hh"
@@ -317,6 +319,27 @@ class System
 
     /** Rebuild a pending event's closure from its checkpoint tag. */
     sim::EventQueue::Action resolveEvent(const sim::SavedEvent &s);
+
+    /** The "events" section: the queue's clock and counters and its
+     *  pending events.  Restore collects it and resolves it last. */
+    struct QueueImage
+    {
+        sim::Cycle now = 0;
+        std::uint64_t nextSeq = 0;
+        std::uint64_t executed = 0;
+        std::vector<sim::SavedEvent> events;
+    };
+
+    /** One checkpoint section: its name and the walk of its payload. */
+    struct Section
+    {
+        std::string name;
+        std::function<void(ckpt::Stream &)> walk;
+    };
+
+    /** Every section of this machine, in file order; the events
+     *  section walks @p queue. */
+    std::vector<Section> sections(QueueImage &queue);
 
     SystemConfig cfg_;
     /** One trace source per core (non-owning). */

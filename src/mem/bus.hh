@@ -123,21 +123,14 @@ class Bus
     /** Emit spans into @p t (nullptr disables; the default). */
     void setTrace(sim::TraceEventBuffer *t) { trace_ = t; }
 
-    /** Serialize arbitration state + per-class busy accounting. */
+    /** Checkpoint walk: arbitration state + per-class busy
+     *  accounting. */
     void
-    saveState(ckpt::StateWriter &w) const
+    walk(ckpt::Stream &s)
     {
-        ckpt::save(w, timeline_);
-        for (sim::Cycle busy : busyByClass_)
-            w.u64(busy);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        ckpt::restore(r, timeline_);
+        ckpt::walk(s, timeline_);
         for (sim::Cycle &busy : busyByClass_)
-            busy = r.u64();
+            s.u64(busy);
     }
 
   private:

@@ -135,55 +135,27 @@ Cache::checkInvariants(check::CheckContext &ctx,
 }
 
 void
-Cache::saveState(ckpt::StateWriter &w) const
+Cache::walk(ckpt::Stream &s)
 {
     // Geometry guard: sets * assoc * lineBytes pins the shape.
-    w.u32(ways_.sets());
-    w.u32(geom_.assoc);
-    w.u32(geom_.lineBytes);
-    w.u64(ways_.clock());
-    w.u64(stats_.hits);
-    w.u64(stats_.misses);
-    w.u64(stats_.evictions);
-    w.u64(stats_.dirtyEvictions);
-    ways_.saveSparse(w, [&](std::size_t i) {
-        const CacheLine &line = ways_.data(i);
-        w.b(line.dirty);
-        w.b(line.prefetched);
-        w.b(line.cpuPrefetched);
-        w.u8(static_cast<std::uint8_t>(line.fillOrigin));
-        w.u64(line.readyAt);
-        w.u64(ways_.stamp(i));
-    });
-}
-
-void
-Cache::restoreState(ckpt::StateReader &r)
-{
-    if (r.u32() != ways_.sets() || r.u32() != geom_.assoc ||
-        r.u32() != geom_.lineBytes)
-        throw ckpt::CkptError(
-            "cache '" + name_ +
-            "': checkpoint geometry does not match this configuration");
-    ways_.setClock(r.u64());
-    stats_.hits = r.u64();
-    stats_.misses = r.u64();
-    stats_.evictions = r.u64();
-    stats_.dirtyEvictions = r.u64();
-    ways_.restoreSparse(
-        r, "cache '" + name_ + "': line index out of range",
+    const std::string shape =
+        "cache '" + name_ +
+        "': checkpoint geometry does not match this configuration";
+    s.expect(ways_.sets(), shape);
+    s.expect(geom_.assoc, shape);
+    s.expect(geom_.lineBytes, shape);
+    ways_.walkClock(s);
+    s.u64(stats_.hits, stats_.misses, stats_.evictions,
+          stats_.dirtyEvictions);
+    const std::string corrupt = "cache '" + name_ + "': corrupt fillOrigin";
+    ways_.walkSparse(
+        s, "cache '" + name_ + "': line index out of range",
         [&](std::size_t i) {
             CacheLine &line = ways_.data(i);
-            line.dirty = r.b();
-            line.prefetched = r.b();
-            line.cpuPrefetched = r.b();
-            const std::uint8_t origin = r.u8();
-            if (origin > static_cast<std::uint8_t>(sim::ServedBy::Memory))
-                throw ckpt::CkptError("cache '" + name_ +
-                                      "': corrupt fillOrigin");
-            line.fillOrigin = static_cast<sim::ServedBy>(origin);
-            line.readyAt = r.u64();
-            ways_.setStamp(i, r.u64());
+            s.b(line.dirty, line.prefetched, line.cpuPrefetched);
+            s.enumU8(line.fillOrigin, sim::ServedBy::Memory, corrupt);
+            s.u64(line.readyAt);
+            ways_.walkStamp(s, i);
         });
 }
 

@@ -156,18 +156,13 @@ class Cache
     void reset();
 
     /**
-     * Serialize the tag array: stats, LRU stamp counter, and only the
-     * valid lines (sparse: varint line index + fields), so a barely
-     * warm cache costs a few bytes per resident line.
-     */
-    void saveState(ckpt::StateWriter &w) const;
-
-    /**
-     * Rebuild from saveState() output.  The geometry is structural and
-     * must match; a checkpoint taken under a different geometry is
+     * Checkpoint walk of the tag array: a geometry guard, stats, the
+     * LRU stamp counter, and only the valid lines (sparse: varint line
+     * index + fields), so a barely warm cache costs a few bytes per
+     * resident line.  A checkpoint taken under a different geometry is
      * rejected (CkptError) before any line is touched.
      */
-    void restoreState(ckpt::StateReader &r);
+    void walk(ckpt::Stream &s);
 
     /** Read-only walk over the valid lines: fn(entry, line), where
      *  entry carries set, way, tag and LRU stamp. */

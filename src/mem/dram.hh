@@ -150,43 +150,22 @@ class Dram
         stats_ = DramStats{};
     }
 
-    /** Serialize every bank's open row + timeline, channels, stats. */
+    /** Checkpoint walk: every bank's open row + timeline, the
+     *  channels, the stats. */
     void
-    saveState(ckpt::StateWriter &w) const
+    walk(ckpt::Stream &s)
     {
-        w.u64(banks_.size());
-        for (const Bank &b : banks_) {
-            w.u64(b.openRow);
-            ckpt::save(w, b.timeline);
-        }
-        w.u64(channels_.size());
-        for (const sim::PriorityTimeline &c : channels_)
-            ckpt::save(w, c);
-        w.u64(stats_.accesses);
-        w.u64(stats_.rowHits);
-        w.u64(stats_.rowMisses);
-    }
-
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        if (r.u64() != banks_.size())
-            throw ckpt::CkptError(
-                "DRAM bank count in checkpoint does not match the "
-                "configuration");
+        s.expect(banks_.size(), "DRAM bank count in checkpoint does not "
+                                "match the configuration");
         for (Bank &b : banks_) {
-            b.openRow = r.u64();
-            ckpt::restore(r, b.timeline);
+            s.u64(b.openRow);
+            ckpt::walk(s, b.timeline);
         }
-        if (r.u64() != channels_.size())
-            throw ckpt::CkptError(
-                "DRAM channel count in checkpoint does not match the "
-                "configuration");
+        s.expect(channels_.size(), "DRAM channel count in checkpoint "
+                                   "does not match the configuration");
         for (sim::PriorityTimeline &c : channels_)
-            ckpt::restore(r, c);
-        stats_.accesses = r.u64();
-        stats_.rowHits = r.u64();
-        stats_.rowMisses = r.u64();
+            ckpt::walk(s, c);
+        s.u64(stats_.accesses, stats_.rowHits, stats_.rowMisses);
     }
 
   private:

@@ -454,110 +454,39 @@ MemorySystem::registerStats(sim::StatRegistry &reg) const
 }
 
 void
-MemorySystem::saveState(ckpt::StateWriter &w) const
+MemorySystem::walk(ckpt::Stream &s)
 {
-    w.u64(stats_.demandFetches);
-    w.u64(stats_.cpuPrefetchFetches);
-    w.u64(stats_.writebacks);
-    w.u64(stats_.ulmtPrefetchesIssued);
-    w.u64(stats_.ulmtPrefetchesDroppedFilter);
-    w.u64(stats_.ulmtPrefetchesDroppedQueueFull);
-    w.u64(stats_.ulmtPrefetchesDroppedDemandMatch);
-    w.u64(stats_.ulmtPrefetchesDroppedCpuPfMatch);
-    w.u64(stats_.ulmtPrefetchesDroppedPageCross);
-    w.u64(stats_.tableReads);
-    w.u64(stats_.tableWrites);
-    ckpt::save(w, tableWait_);
-    w.u64(coreQos_.size());
-    for (const CoreQos &q : coreQos_) {
-        w.u64(q.demandFetches);
-        w.u64(q.ulmtPrefetchesIssued);
-        ckpt::save(w, q.q1Wait);
-    }
-    filter_.saveState(w);
-
-    // The in-flight maps iterate in unspecified order, so they are
-    // written sorted by key: identical simulator state always yields
-    // identical checkpoint bytes.
-    std::vector<std::pair<sim::Addr, std::uint32_t>> demand(
-        inflightDemand_.begin(), inflightDemand_.end());
-    std::sort(demand.begin(), demand.end());
-    w.u64(demand.size());
-    for (const auto &[line, count] : demand) {
-        w.u64(line);
-        w.u32(count);
-    }
-
-    std::vector<std::pair<sim::Addr, std::uint32_t>> cpu_pf(
-        inflightCpuPf_.begin(), inflightCpuPf_.end());
-    std::sort(cpu_pf.begin(), cpu_pf.end());
-    w.u64(cpu_pf.size());
-    for (const auto &[line, count] : cpu_pf) {
-        w.u64(line);
-        w.u32(count);
-    }
-
-    std::vector<std::pair<sim::Addr, sim::Cycle>> pf(
-        inflightPf_.begin(), inflightPf_.end());
-    std::sort(pf.begin(), pf.end());
-    w.u64(pf.size());
-    for (const auto &[line, arrival] : pf) {
-        w.u64(line);
-        w.u64(arrival);
-    }
-
-    bus_.saveState(w);
-    dram_.saveState(w);
-}
-
-void
-MemorySystem::restoreState(ckpt::StateReader &r)
-{
-    stats_.demandFetches = r.u64();
-    stats_.cpuPrefetchFetches = r.u64();
-    stats_.writebacks = r.u64();
-    stats_.ulmtPrefetchesIssued = r.u64();
-    stats_.ulmtPrefetchesDroppedFilter = r.u64();
-    stats_.ulmtPrefetchesDroppedQueueFull = r.u64();
-    stats_.ulmtPrefetchesDroppedDemandMatch = r.u64();
-    stats_.ulmtPrefetchesDroppedCpuPfMatch = r.u64();
-    stats_.ulmtPrefetchesDroppedPageCross = r.u64();
-    stats_.tableReads = r.u64();
-    stats_.tableWrites = r.u64();
-    ckpt::restore(r, tableWait_);
-    const std::uint64_t nQos = r.u64();
-    SIM_ASSERT(nQos == coreQos_.size(),
-               "checkpoint core count does not match this machine");
+    s.u64(stats_.demandFetches, stats_.cpuPrefetchFetches,
+          stats_.writebacks, stats_.ulmtPrefetchesIssued,
+          stats_.ulmtPrefetchesDroppedFilter,
+          stats_.ulmtPrefetchesDroppedQueueFull,
+          stats_.ulmtPrefetchesDroppedDemandMatch,
+          stats_.ulmtPrefetchesDroppedCpuPfMatch,
+          stats_.ulmtPrefetchesDroppedPageCross, stats_.tableReads,
+          stats_.tableWrites);
+    ckpt::walk(s, tableWait_);
+    s.expect(coreQos_.size(),
+             "checkpoint core count does not match this machine");
     for (CoreQos &q : coreQos_) {
-        q.demandFetches = r.u64();
-        q.ulmtPrefetchesIssued = r.u64();
-        ckpt::restore(r, q.q1Wait);
+        s.u64(q.demandFetches, q.ulmtPrefetchesIssued);
+        ckpt::walk(s, q.q1Wait);
     }
-    filter_.restoreState(r);
+    filter_.walk(s);
 
-    inflightDemand_.clear();
-    const std::uint64_t nDemand = r.u64();
-    for (std::uint64_t i = 0; i < nDemand; ++i) {
-        const sim::Addr line = r.u64();
-        inflightDemand_[line] = r.u32();
-    }
+    // The in-flight maps iterate in unspecified order; sortedMap
+    // writes them by key, so identical state yields identical bytes.
+    const auto counted = [&s](sim::Addr &line, std::uint32_t &n) {
+        s.u64(line);
+        s.u32(n);
+    };
+    s.sortedMap(inflightDemand_, counted);
+    s.sortedMap(inflightCpuPf_, counted);
+    s.sortedMap(inflightPf_, [&s](sim::Addr &line, sim::Cycle &arrival) {
+        s.u64(line, arrival);
+    });
 
-    inflightCpuPf_.clear();
-    const std::uint64_t nCpuPf = r.u64();
-    for (std::uint64_t i = 0; i < nCpuPf; ++i) {
-        const sim::Addr line = r.u64();
-        inflightCpuPf_[line] = r.u32();
-    }
-
-    inflightPf_.clear();
-    const std::uint64_t nPf = r.u64();
-    for (std::uint64_t i = 0; i < nPf; ++i) {
-        const sim::Addr line = r.u64();
-        inflightPf_[line] = r.u64();
-    }
-
-    bus_.restoreState(r);
-    dram_.restoreState(r);
+    bus_.walk(s);
+    dram_.walk(s);
 }
 
 void

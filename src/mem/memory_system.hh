@@ -291,12 +291,11 @@ class MemorySystem
     void registerStats(sim::StatRegistry &reg) const;
 
     /**
-     * Serialize queues 1/3, the Filter, the bus and the DRAM.  Pending
-     * completion events are re-registered on restore from their
-     * EventKind tags via the action builders below.
+     * Checkpoint walk of queues 1/3, the Filter, the bus and the DRAM.
+     * Pending completion events are re-registered on restore from
+     * their EventKind tags via the action builders below.
      */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    void walk(ckpt::Stream &s);
 
     /**
      * The queue-1 demand completion closure (run and restore).  @p key

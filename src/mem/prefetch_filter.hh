@@ -76,37 +76,21 @@ class PrefetchFilter
         admits_ = 0;
     }
 
-    /** Serialize the FIFO in order plus the counters. */
+    /** Checkpoint walk: the FIFO in order plus the counters;
+     *  present_ is rebuilt as the FIFO's multiplicity count. */
     void
-    saveState(ckpt::StateWriter &w) const
+    walk(ckpt::Stream &s)
     {
-        w.u32(capacity_);
-        w.u64(drops_);
-        w.u64(admits_);
-        w.u64(fifo_.size());
-        for (sim::Addr a : fifo_)
-            w.u64(a);
-    }
-
-    /** Rebuild; present_ is exactly the FIFO's multiplicity count. */
-    void
-    restoreState(ckpt::StateReader &r)
-    {
-        if (r.u32() != capacity_)
-            throw ckpt::CkptError(
-                "prefetch filter capacity in checkpoint does not "
-                "match the configuration");
-        reset();
-        drops_ = r.u64();
-        admits_ = r.u64();
-        const std::uint64_t n = r.u64();
-        if (capacity_ > 0 && n > capacity_)
-            throw ckpt::CkptError(
-                "prefetch filter FIFO longer than its capacity");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const sim::Addr a = r.u64();
-            fifo_.push_back(a);
-            ++present_[a];
+        s.expect(capacity_, "prefetch filter capacity in checkpoint "
+                            "does not match the configuration");
+        if (s.restoring())
+            reset();
+        s.u64(drops_, admits_);
+        s.u64s(fifo_, capacity_ > 0 ? capacity_ : s.noMax,
+               "prefetch filter FIFO longer than its capacity");
+        if (s.restoring()) {
+            for (sim::Addr a : fifo_)
+                ++present_[a];
         }
     }
 

@@ -160,60 +160,26 @@ TableCache::registerStats(sim::StatRegistry &reg,
 }
 
 void
-TableCache::saveState(ckpt::StateWriter &w) const
+TableCache::walk(ckpt::Stream &s)
 {
     // Geometry guard: sets * assoc * lineBytes pins the shape.
-    w.u32(ways_.sets());
-    w.u32(ways_.ways());
-    w.u32(lineBytes_);
-    w.u32(rowBytes_);
-    w.u64(ways_.clock());
-    w.u64(stats_.hits);
-    w.u64(stats_.misses);
-    w.u64(stats_.writebacks);
-    w.u64(stats_.rowBatchedWritebacks);
-    w.u64(stats_.dirtyBufHighWater);
-    w.u64(stats_.dramAccesses);
-
-    ways_.saveSparse(w, [&](std::size_t i) {
-        w.b(ways_.data(i).dirty);
-        w.u64(ways_.stamp(i));
-    });
-
-    w.u64(dirtyBuf_.size());
-    for (sim::Addr addr : dirtyBuf_)
-        w.u64(addr);
-}
-
-void
-TableCache::restoreState(ckpt::StateReader &r)
-{
-    if (r.u32() != ways_.sets() || r.u32() != ways_.ways() ||
-        r.u32() != lineBytes_ || r.u32() != rowBytes_)
-        throw ckpt::CkptError(
-            "table cache: checkpoint geometry does not match this "
-            "--table-cache configuration");
-    dirtyBuf_.clear();
-    ways_.setClock(r.u64());
-    stats_.hits = r.u64();
-    stats_.misses = r.u64();
-    stats_.writebacks = r.u64();
-    stats_.rowBatchedWritebacks = r.u64();
-    stats_.dirtyBufHighWater = r.u64();
-    stats_.dramAccesses = r.u64();
-
-    ways_.restoreSparse(r, "table cache: line index out of range",
-                        [&](std::size_t i) {
-                            ways_.data(i).dirty = r.b();
-                            ways_.setStamp(i, r.u64());
-                        });
-
-    const std::uint64_t buffered = r.u64();
-    if (buffered > tableCacheDirtyBufEntries)
-        throw ckpt::CkptError(
-            "table cache: dirty buffer beyond capacity");
-    for (std::uint64_t n = 0; n < buffered; ++n)
-        dirtyBuf_.push_back(r.u64());
+    const std::string shape = "table cache: checkpoint geometry does not "
+                              "match this --table-cache configuration";
+    s.expect(ways_.sets(), shape);
+    s.expect(ways_.ways(), shape);
+    s.expect(lineBytes_, shape);
+    s.expect(rowBytes_, shape);
+    ways_.walkClock(s);
+    s.u64(stats_.hits, stats_.misses, stats_.writebacks,
+          stats_.rowBatchedWritebacks, stats_.dirtyBufHighWater,
+          stats_.dramAccesses);
+    ways_.walkSparse(s, "table cache: line index out of range",
+                     [&](std::size_t i) {
+                         s.b(ways_.data(i).dirty);
+                         ways_.walkStamp(s, i);
+                     });
+    s.u64s(dirtyBuf_, tableCacheDirtyBufEntries,
+           "table cache: dirty buffer beyond capacity");
 }
 
 void

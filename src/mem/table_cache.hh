@@ -175,13 +175,12 @@ class TableCache
         const;
 
     /**
-     * Serialize stats, the LRU stamp counter, the valid lines (sparse)
-     * and the dirty buffer.  Restore validates the geometry, so a
-     * snapshot taken under a different --table-cache is rejected
-     * before any line is touched.
+     * Checkpoint walk: a geometry guard, stats, the LRU stamp counter,
+     * the valid lines (sparse) and the dirty buffer.  A snapshot taken
+     * under a different --table-cache is rejected before any line is
+     * touched.
      */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    void walk(ckpt::Stream &s);
 
     /**
      * Invariants: every valid line's tag is line-aligned and maps to

@@ -26,8 +26,8 @@ namespace sim {
  * Identity of a pending event's action, for checkpointing.  Closures
  * cannot be serialized, so every event that may be pending at a
  * checkpoint carries a kind tag plus up to two integer arguments; on
- * restore the owning component rebuilds the closure from the tag (the
- * saveState/restoreState contract).  Untagged events are legal at
+ * restore the owning component rebuilds the closure from the tag (see
+ * DESIGN.md section 9).  Untagged events are legal at
  * runtime but make the queue uncheckpointable at that instant.
  */
 enum class EventKind : std::uint32_t {
@@ -57,6 +57,16 @@ class EventQueue
 {
   public:
     using Action = InplaceAction;
+
+    /** Bits of a heap key naming an event's slot; the rest hold its
+     *  sequence number. */
+    static constexpr unsigned slotBits = 24;
+    /** Most events that can be pending at once. */
+    static constexpr std::uint64_t maxPending = std::uint64_t{1}
+                                                << slotBits;
+    /** Sequence numbers stay below this (their 40-bit budget). */
+    static constexpr std::uint64_t seqLimit = std::uint64_t{1}
+                                              << (64 - slotBits);
 
     /** Current simulated time. */
     Cycle now() const { return now_; }
@@ -331,7 +341,7 @@ class EventQueue
      */
     struct Key
     {
-        static constexpr unsigned slotBits = 24;
+        static constexpr unsigned slotBits = EventQueue::slotBits;
 
         Cycle when;
         std::uint64_t seqSlot;

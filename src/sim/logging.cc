@@ -85,7 +85,11 @@ fatal(const char *fmt, ...)
     exiting.lock();
     flushSinkForExit();
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
-    std::exit(1);
+    // The other workers are still running: std::exit would destroy
+    // function-local statics (the machine-knob table) under them.
+    // Flush stdio and end without running destructors.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -161,21 +161,9 @@ class SetAssoc
     }
     std::uint32_t setOf(std::size_t i) const { return i / ways_; }
 
-    /** The LRU stamp counter (checkpointed by the owner). */
+    /** The LRU stamp counter. */
     std::uint64_t clock() const { return clock_; }
     void setClock(std::uint64_t c) { clock_ = c; }
-
-    /** Raw entry write for dense checkpoint restores. */
-    void
-    load(std::size_t i, bool valid, std::uint64_t tag,
-         std::uint64_t stamp)
-    {
-        valid_[i] = valid ? 1 : 0;
-        tag_[i] = tag;
-        stamp_[i] = stamp;
-    }
-
-    void setStamp(std::size_t i, std::uint64_t s) { stamp_[i] = s; }
 
     /** Visit every valid entry in index order: fn(const Entry &). */
     template <typename Fn>
@@ -191,45 +179,60 @@ class SetAssoc
 
     /**
      * Sparse checkpoint frame: the valid count, then per valid entry
-     * its index and tag followed by whatever @p fields(i) writes.
+     * its index and tag followed by whatever @p fields(i) walks.
+     * Restoring clears every entry (not the stamp counter) first; an
+     * index outside the array throws ckpt::CkptError(@p range_error).
      */
     template <typename Fn>
     void
-    saveSparse(ckpt::StateWriter &w, Fn &&fields) const
+    walkSparse(ckpt::Stream &s, const std::string &range_error,
+               Fn &&fields)
     {
         std::uint64_t valid = 0;
         for (std::uint8_t v : valid_)
             valid += v;
-        w.u64(valid);
-        forEach([&](const Entry &e) {
-            w.u64(e.index);
-            w.u64(e.tag);
-            fields(e.index);
-        });
-    }
-
-    /**
-     * Inverse of saveSparse(): clears every entry (not the stamp
-     * counter), then reads the valid entries; @p fields(i) reads the
-     * rest of entry i.  An index outside the array throws
-     * ckpt::CkptError(@p range_error).
-     */
-    template <typename Fn>
-    void
-    restoreSparse(ckpt::StateReader &r, const std::string &range_error,
-                  Fn &&fields)
-    {
+        valid = s.count(valid);
+        if (s.saving()) {
+            forEach([&](const Entry &e) {
+                std::uint64_t i = e.index;
+                s.u64(i, tag_[i]);
+                fields(e.index);
+            });
+            return;
+        }
         clearEntries();
-        const std::uint64_t valid = r.u64();
         for (std::uint64_t n = 0; n < valid; ++n) {
-            const std::uint64_t i = r.u64();
+            std::uint64_t i = 0;
+            s.u64(i);
             if (i >= tag_.size())
                 throw ckpt::CkptError(range_error);
             valid_[i] = 1;
-            tag_[i] = r.u64();
+            s.u64(tag_[i]);
             fields(std::size_t(i));
         }
     }
+
+    /** Dense checkpoint frame: every entry's valid flag and tag, then
+     *  whatever @p fields(i) walks, then its stamp. */
+    template <typename Fn>
+    void
+    walkDense(ckpt::Stream &s, Fn &&fields)
+    {
+        for (std::size_t i = 0; i < tag_.size(); ++i) {
+            bool v = valid_[i] != 0;
+            s.b(v);
+            if (s.restoring())
+                valid_[i] = v ? 1 : 0;
+            s.u64(tag_[i]);
+            fields(i);
+            s.u64(stamp_[i]);
+        }
+    }
+
+    /** The LRU stamp counter and entry @p i's stamp, for the owner's
+     *  walk (each owner places them in its own field order). */
+    void walkClock(ckpt::Stream &s) { s.u64(clock_); }
+    void walkStamp(ckpt::Stream &s, std::size_t i) { s.u64(stamp_[i]); }
 
     /**
      * Structural invariants every owner shares: each valid tag maps to

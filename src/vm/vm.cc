@@ -63,54 +63,28 @@ std::string
 sectionSummary(const std::string &payload, unsigned cores,
                std::uint32_t page_bytes)
 {
-    if (cores == 0 || page_bytes == 0 ||
-        (page_bytes & (page_bytes - 1)) != 0)
+    if (cores == 0 || cores > sim::maxCores ||
+        (page_bytes != (1u << shift4k) && page_bytes != (1u << shift2m)))
         throw ckpt::CkptError("vm section with a malformed header");
-    std::uint32_t shift = 0;
-    while ((1u << shift) != page_bytes)
-        ++shift;
-
+    sim::EventQueue eq;
+    VmSpec spec;
+    spec.enabled = true;
+    spec.pageBytes = page_bytes;
+    Vm scratch(eq, spec, cores);
     ckpt::StateReader r(payload);
-    const std::uint64_t next_frame = r.u64();
-    r.u64();  // rng
-    r.u32();  // remap cursor
-    const std::uint64_t remaps = r.u64();
-    r.u64();  // accesses at last remap tick
-    std::vector<std::uint64_t> pages(cores);
-    for (unsigned c = 0; c < cores; ++c) {
-        pages[c] = r.u64();
-        for (std::uint64_t i = 0; i < pages[c]; ++i) {
-            r.u64();  // vpage
-            r.u64();  // frame
-            r.u64();  // touches
-        }
-    }
-    const std::uint32_t tlb_entries =
-        tlb4kSets * tlb4kWays + tlb2mSets * tlb2mWays;
-    std::vector<std::uint64_t> tlb_valid(cores);
-    for (unsigned c = 0; c < cores; ++c) {
-        r.u64();  // lruTick
-        for (std::uint32_t e = 0; e < tlb_entries; ++e) {
-            tlb_valid[c] += r.b() ? 1 : 0;
-            r.u64();  // vpage
-            r.u64();  // frame
-            r.u64();  // stamp
-        }
-    }
+    ckpt::restore(r, scratch);
+    r.finish();
 
-    const std::uint64_t base = physFrameBase >> shift;
     std::string out = pageSizeName(page_bytes) + " pages, " +
-                      std::to_string(remaps) + " remaps, " +
-                      std::to_string(next_frame >= base
-                                         ? next_frame - base
-                                         : 0) +
+                      std::to_string(scratch.remaps()) + " remaps, " +
+                      std::to_string(scratch.framesAllocated()) +
                       " frames";
     out += "; pages/core";
-    for (std::uint64_t n : pages)
-        out += " " + std::to_string(n);
+    for (unsigned c = 0; c < cores; ++c)
+        out += " " + std::to_string(scratch.pagesMapped(c));
     out += "; tlb valid/core";
-    for (std::uint64_t n : tlb_valid)
-        out += " " + std::to_string(n);
+    for (unsigned c = 0; c < cores; ++c)
+        out += " " + std::to_string(scratch.tlbValid(c));
     return out;
 }
 
@@ -191,6 +165,15 @@ Vm::translate(unsigned core, sim::Addr vaddr, sim::Cycle &when)
     tlb.install(fill, vpage);
     tlb.data(fill) = it->second.frame;
     return (sim::Addr(it->second.frame) << pageShift_) | offset;
+}
+
+std::size_t
+Vm::tlbValid(unsigned core) const
+{
+    std::size_t n = 0;
+    for (const TlbSizeClass &cls : tlbs_[core].classes)
+        cls.entries.forEach([&n](const auto &) { ++n; });
+    return n;
 }
 
 std::size_t
@@ -304,97 +287,43 @@ Vm::registerStats(sim::StatRegistry &reg) const
     }
     reg.addCounter("vm.remaps", &remaps_);
     reg.addGauge("vm.frames_allocated", [this] {
-        return static_cast<double>(nextFrame_ -
-                                   (physFrameBase >> pageShift_));
+        return static_cast<double>(framesAllocated());
     });
 }
 
 void
-Vm::saveState(ckpt::StateWriter &w) const
+Vm::walk(ckpt::Stream &s)
 {
-    w.u64(nextFrame_);
-    w.u64(rng_);
-    w.u32(remapCursor_);
-    w.u64(remaps_);
-    w.u64(accessesAtLastTick_);
-    for (const AddressSpace &as : spaces_) {
-        w.u64(as.pages.size());
-        // std::map iterates key-sorted: identical state, identical
-        // bytes.
-        for (const auto &[vpage, e] : as.pages) {
-            w.u64(vpage);
-            w.u64(e.frame);
-            w.u64(e.touches);
-        }
-    }
-    // Dense: every entry of both classes, after the one LRU tick.
-    for (const Tlb &tlb : tlbs_) {
-        w.u64(tlb.classes[activeClass()].entries.clock());
-        for (const TlbSizeClass &cls : tlb.classes) {
-            const sim::SetAssoc<std::uint64_t> &e = cls.entries;
-            for (std::size_t i = 0; i < e.size(); ++i) {
-                w.b(e.valid(i));
-                w.u64(e.tag(i));
-                w.u64(e.data(i));
-                w.u64(e.stamp(i));
-            }
-        }
-    }
-    for (const VmCoreStats &st : stats_) {
-        w.u64(st.accesses);
-        w.u64(st.tlbHits);
-        w.u64(st.tlbMisses);
-        w.u64(st.walkCycles);
-        w.u64(st.remaps);
-    }
-}
-
-void
-Vm::restoreState(ckpt::StateReader &r)
-{
-    nextFrame_ = r.u64();
+    s.u64(nextFrame_);
     if (nextFrame_ < (physFrameBase >> pageShift_))
         throw ckpt::CkptError("vm frame allocator before its base");
-    rng_ = r.u64();
-    remapCursor_ = r.u32();
+    s.u64(rng_);
+    s.u32(remapCursor_);
     if (remapCursor_ >= spaces_.size())
         throw ckpt::CkptError("vm remap cursor out of range");
-    remaps_ = r.u64();
-    accessesAtLastTick_ = r.u64();
+    s.u64(remaps_, accessesAtLastTick_);
     for (AddressSpace &as : spaces_) {
-        as.pages.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t vpage = r.u64();
-            PageEntry e;
-            e.frame = r.u64();
-            e.touches = r.u64();
+        s.sortedMap(as.pages, [&](std::uint64_t &vpage, PageEntry &e) {
+            s.u64(vpage, e.frame, e.touches);
             if (e.frame >= nextFrame_)
                 throw ckpt::CkptError(
                     "vm page table names an unallocated frame");
-            as.pages.emplace(vpage, e);
-        }
+        });
     }
+    // Dense: every entry of both classes, after the one LRU tick.
     for (Tlb &tlb : tlbs_) {
-        const std::uint64_t tick = r.u64();
+        std::uint64_t tick = tlb.classes[activeClass()].entries.clock();
+        s.u64(tick);
         for (TlbSizeClass &cls : tlb.classes) {
             sim::SetAssoc<std::uint64_t> &e = cls.entries;
-            e.setClock(tick);
-            for (std::size_t i = 0; i < e.size(); ++i) {
-                const bool valid = r.b();
-                const std::uint64_t vpage = r.u64();
-                e.data(i) = r.u64();
-                e.load(i, valid, vpage, r.u64());
-            }
+            if (s.restoring())
+                e.setClock(tick);
+            e.walkDense(s, [&](std::size_t i) { s.u64(e.data(i)); });
         }
     }
-    for (VmCoreStats &st : stats_) {
-        st.accesses = r.u64();
-        st.tlbHits = r.u64();
-        st.tlbMisses = r.u64();
-        st.walkCycles = r.u64();
-        st.remaps = r.u64();
-    }
+    for (VmCoreStats &st : stats_)
+        s.u64(st.accesses, st.tlbHits, st.tlbMisses, st.walkCycles,
+              st.remaps);
 }
 
 } // namespace vm

@@ -74,9 +74,10 @@ std::string pageSizeName(std::uint32_t page_bytes);
 /**
  * One-line human summary of a "vm" checkpoint section: remap count,
  * frames allocated, and per-core mapped-page / valid-TLB-entry
- * counts.  @p cores and @p page_bytes come from the checkpoint
- * header (the section layout depends on both).
- * @throws ckpt::CkptError when the payload is malformed.
+ * counts, read back from a scratch Vm the section is restored into.
+ * @p cores and @p page_bytes come from the checkpoint header (the
+ * section layout depends on both).
+ * @throws ckpt::CkptError when the header or payload is malformed.
  */
 std::string sectionSummary(const std::string &payload, unsigned cores,
                            std::uint32_t page_bytes);
@@ -181,10 +182,19 @@ class Vm
         return spaces_[core].pages.size();
     }
 
-    /** Serialize page tables, TLBs, the allocator and the remap
-     *  engine (the "vm" checkpoint section). */
-    void saveState(ckpt::StateWriter &w) const;
-    void restoreState(ckpt::StateReader &r);
+    /** Physical frames handed out so far. */
+    std::uint64_t
+    framesAllocated() const
+    {
+        return nextFrame_ - (physFrameBase >> pageShift_);
+    }
+
+    /** Valid TLB entries of @p core, over every page-size class. */
+    std::size_t tlbValid(unsigned core) const;
+
+    /** Checkpoint walk of page tables, TLBs, the allocator and the
+     *  remap engine (the "vm" checkpoint section). */
+    void walk(ckpt::Stream &s);
 
   private:
     /** One mapped virtual page. */

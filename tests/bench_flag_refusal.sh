@@ -30,14 +30,21 @@ done <<'CASES'
 multicore --cores=2
 multicore --ulmt-mode=percore
 table_cache --table-cache=0
+table_cache --table-cache=256,4
 vm_churn --vm=off
 vm_churn --page-size=4k
+vm_churn --page-size=2m
 vm_churn --remap-rate=0
 vm_churn --audit=off
 ablation_filter --apps=MST
 ablation_multiprog --cores=2
+ablation_multiprog --ulmt-mode=percore
 ablation_multiprog --apps=MST
 table1_characteristics --audit=off
+table1_characteristics --cores=2
+table1_characteristics --vm=on
+table1_characteristics --table-cache=256,4
+table1_characteristics --metrics-interval=0
 table1_characteristics --apps=MST
 CASES
 

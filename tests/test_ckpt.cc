@@ -16,8 +16,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -411,7 +414,7 @@ TEST_F(CkptCorruption, OverfullProcessorWindowRejected)
         w.u64((stores ? tp.maxPendingStores : tp.maxPendingLoads) + 1);
         ckpt::StateReader r(w.buffer());
         try {
-            sys.processor().restoreState(r);
+            ckpt::restore(r, sys.processor());
             FAIL() << "overfull " << (stores ? "store" : "load")
                    << " window accepted";
         } catch (const ckpt::CkptError &e) {
@@ -471,10 +474,10 @@ TEST(PairTableRestore, EvictionOrderingSurvivesRestore)
     touch(live, 0 * 64, 5 * 64);  // MRU reorder of a surviving row
 
     ckpt::StateWriter w;
-    live.saveState(w);
+    ckpt::save(w, live);
     core::PairTable restored(p, 12);
     ckpt::StateReader r(w.buffer());
-    restored.restoreState(r);
+    ckpt::restore(r, restored);
     r.finish();
     expectSameTable(live, restored);
 
@@ -495,13 +498,13 @@ TEST(PairTableRestore, GeometryMismatchRejected)
     p.assoc = 2;
     core::PairTable t(p, 12);
     ckpt::StateWriter w;
-    t.saveState(w);
+    ckpt::save(w, t);
 
     core::CorrelationParams q = p;
     q.numRows = 16;
     core::PairTable other(q, 12);
     ckpt::StateReader r(w.buffer());
-    EXPECT_THROW(other.restoreState(r), ckpt::CkptError);
+    EXPECT_THROW(ckpt::restore(r, other), ckpt::CkptError);
 }
 
 /** Drive an algorithm with a miss sequence (learn + prefetch). */
@@ -553,9 +556,9 @@ TEST_P(AlgoRestore, MidStreamSnapshotContinuesIdentically)
 
     drive(*live, warm);
     ckpt::StateWriter w;
-    live->saveState(w);
+    ckpt::save(w, *live);
     ckpt::StateReader r(w.buffer());
-    restored->restoreState(r);
+    ckpt::restore(r, *restored);
     r.finish();
 
     EXPECT_EQ(live->insertions(), restored->insertions());
@@ -588,7 +591,7 @@ TEST(AlgoRestore, UncheckpointableAlgorithmRefusesLoudly)
     auto algo = core::makeAlgorithm(spec);
     ckpt::StateWriter w;
     try {
-        algo->saveState(w);
+        ckpt::save(w, *algo);
         FAIL() << "unsupported algorithm serialized silently";
     } catch (const ckpt::CkptError &e) {
         EXPECT_NE(std::string(e.what()).find("does not support"),
@@ -764,6 +767,134 @@ TEST(ListWorkloads, EnumeratesThePaperApplications)
 }
 
 // ---------------------------------------------------------------------
+// Crafted snapshots: a section rewritten with valid checksums.  Values
+// the simulator would assert on are refused as input (CkptError, so a
+// "fatal:" exit), never an abort.
+
+/** Restore a copy of corpus file mst_repl.ulmtckp whose section
+ *  @p name is replaced by @p edit(payload); writeFile recomputes every
+ *  checksum, so only the restore walks can catch the edit.  The
+ *  refusal must name @p why. */
+void
+expectCraftedSectionRefused(
+    const std::string &name, const std::string &why,
+    const std::function<std::string(const std::string &)> &edit)
+{
+    const ckpt::CheckpointImage in = ckpt::CheckpointImage::readFile(
+        std::string(ULMT_SOURCE_DIR) + "/corpus/ckpt/mst_repl.ulmtckp");
+    ckpt::CheckpointImage img;
+    img.header = in.header;
+    for (const auto &[n, payload] : in.sections())
+        img.addSection(n, n == name ? edit(payload) : payload);
+    // One file per test: ctest runs the cases in parallel.
+    const std::string path = tmpPath(
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        ".ulmtckp");
+    img.writeFile(path);
+
+    driver::ExperimentOptions opt;
+    opt.scale = in.header.scale;
+    opt.seed = in.header.seed;
+    const driver::SystemConfig cfg =
+        driver::ulmtConfig(opt, core::UlmtAlgo::Repl, "MST");
+    try {
+        driver::runSampled(cfg, path);
+        ADD_FAILURE() << "crafted " << name << " section accepted";
+    } catch (const ckpt::CkptError &e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
+
+/** Re-encode an events payload with @p mutate applied to its clock,
+ *  counters and first pending event. */
+std::string
+editEvents(const std::string &payload,
+           const std::function<void(std::uint64_t &now,
+                                    std::uint64_t &next_seq,
+                                    sim::SavedEvent &first)> &mutate)
+{
+    ckpt::StateReader r(payload);
+    std::uint64_t now = r.u64();
+    std::uint64_t next_seq = r.u64();
+    const std::uint64_t executed = r.u64();
+    std::vector<sim::SavedEvent> evs(r.u64());
+    for (sim::SavedEvent &e : evs) {
+        e.when = r.u64();
+        e.seq = r.u64();
+        e.kind = r.u32();
+        e.arg0 = r.u64();
+        e.arg1 = r.u64();
+    }
+    EXPECT_FALSE(evs.empty());
+    mutate(now, next_seq, evs.at(0));
+    ckpt::StateWriter w;
+    w.u64(now);
+    w.u64(next_seq);
+    w.u64(executed);
+    w.u64(evs.size());
+    for (const sim::SavedEvent &e : evs) {
+        w.u64(e.when);
+        w.u64(e.seq);
+        w.u32(e.kind);
+        w.u64(e.arg0);
+        w.u64(e.arg1);
+    }
+    return w.take();
+}
+
+TEST(CraftedCkpt, MemsysCoreCountMismatchRefused)
+{
+    expectCraftedSectionRefused("memsys", "core count",
+                                [](const std::string &p) {
+        // Eleven counters and the table-wait SampleStat precede the
+        // per-core QoS count; one more is not this machine's count.
+        ckpt::StateReader r(p);
+        ckpt::StateWriter w;
+        for (int i = 0; i < 12; ++i)
+            w.u64(r.u64());
+        for (int i = 0; i < 5; ++i)
+            w.f64(r.f64());
+        w.u64(r.u64() + 1);
+        return w.take() + p.substr(p.size() - r.remaining());
+    });
+}
+
+TEST(CraftedCkpt, EventBeforeTheSnapshotClockRefused)
+{
+    expectCraftedSectionRefused("events", "snapshot bounds",
+                                [](const std::string &p) {
+        return editEvents(p, [](std::uint64_t &now, std::uint64_t &,
+                                sim::SavedEvent &e) {
+            ASSERT_GT(now, 0u);
+            e.when = now - 1;
+        });
+    });
+}
+
+TEST(CraftedCkpt, EventSeqAtTheCounterRefused)
+{
+    expectCraftedSectionRefused("events", "snapshot bounds",
+                                [](const std::string &p) {
+        return editEvents(p, [](std::uint64_t &, std::uint64_t &next_seq,
+                                sim::SavedEvent &e) { e.seq = next_seq; });
+    });
+}
+
+TEST(CraftedCkpt, SeqCounterBeyondItsBudgetRefused)
+{
+    expectCraftedSectionRefused("events", "40-bit budget",
+                                [](const std::string &p) {
+        return editEvents(p, [](std::uint64_t &, std::uint64_t &next_seq,
+                                sim::SavedEvent &e) {
+            next_seq = sim::EventQueue::seqLimit * 2;
+            e.seq = sim::EventQueue::seqLimit;
+        });
+    });
+}
+
+// ---------------------------------------------------------------------
 // The committed golden corpus: on-disk format-drift guard.  Each
 // snapshot is self-describing (workload/seed/scale/label in the
 // header), so the test reconstructs the exact configuration it was
@@ -776,28 +907,77 @@ class GoldenCkptCorpus : public ::testing::TestWithParam<const char *>
 {
 };
 
-TEST_P(GoldenCkptCorpus, RestoreFingerprintMatchesStraightRun)
+/** A corpus file and the machine it was taken on. */
+struct CorpusCase
 {
-    std::istringstream words(GetParam());
+    std::string path;
+    ckpt::CkptHeader header;
+    driver::ExperimentOptions opt;
+    driver::SystemConfig cfg;
+};
+
+CorpusCase
+corpusCase(const char *param)
+{
+    std::istringstream words(param);
     std::string file;
     words >> file;
-    const std::string path =
-        std::string(ULMT_SOURCE_DIR) + "/corpus/ckpt/" + file;
-    const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(path);
-
-    driver::ExperimentOptions opt;
-    opt.scale = h.scale;
-    opt.seed = h.seed;
+    CorpusCase c;
+    c.path = std::string(ULMT_SOURCE_DIR) + "/corpus/ckpt/" + file;
+    c.header = ckpt::CheckpointImage::readHeader(c.path);
+    c.opt.scale = c.header.scale;
+    c.opt.seed = c.header.seed;
     for (std::string flag; words >> flag;)
-        ASSERT_TRUE(driver::parseMachineFlag(flag, opt.machine)) << flag;
-    const driver::SystemConfig cfg = driver::ulmtConfig(
-        opt, core::parseUlmtAlgo(h.label), h.workload);
+        EXPECT_TRUE(driver::parseMachineFlag(flag, c.opt.machine)) << flag;
+    c.cfg = driver::ulmtConfig(c.opt, core::parseUlmtAlgo(c.header.label),
+                               c.header.workload);
+    return c;
+}
 
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_P(GoldenCkptCorpus, RestoreFingerprintMatchesStraightRun)
+{
+    const CorpusCase c = corpusCase(GetParam());
     const driver::RunResult straight =
-        driver::runOne(h.workload, cfg, opt);
-    const driver::RunResult resumed = driver::runSampled(cfg, path);
+        driver::runOne(c.header.workload, c.cfg, c.opt);
+    const driver::RunResult resumed = driver::runSampled(c.cfg, c.path);
     EXPECT_EQ(driver::resultFingerprint(resumed),
               driver::resultFingerprint(straight));
+}
+
+/** Restoring a file and saving again at once gives the file's bytes:
+ *  every section's walk reads exactly what it writes. */
+TEST_P(GoldenCkptCorpus, SaveAfterRestoreIsIdentity)
+{
+    const CorpusCase c = corpusCase(GetParam());
+    const ckpt::CkptHeader &h = c.header;
+    std::unique_ptr<workloads::Workload> wl;
+    std::unique_ptr<driver::System> sys;
+    if (c.cfg.cores > 1) {
+        sys = std::make_unique<driver::System>(
+            c.cfg,
+            driver::makeCoreWorkloads(h.workload, h.seed, h.scale,
+                                      c.cfg.cores),
+            h.workload);
+    } else {
+        workloads::WorkloadParams wp;
+        wp.seed = h.seed;
+        wp.scale = h.scale;
+        wl = workloads::makeWorkload(h.workload, wp);
+        sys = std::make_unique<driver::System>(c.cfg, *wl);
+    }
+    sys->setCheckpointMeta(h.workload, h.seed, h.scale);
+    sys->restoreCheckpoint(c.path);
+    const std::string again =
+        tmpPath("identity_" + c.path.substr(c.path.rfind('/') + 1));
+    sys->saveCheckpoint(again);
+    EXPECT_TRUE(readBytes(again) == readBytes(c.path));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -165,7 +165,7 @@ std::map<std::uint64_t, sim::Addr>
 cacheLines(const mem::Cache &c)
 {
     ckpt::StateWriter w;
-    c.saveState(w);
+    ckpt::save(w, c);
     ckpt::StateReader r(w.buffer());
     for (int i = 0; i < 3; ++i)
         r.u32();  // geometry
@@ -231,7 +231,7 @@ std::map<std::uint64_t, sim::Addr>
 tableCacheLines(const mem::TableCache &c)
 {
     ckpt::StateWriter w;
-    c.saveState(w);
+    ckpt::save(w, c);
     ckpt::StateReader r(w.buffer());
     for (int i = 0; i < 4; ++i)
         r.u32();  // geometry
@@ -272,7 +272,7 @@ std::map<std::uint64_t, std::uint64_t>
 tlbEntries(const vm::Vm &v)
 {
     ckpt::StateWriter w;
-    v.saveState(w);
+    ckpt::save(w, v);
     ckpt::StateReader r(w.buffer());
     r.u64();  // next frame
     r.u64();  // rng

@@ -108,8 +108,8 @@ TEST(EventQueue, MoveOnlyCapturesAreSupported)
  * A random self-extending schedule.  Each event's children are a pure
  * function of its id and the queue state, and every event is tagged
  * with its id, so a restored queue can rebuild every pending action
- * (the saveState/restoreState contract).  Delays are mostly 0 or 1
- * cycle, so same-cycle ties dominate; the population hovers around
+ * (the checkpoint contract of DESIGN.md section 9).  Delays are mostly
+ * 0 or 1 cycle, so same-cycle ties dominate; the population hovers around
  * `target` pending events while `limit` ids pass through, so the slab
  * reuses every slot many times.
  */

@@ -253,10 +253,10 @@ TEST(TableCacheCkpt, SaveRestoreRoundTripsBitIdentically)
     ASSERT_FALSE(a.dirtyBuffer().empty());  // buffer state matters
 
     ckpt::StateWriter w;
-    a.saveState(w);
+    ckpt::save(w, a);
     ckpt::StateReader r(w.buffer());
     mem::TableCache b = smallCache(16, 4);
-    b.restoreState(r);
+    ckpt::restore(r, b);
 
     // Identical contents...
     std::vector<std::string> la, lb;
@@ -292,12 +292,12 @@ TEST(TableCacheCkpt, RestoreRejectsGeometryMismatch)
 {
     mem::TableCache a = smallCache(16, 4);
     ckpt::StateWriter w;
-    a.saveState(w);
+    ckpt::save(w, a);
 
     mem::TableCache b = smallCache(8, 2);
     ckpt::StateReader r(w.buffer());
     try {
-        b.restoreState(r);
+        ckpt::restore(r, b);
         FAIL() << "geometry mismatch restored";
     } catch (const ckpt::CkptError &e) {
         EXPECT_NE(std::string(e.what()).find("geometry"),

@@ -236,16 +236,16 @@ TEST_F(VmFixture, SaveRestoreRoundTripsBitIdentically)
     v.remapAction()();
 
     ckpt::StateWriter w;
-    v.saveState(w);
+    ckpt::save(w, v);
 
     sim::EventQueue eq2;
     vm::Vm v2(eq2, spec4k(/*rate=*/100.0), 2);
     ckpt::StateReader r(w.buffer());
-    v2.restoreState(r);
+    ckpt::restore(r, v2);
     r.finish();
 
     ckpt::StateWriter w2;
-    v2.saveState(w2);
+    ckpt::save(w2, v2);
     EXPECT_EQ(w.buffer(), w2.buffer());
 
     // The restored machine translates identically.
@@ -262,7 +262,7 @@ TEST_F(VmFixture, SectionSummaryDescribesTheShape)
     v.translate(0, 0x1000, when);
 
     ckpt::StateWriter w;
-    v.saveState(w);
+    ckpt::save(w, v);
     const std::string s = vm::sectionSummary(w.buffer(), 1, 4096);
     EXPECT_NE(s.find("4k pages"), std::string::npos);
     EXPECT_NE(s.find("pages/core 2"), std::string::npos);
