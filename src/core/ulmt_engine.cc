@@ -158,8 +158,7 @@ UlmtEngine::kick(sim::Cycle earliest)
     processingScheduled_ = true;
     sim::Cycle at = std::max(earliest, busyUntil_);
     at = std::max(at, eq_.now());
-    eq_.schedule(at, sim::EventKind::UlmtProcess, engineId_, 0,
-                 processAction());
+    eq_.schedule(at, *this, sim::EventKind::UlmtProcess, engineId_);
 }
 
 void

@@ -71,7 +71,7 @@ struct UlmtStats
 };
 
 /** The ULMT running on the memory processor. */
-class UlmtEngine : public mem::MissObserver
+class UlmtEngine : public mem::MissObserver, public sim::EventTarget
 {
   public:
     /**
@@ -189,11 +189,11 @@ class UlmtEngine : public mem::MissObserver
     /** Emit prefetch/learn-step spans into @p t (nullptr disables). */
     void setTrace(sim::TraceEventBuffer *t) { trace_ = t; }
 
-    /** The process-queue-2 closure (shared by run and restore). */
-    sim::EventQueue::Action
-    processAction()
+    /** Its only event, UlmtProcess, serves the next queue-2 miss. */
+    void
+    fire(sim::EventKind, std::uint64_t, std::uint64_t) override
     {
-        return [this] { processNext(); };
+        processNext();
     }
 
     /** Checkpoint walk: queue 2, the memory-processor cache, the

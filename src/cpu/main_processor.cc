@@ -61,8 +61,7 @@ MainProcessor::step()
     const auto resumeInline = [&] {
         stats_.totalCycles = c;
         if (!eq_.continueAt(c)) {
-            eq_.schedule(c, sim::EventKind::ProcStep, core_, 0,
-                         stepAction());
+            eq_.schedule(c, *this, sim::EventKind::ProcStep, core_);
             return false;
         }
         now = c;

@@ -63,7 +63,7 @@ struct ProcessorStats
 };
 
 /** Event-driven window model of the main processor. */
-class MainProcessor
+class MainProcessor : public sim::EventTarget
 {
   public:
     /**
@@ -90,18 +90,17 @@ class MainProcessor
     void
     start()
     {
-        eq_.schedule(eq_.now(), sim::EventKind::ProcStep, core_, 0,
-                     stepAction());
+        eq_.schedule(eq_.now(), *this, sim::EventKind::ProcStep, core_);
     }
 
     bool finished() const { return finished_; }
     const ProcessorStats &stats() const { return stats_; }
 
-    /** The step-resume closure (shared by run and restore). */
-    sim::EventQueue::Action
-    stepAction()
+    /** Its only event, ProcStep, resumes step(). */
+    void
+    fire(sim::EventKind, std::uint64_t, std::uint64_t) override
     {
-        return [this] { step(); };
+        step();
     }
 
     /**

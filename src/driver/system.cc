@@ -470,7 +470,7 @@ System::configFingerprint() const
     return ckpt::fnv1a64(buf.data(), buf.size());
 }
 
-sim::EventQueue::Action
+sim::EventTarget &
 System::resolveEvent(const sim::SavedEvent &s)
 {
     switch (static_cast<sim::EventKind>(s.kind)) {
@@ -480,27 +480,25 @@ System::resolveEvent(const sim::SavedEvent &s)
                 "checkpoint step event names a core this machine "
                 "does not have");
         }
-        return cpus_[s.arg0]->stepAction();
+        return *cpus_[s.arg0];
       case sim::EventKind::MemDemandDone:
-        return ms_->demandDoneAction(s.arg0);
       case sim::EventKind::MemCpuPfDone:
-        return ms_->cpuPfDoneAction(s.arg0);
       case sim::EventKind::MemPfArrival:
-        return ms_->prefetchArrivalAction(s.arg0, s.arg1);
+        return *ms_;
       case sim::EventKind::UlmtProcess:
         if (s.arg0 >= engines_.size()) {
             throw ckpt::CkptError(
                 "checkpoint has a pending ULMT event but this "
                 "configuration has no matching engine");
         }
-        return engines_[s.arg0]->processAction();
+        return *engines_[s.arg0];
       case sim::EventKind::VmRemap:
         if (!vm_) {
             throw ckpt::CkptError(
                 "checkpoint has a pending VM remap event but this "
                 "machine has no VM layer");
         }
-        return vm_->remapAction();
+        return *vm_;
       default:
         throw ckpt::CkptError("unresolvable event kind in checkpoint");
     }
@@ -519,13 +517,6 @@ System::sections(QueueImage &queue)
         s.seq(
             queue.events,
             [&](sim::SavedEvent &e) {
-                if (s.saving() &&
-                    e.kind == static_cast<std::uint32_t>(
-                                  sim::EventKind::Untagged)) {
-                    throw ckpt::CkptError(
-                        "an untagged event is pending; the queue is not "
-                        "checkpointable at this instant");
-                }
                 s.u64(e.when, e.seq);
                 s.u32(e.kind);
                 s.u64(e.arg0, e.arg1);
@@ -702,12 +693,20 @@ System::restoreCheckpoint(const std::string &path)
         }
     }
 
-    // The event queue goes last: resolving closures needs the
-    // components above in their restored state.
     eq_.restoreEvents(queue.now, queue.nextSeq, queue.executed,
-                      queue.events, [this](const sim::SavedEvent &e) {
+                      queue.events,
+                      [this](const sim::SavedEvent &e) -> sim::EventTarget & {
                           return resolveEvent(e);
                       });
+    // A memory event must match an entry of queue 1 or 3, or firing it
+    // would panic or push a line that was never fetched.
+    check::CheckContext ctx;
+    ms_->checkInvariants(ctx, queue.events);
+    if (!ctx.ok()) {
+        throw ckpt::CkptError(
+            ctx.report("checkpoint's memory queues disagree with its "
+                       "pending events"));
+    }
 
     // The shadows saw none of the restored fills; rebuild them from
     // the real structures, then prove the restored state is sane.

@@ -317,8 +317,8 @@ class System
     /** Register all component stats and set up the sampler. */
     void initObservability();
 
-    /** Rebuild a pending event's closure from its checkpoint tag. */
-    sim::EventQueue::Action resolveEvent(const sim::SavedEvent &s);
+    /** The component a restored event's tag fires at. */
+    sim::EventTarget &resolveEvent(const sim::SavedEvent &s);
 
     /** The "events" section: the queue's clock and counters and its
      *  pending events.  Restore collects it and resolves it last. */

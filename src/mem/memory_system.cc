@@ -104,37 +104,43 @@ MemorySystem::fetchLine(sim::Cycle issue, sim::Addr line_addr,
             static_cast<double>(complete - issue));
     }
 
-    if (demand)
-        eq_.schedule(complete, sim::EventKind::MemDemandDone, key, 0,
-                     demandDoneAction(key));
-    else
-        eq_.schedule(complete, sim::EventKind::MemCpuPfDone, key, 0,
-                     cpuPfDoneAction(key));
+    eq_.schedule(complete, *this,
+                 demand ? sim::EventKind::MemDemandDone
+                        : sim::EventKind::MemCpuPfDone,
+                 key);
     return complete;
 }
 
-sim::EventQueue::Action
-MemorySystem::demandDoneAction(sim::Addr key)
+void
+MemorySystem::fire(sim::EventKind kind, std::uint64_t key,
+                   std::uint64_t arrival)
 {
-    return [this, key] {
+    switch (kind) {
+      case sim::EventKind::MemDemandDone: {
         auto it = inflightDemand_.find(key);
         SIM_ASSERT(it != inflightDemand_.end(),
                    "in-flight demand entry vanished");
         if (--it->second == 0)
             inflightDemand_.erase(it);
-    };
-}
-
-sim::EventQueue::Action
-MemorySystem::cpuPfDoneAction(sim::Addr key)
-{
-    return [this, key] {
+        break;
+      }
+      case sim::EventKind::MemCpuPfDone: {
         auto it = inflightCpuPf_.find(key);
         SIM_ASSERT(it != inflightCpuPf_.end(),
                    "in-flight CPU-prefetch entry vanished");
         if (--it->second == 0)
             inflightCpuPf_.erase(it);
-    };
+        break;
+      }
+      case sim::EventKind::MemPfArrival:
+        inflightPf_.erase(key);
+        if (push_)
+            push_(arrival, sim::lineOfKey(key), sim::coreOfKey(key));
+        break;
+      default:
+        sim::panic("memory system fired a foreign event kind %u",
+                   static_cast<unsigned>(kind));
+    }
 }
 
 bool
@@ -268,19 +274,9 @@ MemorySystem::ulmtPrefetch(sim::Cycle ready, sim::Addr line_addr,
         audit_->pushIssued(core, engine, flow, key, ready, arrival);
 
     inflightPf_[key] = arrival;
-    eq_.schedule(arrival, sim::EventKind::MemPfArrival, key, arrival,
-                 prefetchArrivalAction(key, arrival));
+    eq_.schedule(arrival, *this, sim::EventKind::MemPfArrival, key,
+                 arrival);
     return true;
-}
-
-sim::EventQueue::Action
-MemorySystem::prefetchArrivalAction(sim::Addr key, sim::Cycle arrival)
-{
-    return [this, key, arrival] {
-        inflightPf_.erase(key);
-        if (push_)
-            push_(arrival, sim::lineOfKey(key), sim::coreOfKey(key));
-    };
 }
 
 sim::Cycle

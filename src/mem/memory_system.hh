@@ -97,7 +97,7 @@ struct MemorySystemStats
 inline constexpr sim::Addr noPfTrigger = ~static_cast<sim::Addr>(0);
 
 /** The memory system below the L2 cache. */
-class MemorySystem
+class MemorySystem : public sim::EventTarget
 {
   public:
     /** Invoked when a pushed line arrives at the L2 of @p core. */
@@ -292,23 +292,18 @@ class MemorySystem
 
     /**
      * Checkpoint walk of queues 1/3, the Filter, the bus and the DRAM.
-     * Pending completion events are re-registered on restore from
-     * their EventKind tags via the action builders below.
+     * Their pending completion events are saved and restored with the
+     * event queue, whose tags fire back here.
      */
     void walk(ckpt::Stream &s);
 
     /**
-     * The queue-1 demand completion closure (run and restore).  @p key
-     * is the packed (core, line) map key carried in the event's arg0.
+     * Complete a queue-1 fetch (MemDemandDone, MemCpuPfDone: @p key is
+     * the packed (core, line) map key) or land a queue-3 prefetch at
+     * its L2 (MemPfArrival, at cycle @p arrival).
      */
-    sim::EventQueue::Action demandDoneAction(sim::Addr key);
-
-    /** The queue-1 CPU-prefetch completion closure (run and restore). */
-    sim::EventQueue::Action cpuPfDoneAction(sim::Addr key);
-
-    /** The queue-3 arrival closure (shared by run and restore). */
-    sim::EventQueue::Action prefetchArrivalAction(sim::Addr key,
-                                                  sim::Cycle arrival);
+    void fire(sim::EventKind kind, std::uint64_t key,
+              std::uint64_t arrival) override;
 
     /**
      * Invariants: every in-flight entry in queues 1 and 3 has exactly

@@ -14,32 +14,41 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
-#include "sim/action.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace sim {
 
 /**
- * Identity of a pending event's action, for checkpointing.  Closures
- * cannot be serialized, so every event that may be pending at a
- * checkpoint carries a kind tag plus up to two integer arguments; on
- * restore the owning component rebuilds the closure from the tag (see
- * DESIGN.md section 9).  Untagged events are legal at
- * runtime but make the queue uncheckpointable at that instant.
+ * What a pending event does, as a tag the checkpoint stores: the kind
+ * plus up to two integer arguments, fired at the component that owns
+ * the kind (see DESIGN.md section 9).  The numbers are written into
+ * every snapshot, so each is pinned; 0 names no event and is refused
+ * as corrupt input.
  */
 enum class EventKind : std::uint32_t {
-    Untagged = 0,      //!< plain schedule(); not checkpointable
-    ProcStep,          //!< MainProcessor::step resume (no args)
-    MemDemandDone,     //!< MemorySystem demand completion (arg0=line)
-    MemPfArrival,      //!< MemorySystem prefetch arrival
+    ProcStep = 1,      //!< MainProcessor::step resume (arg0=core)
+    MemDemandDone = 2, //!< MemorySystem demand completion (arg0=line)
+    MemPfArrival = 3,  //!< MemorySystem prefetch arrival
                        //!< (arg0=line, arg1=arrival cycle)
-    UlmtProcess,       //!< UlmtEngine::processNext kick (no args)
-    MemCpuPfDone,      //!< MemorySystem CPU-prefetch completion
+    UlmtProcess = 4,   //!< UlmtEngine::processNext kick (arg0=engine)
+    MemCpuPfDone = 5,  //!< MemorySystem CPU-prefetch completion
                        //!< (arg0=line)
-    VmRemap,           //!< Vm periodic page-remap tick (no args)
+    VmRemap = 6,       //!< Vm periodic page-remap tick (no args)
+};
+
+/** A component that events fire at. */
+class EventTarget
+{
+  public:
+    virtual ~EventTarget() = default;
+
+    /** Run the event tagged (@p kind, @p arg0, @p arg1). */
+    virtual void fire(EventKind kind, std::uint64_t arg0,
+                      std::uint64_t arg1) = 0;
 };
 
 /** A pending event in serializable form. */
@@ -56,8 +65,6 @@ struct SavedEvent
 class EventQueue
 {
   public:
-    using Action = InplaceAction;
-
     /** Bits of a heap key naming an event's slot; the rest hold its
      *  sequence number. */
     static constexpr unsigned slotBits = 24;
@@ -101,14 +108,6 @@ class EventQueue
         tickDue_ = now_ + interval;
     }
 
-    /** Remove the ticker (the disabled path: one compare per event). */
-    void
-    clearTicker()
-    {
-        ticker_ = nullptr;
-        tickDue_ = neverCycle;
-    }
-
     /**
      * Install a passive inspector that fires between events every
      * @p every_events executed events.  Like the ticker it runs at a
@@ -138,43 +137,21 @@ class EventQueue
     }
 
     /**
-     * Schedule an action at an absolute cycle.  Scheduling in the past
-     * is a simulator bug.
+     * Schedule the event (@p kind, @p arg0, @p arg1) to fire at
+     * @p target at an absolute cycle.  Scheduling in the past is a
+     * simulator bug.
      */
     void
-    schedule(Cycle when, Action action)
+    schedule(Cycle when, EventTarget &target, EventKind kind,
+             std::uint64_t arg0 = 0, std::uint64_t arg1 = 0)
     {
-        push(when, nextSeq_++,
-             static_cast<std::uint32_t>(EventKind::Untagged), 0, 0,
-             std::move(action));
-    }
-
-    /**
-     * Schedule a *tagged* action: @p kind and the args identify the
-     * closure well enough for the owning component to rebuild it after
-     * a checkpoint restore.
-     */
-    void
-    schedule(Cycle when, EventKind kind, std::uint64_t arg0,
-             std::uint64_t arg1, Action action)
-    {
-        push(when, nextSeq_++, static_cast<std::uint32_t>(kind), arg0,
-             arg1, std::move(action));
-    }
-
-    /** Schedule an action a relative number of cycles in the future. */
-    void
-    scheduleIn(Cycle delay, Action action)
-    {
-        push(now_ + delay, nextSeq_++,
-             static_cast<std::uint32_t>(EventKind::Untagged), 0, 0,
-             std::move(action));
+        push(when, nextSeq_++, Slot{&target, kind, arg0, arg1});
     }
 
     /**
      * Run an event at @p when inline instead of scheduling it, when
      * that is exactly what run() would do next.  The caller is the
-     * action now executing; it asks whether an event it would
+     * event now firing; it asks whether an event it would
      * schedule at @p when (necessarily with the highest seq so far)
      * would be the very next one popped with nothing in between.  That
      * holds when every pending event is strictly later (an equal-time
@@ -201,11 +178,8 @@ class EventQueue
         return true;
     }
 
-    /**
-     * Snapshot the pending events' tags, sorted by execution order
-     * (when, seq).  Entries with kind == Untagged cannot be restored;
-     * the checkpoint layer rejects them.
-     */
+    /** Snapshot the pending events' tags, sorted by execution order
+     *  (when, seq). */
     std::vector<SavedEvent>
     saveEvents() const
     {
@@ -213,8 +187,9 @@ class EventQueue
         out.reserve(heap_.size());
         for (const Key &k : heap_) {
             const Slot &s = slots_[k.slot()];
-            out.push_back(
-                SavedEvent{k.when, k.seq(), s.kind, s.arg0, s.arg1});
+            out.push_back(SavedEvent{k.when, k.seq(),
+                                     static_cast<std::uint32_t>(s.kind),
+                                     s.arg0, s.arg1});
         }
         std::sort(out.begin(), out.end(),
                   [](const SavedEvent &a, const SavedEvent &b) {
@@ -228,14 +203,15 @@ class EventQueue
      * Rebuild the queue from a snapshot: clock, sequence counter,
      * executed count, and every pending event with its *original*
      * (when, seq) pair -- tie-breaking after restore is bit-identical
-     * to the run the snapshot was taken from.  @p resolve maps each
-     * SavedEvent back to its closure.
+     * to the run the snapshot was taken from.  @p target names the
+     * component each event fires at; every kind must be a valid
+     * EventKind.
      */
     void
     restoreEvents(
         Cycle now, std::uint64_t next_seq, std::uint64_t executed,
         const std::vector<SavedEvent> &events,
-        const std::function<Action(const SavedEvent &)> &resolve)
+        const std::function<EventTarget &(const SavedEvent &)> &target)
     {
         clear();
         now_ = now;
@@ -244,7 +220,9 @@ class EventQueue
         for (const SavedEvent &s : events) {
             SIM_ASSERT(s.when >= now_ && s.seq < next_seq,
                        "restored event outside snapshot bounds");
-            push(s.when, s.seq, s.kind, s.arg0, s.arg1, resolve(s));
+            push(s.when, s.seq,
+                 Slot{&target(s), static_cast<EventKind>(s.kind), s.arg0,
+                      s.arg1});
         }
         // A ticker installed before the restore was armed relative to
         // cycle 0; re-arm it relative to the restored clock.  (The
@@ -299,14 +277,14 @@ class EventQueue
             SIM_ASSERT(top.when >= now_, "event queue went backwards");
             now_ = top.when;
             popTop();
-            // The action leaves its slot before it runs: it may
+            // The event leaves its slot before it fires: it may
             // schedule events, which can reuse the slot or grow (and
             // so move) the slab under it.
             const std::uint32_t slot = top.slot();
-            Action action = std::move(slots_[slot].action);
+            const Slot ev = slots_[slot];
             freeSlots_.push_back(slot);
             ++executed_;
-            action();
+            ev.target->fire(ev.kind, ev.arg0, ev.arg1);
             if (now_ >= tickDue_) {
                 ticker_(now_);
                 tickDue_ = now_ + tickInterval_;
@@ -335,9 +313,9 @@ class EventQueue
   private:
     /**
      * A heap entry: (when, seq) orders the event and slot names the
-     * slab entry that holds its action.  seq and slot share one word
+     * slab entry that holds its tag.  seq and slot share one word
      * (seq in the high bits), so the heap moves 16 trivially copyable
-     * bytes per level instead of an Action.
+     * bytes per level instead of a whole event.
      */
     struct Key
     {
@@ -355,14 +333,17 @@ class EventQueue
         }
     };
 
-    /** A pending event's payload: its checkpoint tag and action. */
+    /** A pending event's payload: its tag and the component it fires
+     *  at. */
     struct Slot
     {
-        std::uint32_t kind = 0;
-        std::uint64_t arg0 = 0;
-        std::uint64_t arg1 = 0;
-        Action action;
+        EventTarget *target;
+        EventKind kind;
+        std::uint64_t arg0;
+        std::uint64_t arg1;
     };
+    static_assert(std::is_trivially_copyable_v<Slot> &&
+                  sizeof(Slot) == 32);
 
     /** Strict total order: (when, seq) is unique per event, and seq
      *  owns the high bits of seqSlot, so heap extraction reproduces
@@ -375,11 +356,9 @@ class EventQueue
         return a.seqSlot < b.seqSlot;
     }
 
-    /** Every schedule and restore lands here; @p action moves once,
-     *  into its slot. */
+    /** Every schedule and restore lands here. */
     void
-    push(Cycle when, std::uint64_t seq, std::uint32_t kind,
-         std::uint64_t arg0, std::uint64_t arg1, Action &&action)
+    push(Cycle when, std::uint64_t seq, const Slot &ev)
     {
         SIM_ASSERT(when >= now_,
                    "scheduled at %llu before now %llu",
@@ -389,16 +368,12 @@ class EventQueue
             slot = static_cast<std::uint32_t>(slots_.size());
             SIM_ASSERT(slot < (1u << Key::slotBits),
                        "more than 2^24 events pending");
-            slots_.emplace_back();
+            slots_.push_back(ev);
         } else {
             slot = freeSlots_.back();
             freeSlots_.pop_back();
+            slots_[slot] = ev;
         }
-        Slot &s = slots_[slot];
-        s.kind = kind;
-        s.arg0 = arg0;
-        s.arg1 = arg1;
-        s.action = std::move(action);
         SIM_ASSERT(seq < (std::uint64_t{1} << (64 - Key::slotBits)),
                    "event sequence number overflows its 40 bits");
         heap_.push_back(Key{when, seq << Key::slotBits | slot});
@@ -452,7 +427,7 @@ class EventQueue
     }
 
     std::vector<Key> heap_;    //!< binary min-heap by (when, seq)
-    std::vector<Slot> slots_;  //!< pending actions, indexed by Key::slot
+    std::vector<Slot> slots_;  //!< pending events, indexed by Key::slot
     std::vector<std::uint32_t> freeSlots_;  //!< reusable slots_ entries
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -197,8 +197,7 @@ Vm::start()
 {
     if (remapPeriod_ == 0)
         return;
-    eq_.schedule(eq_.now() + remapPeriod_, sim::EventKind::VmRemap, 0,
-                 0, remapAction());
+    eq_.schedule(eq_.now() + remapPeriod_, *this, sim::EventKind::VmRemap);
 }
 
 void
@@ -266,8 +265,8 @@ Vm::doRemap()
     // other work.  An empty queue means the machine has quiesced:
     // rescheduling would keep the run alive forever on remap ticks.
     if (eq_.pending() > 0)
-        eq_.schedule(eq_.now() + remapPeriod_, sim::EventKind::VmRemap,
-                     0, 0, remapAction());
+        eq_.schedule(eq_.now() + remapPeriod_, *this,
+                     sim::EventKind::VmRemap);
 }
 
 void

@@ -126,7 +126,7 @@ struct VmCoreStats
  * space and TLB per core, a shared frame allocator and the remap
  * engine.  Built by the System only when VmSpec::on().
  */
-class Vm
+class Vm : public sim::EventTarget
 {
   public:
     Vm(sim::EventQueue &eq, const VmSpec &spec, unsigned cores);
@@ -160,11 +160,11 @@ class Vm
     /** Schedule the first remap event (no-op when remapRate == 0). */
     void start();
 
-    /** The remap-event closure (shared by start and restore). */
-    sim::EventQueue::Action
-    remapAction()
+    /** Its only event, VmRemap, runs one remap tick. */
+    void
+    fire(sim::EventKind, std::uint64_t, std::uint64_t) override
     {
-        return [this] { doRemap(); };
+        doRemap();
     }
 
     /** Register "vm.core.<i>.*" and machine-wide "vm.*" stats. */

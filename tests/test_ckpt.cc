@@ -27,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check/check.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/state.hh"
 #include "core/factory.hh"
@@ -892,6 +893,80 @@ TEST(CraftedCkpt, SeqCounterBeyondItsBudgetRefused)
             e.seq = sim::EventQueue::seqLimit;
         });
     });
+}
+
+/** Refuse a copy of mst_repl.ulmtckp whose first pending event is
+ *  retagged (@p kind, @p arg0, @p arg1); the refusal must name
+ *  @p why. */
+void
+expectRetaggedEventRefused(std::uint32_t kind, std::uint64_t arg0,
+                           std::uint64_t arg1, const std::string &why)
+{
+    expectCraftedSectionRefused("events", why, [&](const std::string &p) {
+        return editEvents(p, [&](std::uint64_t &, std::uint64_t &,
+                                 sim::SavedEvent &e) {
+            e.kind = kind;
+            e.arg0 = arg0;
+            e.arg1 = arg1;
+        });
+    });
+}
+
+/** A line MST never touches, so nothing is in flight for it. */
+constexpr sim::Addr idleLine = 0xdeadbee00;
+
+TEST(CraftedCkpt, EventKindOutsideItsRangeRefused)
+{
+    for (std::uint32_t kind : {0u, 7u})
+        expectRetaggedEventRefused(kind, 0, 0, "corrupt event kind");
+}
+
+TEST(CraftedCkpt, DemandDoneWithNoFetchInFlightRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::MemDemandDone),
+        idleLine, 0,
+        "queue-1 demand completion event pending for " +
+            check::hex(idleLine) + " with no in-flight entry");
+}
+
+TEST(CraftedCkpt, CpuPrefetchDoneWithNoFetchInFlightRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::MemCpuPfDone),
+        idleLine, 0,
+        "queue-1 cpu-prefetch completion event pending for " +
+            check::hex(idleLine) + " with no in-flight entry");
+}
+
+TEST(CraftedCkpt, PrefetchArrivalWithNoQueue3EntryRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::MemPfArrival),
+        idleLine, 1u << 30,
+        "MemPfArrival pending for " + check::hex(idleLine) +
+            " with no queue-3 entry");
+}
+
+TEST(CraftedCkpt, StepEventForAMissingCoreRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::ProcStep), 5, 0,
+        "names a core this machine does not have");
+}
+
+TEST(CraftedCkpt, UlmtEventForAMissingEngineRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::UlmtProcess), 3, 0,
+        "no matching engine");
+}
+
+TEST(CraftedCkpt, RemapEventWithNoVmLayerRefused)
+{
+    expectRetaggedEventRefused(
+        static_cast<std::uint32_t>(sim::EventKind::VmRemap), 0, 0,
+        "machine has no VM layer");
 }
 
 // ---------------------------------------------------------------------

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -27,13 +27,46 @@
 
 namespace {
 
+/** A target whose events do nothing. */
+struct Idle : sim::EventTarget
+{
+    void fire(sim::EventKind, std::uint64_t, std::uint64_t) override {}
+} idle;
+
+/**
+ * Test events: each fires the callback its arg0 names.  A deque keeps
+ * a running callback in place while it schedules more.
+ */
+struct Callbacks : sim::EventTarget
+{
+    explicit Callbacks(sim::EventQueue &eq) : eq(eq) {}
+
+    /** Schedule @p fn to run at @p when. */
+    void
+    at(sim::Cycle when, std::function<void()> fn)
+    {
+        fns.push_back(std::move(fn));
+        eq.schedule(when, *this, sim::EventKind::ProcStep, fns.size() - 1);
+    }
+
+    void
+    fire(sim::EventKind, std::uint64_t id, std::uint64_t) override
+    {
+        fns[id]();
+    }
+
+    sim::EventQueue &eq;
+    std::deque<std::function<void()>> fns;
+};
+
 TEST(EventQueue, RunsEventsInTimeOrder)
 {
     sim::EventQueue eq;
+    Callbacks cb(eq);
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    cb.at(30, [&] { order.push_back(3); });
+    cb.at(10, [&] { order.push_back(1); });
+    cb.at(20, [&] { order.push_back(2); });
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -42,9 +75,10 @@ TEST(EventQueue, RunsEventsInTimeOrder)
 TEST(EventQueue, SameCycleEventsKeepSchedulingOrder)
 {
     sim::EventQueue eq;
+    Callbacks cb(eq);
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        eq.schedule(5, [&order, i] { order.push_back(i); });
+        cb.at(5, [&order, i] { order.push_back(i); });
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -53,13 +87,14 @@ TEST(EventQueue, SameCycleEventsKeepSchedulingOrder)
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     sim::EventQueue eq;
+    Callbacks cb(eq);
     int fired = 0;
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 5)
-            eq.scheduleIn(10, chain);
+            cb.at(eq.now() + 10, chain);
     };
-    eq.schedule(0, chain);
+    cb.at(0, chain);
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -68,52 +103,23 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
 TEST(EventQueue, EventLimitStopsRun)
 {
     sim::EventQueue eq;
-    std::function<void()> forever = [&] { eq.scheduleIn(1, forever); };
-    eq.schedule(0, forever);
+    Callbacks cb(eq);
+    std::function<void()> forever = [&] { cb.at(eq.now() + 1, forever); };
+    cb.at(0, forever);
     EXPECT_FALSE(eq.run(100));
     EXPECT_EQ(eq.executed(), 100u);
-}
-
-TEST(EventQueue, LargeCaptureFallsBackToHeap)
-{
-    // Captures bigger than the inline buffer must survive the move
-    // into the queue and run intact.
-    sim::EventQueue eq;
-    std::array<std::uint64_t, 16> payload;
-    for (std::size_t i = 0; i < payload.size(); ++i)
-        payload[i] = i * 3 + 1;
-    std::uint64_t sum = 0;
-    eq.schedule(1, [payload, &sum] {
-        for (std::uint64_t v : payload)
-            sum += v;
-    });
-    eq.run();
-    std::uint64_t expect = 0;
-    for (std::uint64_t v : payload)
-        expect += v;
-    EXPECT_EQ(sum, expect);
-}
-
-TEST(EventQueue, MoveOnlyCapturesAreSupported)
-{
-    sim::EventQueue eq;
-    auto value = std::make_unique<int>(17);
-    int seen = 0;
-    eq.schedule(1, [v = std::move(value), &seen] { seen = *v; });
-    eq.run();
-    EXPECT_EQ(seen, 17);
 }
 
 /**
  * A random self-extending schedule.  Each event's children are a pure
  * function of its id and the queue state, and every event is tagged
- * with its id, so a restored queue can rebuild every pending action
- * (the checkpoint contract of DESIGN.md section 9).  Delays are mostly
- * 0 or 1 cycle, so same-cycle ties dominate; the population hovers around
- * `target` pending events while `limit` ids pass through, so the slab
- * reuses every slot many times.
+ * with its id, so a restored queue fires every pending event as the
+ * original would (the checkpoint contract of DESIGN.md section 9).
+ * Delays are mostly 0 or 1 cycle, so same-cycle ties dominate; the
+ * population hovers around `target` pending events while `limit` ids
+ * pass through, so the slab reuses every slot many times.
  */
-struct RandomSchedule
+struct RandomSchedule : sim::EventTarget
 {
     static constexpr std::size_t target = 200;
 
@@ -147,45 +153,43 @@ struct RandomSchedule
     {
         const std::uint64_t id = nextId++;
         key.emplace_back(when, eq.nextSeq());
-        eq.schedule(when, sim::EventKind::ProcStep, id, 0, action(id));
+        eq.schedule(when, *this, sim::EventKind::ProcStep, id);
     }
 
-    sim::EventQueue::Action
-    action(std::uint64_t id)
+    void
+    fire(sim::EventKind, std::uint64_t id, std::uint64_t) override
     {
-        return [this, id]() mutable {
-            for (;;) {
-                EXPECT_EQ(eq.now(), key[id].first);
-                const std::size_t at = log.size();
-                log.push_back(id);
-                const std::uint64_t h = mix(id);
-                const unsigned children =
-                    eq.pending() < target ? 1 + (h & 1) : (h >> 1) & 1;
-                bool continued = false;
-                std::uint64_t next = 0;
-                for (unsigned c = 0; c < children && nextId < limit; ++c) {
-                    const std::uint64_t d = (h >> (8 + 4 * c)) & 15;
-                    const sim::Cycle when =
-                        eq.now() + (d < 8 ? 0 : d < 13 ? 1 : d);
-                    const std::uint64_t seq = eq.nextSeq();
-                    if (continueInline && c + 1 == children &&
-                        eq.continueAt(when)) {
-                        key.emplace_back(when, seq);
-                        next = nextId++;
-                        ++inlined;
-                        continued = true;
-                    } else {
-                        spawn(when);
-                    }
+        for (;;) {
+            EXPECT_EQ(eq.now(), key[id].first);
+            const std::size_t at = log.size();
+            log.push_back(id);
+            const std::uint64_t h = mix(id);
+            const unsigned children =
+                eq.pending() < target ? 1 + (h & 1) : (h >> 1) & 1;
+            bool continued = false;
+            std::uint64_t next = 0;
+            for (unsigned c = 0; c < children && nextId < limit; ++c) {
+                const std::uint64_t d = (h >> (8 + 4 * c)) & 15;
+                const sim::Cycle when =
+                    eq.now() + (d < 8 ? 0 : d < 13 ? 1 : d);
+                const std::uint64_t seq = eq.nextSeq();
+                if (continueInline && c + 1 == children &&
+                    eq.continueAt(when)) {
+                    key.emplace_back(when, seq);
+                    next = nextId++;
+                    ++inlined;
+                    continued = true;
+                } else {
+                    spawn(when);
                 }
-                // The capture outlives the spawns, which may reuse this
-                // event's slot or grow the slab.
-                EXPECT_EQ(log[at], id);
-                if (!continued)
-                    return;
-                id = next;
             }
-        };
+            // The id outlives the spawns, which may reuse this
+            // event's slot or grow the slab.
+            EXPECT_EQ(log[at], id);
+            if (!continued)
+                return;
+            id = next;
+        }
     }
 
     void
@@ -251,11 +255,11 @@ TEST(EventQueue, MidRunRestoreContinuesInIdenticalOrder)
         resumed.log = first.log;
         resumed.eq.restoreEvents(
             first.eq.now(), first.eq.nextSeq(), first.eq.executed(), saved,
-            [&resumed](const sim::SavedEvent &e) {
+            [&resumed](const sim::SavedEvent &e) -> sim::EventTarget & {
                 EXPECT_EQ(e.kind,
                           static_cast<std::uint32_t>(
                               sim::EventKind::ProcStep));
-                return resumed.action(e.arg0);
+                return resumed;
             });
         // The restored queue holds the snapshot's events with their
         // original sequence numbers.
@@ -345,9 +349,10 @@ continuesAt(sim::Cycle when,
             std::uint64_t max_events = UINT64_MAX)
 {
     sim::EventQueue eq;
+    Callbacks cb(eq);
     setup(eq);
     bool answer = false;
-    eq.schedule(5, [&] { answer = eq.continueAt(when); });
+    cb.at(5, [&] { answer = eq.continueAt(when); });
     eq.run(max_events);
     return answer;
 }
@@ -355,7 +360,7 @@ continuesAt(sim::Cycle when,
 TEST(EventQueue, ContinueAtRefusesWhenAnotherEventComesFirst)
 {
     const auto pendingAt10 = [](sim::EventQueue &eq) {
-        eq.schedule(10, [] {});
+        eq.schedule(10, idle, sim::EventKind::ProcStep);
     };
     EXPECT_TRUE(continuesAt(9, pendingAt10));
     // An equal-time pending event owns a lower seq, so it runs first.
@@ -404,18 +409,19 @@ TEST(EventQueue, ContinueAtAdvancesLikeAPushAndPop)
     // the follow-on records the queue state and schedules one more.
     const auto twin = [](bool inl, QueueState &inside, QueueState &end) {
         sim::EventQueue eq;
-        eq.schedule(20, sim::EventKind::ProcStep, 7, 0, [] {});
-        eq.schedule(3, [] {});
+        Callbacks cb(eq);
+        eq.schedule(20, idle, sim::EventKind::ProcStep, 7);
+        eq.schedule(3, idle, sim::EventKind::ProcStep);
         const auto followOn = [&] {
             inside = stateOf(eq);
-            eq.schedule(15, sim::EventKind::VmRemap, 1, 2, [] {});
+            eq.schedule(15, idle, sim::EventKind::VmRemap, 1, 2);
         };
-        eq.schedule(5, [&] {
+        cb.at(5, [&] {
             if (inl) {
                 EXPECT_TRUE(eq.continueAt(12));
                 followOn();
             } else {
-                eq.schedule(12, sim::EventKind::ProcStep, 0, 0, followOn);
+                cb.at(12, followOn);
             }
         });
         EXPECT_TRUE(eq.run());

@@ -178,7 +178,8 @@ TEST_F(VmFixture, RemapMigratesTheHottestPage)
         v.translate(0, sim::Addr(vpage) << 12, when);
     v.translate(0, sim::Addr(16) << 12, when);  // second walk
 
-    v.remapAction()();  // one remap, no event-queue run needed
+    // One remap, no event-queue run needed.
+    v.fire(sim::EventKind::VmRemap, 0, 0);
     ASSERT_EQ(log.oldPages.size(), 1u);
     EXPECT_EQ(log.oldPages[0], hot >> 12);  // page numbers, not bytes
     EXPECT_EQ(log.pageBytes[0], 4096u);
@@ -214,7 +215,7 @@ TEST_F(VmFixture, RemapEnginesAreDeterministic)
             // the previous one, so keep every tick active.
             v.translate(static_cast<unsigned>(r % 2),
                         sim::Addr(r % 8) * 0x1000, when);
-            v.remapAction()();
+            v.fire(sim::EventKind::VmRemap, 0, 0);
         }
     }
     EXPECT_EQ(logs[0].oldPages.size(), 8u);
@@ -233,7 +234,7 @@ TEST_F(VmFixture, SaveRestoreRoundTripsBitIdentically)
     for (unsigned core = 0; core < 2; ++core)
         for (sim::Addr a = 0; a < 0x6000; a += 0x800)
             v.translate(core, a, when);
-    v.remapAction()();
+    v.fire(sim::EventKind::VmRemap, 0, 0);
 
     ckpt::StateWriter w;
     ckpt::save(w, v);

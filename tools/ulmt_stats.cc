@@ -51,7 +51,6 @@
 #include "core/factory.hh"
 #include "driver/experiment.hh"
 #include "sim/stat_registry.hh"
-#include "workloads/workload.hh"
 
 namespace {
 
@@ -228,20 +227,9 @@ cmdDump(const std::vector<std::string> &args)
                      config.c_str(), core::ulmtAlgoNames().c_str());
         return 2;
     }
-    const driver::SystemConfig &cfg = *found;
-    auto ws =
-        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
-    const std::string name = ws[0]->name();
-    driver::System sys(cfg, std::move(ws), name);
-
-    sim::TraceEventBuffer buf;
+    const driver::RunResult r = driver::runOne(app, *found, opt);
     if (opt.traceEvents)
-        sys.setTraceEvents(&buf);
-    const driver::RunResult r = sys.run();
-    if (opt.traceEvents) {
-        opt.traceEvents->writeProcess(app + "/" + cfg.label, buf);
         opt.traceEvents->finish();
-    }
 
     const bool unfiltered = core_ids.empty() && globs.empty();
     const auto keep = [&](const std::string &path) {
