@@ -55,8 +55,8 @@ struct SeqParams
 {
     std::uint32_t numSeq = 4;    //!< concurrent streams
     std::uint32_t numPref = 6;   //!< lines prefetched per trigger
-    std::uint32_t lineBytes = 64;
-    std::uint32_t historyDepth = 16;
+    std::uint32_t lineBytes = 64;     //!< a power of two
+    std::uint32_t historyDepth = 16;  //!< misses kept for detection, >= 1
     /**
      * How far past the observed miss the stream runs (0 = numPref).
      * A customization knob: the CG ULMT (Seq1+Repl, Verbose) uses a

@@ -1,8 +1,21 @@
 #include "core/seq_prefetcher.hh"
 
-#include <algorithm>
+#include <bit>
+
+#include "sim/logging.hh"
 
 namespace core {
+
+SeqPrefetcher::SeqPrefetcher(const SeqParams &p)
+    : p_(p),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(p.lineBytes))),
+      streams_(p.numSeq), history_(p.historyDepth)
+{
+    SIM_ASSERT(std::has_single_bit(p_.lineBytes),
+               "seq prefetcher: line size must be a power of two");
+    SIM_ASSERT(p_.historyDepth >= 1,
+               "seq prefetcher: miss history depth must be at least 1");
+}
 
 SeqPrefetcher::Stream *
 SeqPrefetcher::match(sim::Addr line)
@@ -40,13 +53,6 @@ SeqPrefetcher::allocStream()
     return victim;
 }
 
-bool
-SeqPrefetcher::inHistory(sim::Addr line) const
-{
-    return std::find(history_.begin(), history_.end(), line) !=
-           history_.end();
-}
-
 void
 SeqPrefetcher::emitAhead(Stream &s, sim::Addr from_line,
                          std::vector<sim::Addr> &out, CostTracker &cost)
@@ -62,7 +68,7 @@ SeqPrefetcher::emitAhead(Stream &s, sim::Addr from_line,
             break;
         s.nextExpected = static_cast<sim::Addr>(next);
         cost.instr(cost::emitPrefetch);
-        out.push_back(s.nextExpected * p_.lineBytes);
+        out.push_back(addrOf(s.nextExpected));
     }
     s.stamp = ++stampCounter_;
 }
@@ -82,20 +88,15 @@ SeqPrefetcher::prefetchStep(sim::Addr miss_line,
     }
 
     // Detection: the third miss of a +/-1 line sequence.
-    for (std::int64_t stride : {std::int64_t{1}, std::int64_t{-1}}) {
-        const sim::Addr prev1 = line - static_cast<sim::Addr>(stride);
-        const sim::Addr prev2 = line - static_cast<sim::Addr>(2 * stride);
-        if (inHistory(prev1) && inHistory(prev2)) {
-            cost.instr(cost::seqCheck);
-            Stream *s = allocStream();
-            s->valid = true;
-            s->stride = stride;
-            s->nextExpected = line;
-            s->lastMiss = line;
-            ++streamsDetected_;
-            emitAhead(*s, line, out, cost);
-            return;
-        }
+    if (const std::int64_t stride = history_.sequenceStride(line)) {
+        cost.instr(cost::seqCheck);
+        Stream *s = allocStream();
+        s->valid = true;
+        s->stride = stride;
+        s->nextExpected = line;
+        s->lastMiss = line;
+        ++streamsDetected_;
+        emitAhead(*s, line, out, cost);
     }
 }
 
@@ -103,9 +104,7 @@ void
 SeqPrefetcher::learnStep(sim::Addr miss_line, CostTracker &cost)
 {
     cost.instr(2);
-    history_.push_back(lineOf(miss_line));
-    if (history_.size() > p_.historyDepth)
-        history_.pop_front();
+    history_.push(lineOf(miss_line));
 }
 
 void
@@ -137,8 +136,8 @@ SeqPrefetcher::predict(sim::Addr miss_line, LevelPredictions &out) const
                 static_cast<std::int64_t>(from) +
                 s.stride * static_cast<std::int64_t>(lvl + 1);
             if (pred >= 0) {
-                out[lvl].push_back(static_cast<sim::Addr>(pred) *
-                                   p_.lineBytes);
+                out[lvl].push_back(
+                    addrOf(static_cast<sim::Addr>(pred)));
             }
         }
     }

@@ -18,11 +18,11 @@
 #define CORE_SEQ_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/correlation_prefetcher.hh"
 #include "core/params.hh"
+#include "sim/miss_history.hh"
 
 namespace core {
 
@@ -30,10 +30,7 @@ namespace core {
 class SeqPrefetcher : public CorrelationPrefetcher
 {
   public:
-    explicit SeqPrefetcher(const SeqParams &p) : p_(p)
-    {
-        streams_.resize(p_.numSeq);
-    }
+    explicit SeqPrefetcher(const SeqParams &p);
 
     std::string name() const override
     {
@@ -63,7 +60,7 @@ class SeqPrefetcher : public CorrelationPrefetcher
             s.i64(st.stride);
             s.u64(st.stamp);
         }
-        s.u64s(history_);
+        history_.walk(s, "seq-prefetcher");
         s.u64(streamsDetected_, stampCounter_);
     }
 
@@ -77,19 +74,20 @@ class SeqPrefetcher : public CorrelationPrefetcher
         std::uint64_t stamp = 0;
     };
 
-    sim::Addr lineOf(sim::Addr addr) const { return addr / p_.lineBytes; }
+    sim::Addr lineOf(sim::Addr addr) const { return addr >> lineShift_; }
+    sim::Addr addrOf(sim::Addr line) const { return line << lineShift_; }
 
     /** Stream whose window covers @p line, or nullptr. */
     Stream *match(sim::Addr line);
     const Stream *match(sim::Addr line) const;
     Stream *allocStream();
-    bool inHistory(sim::Addr line) const;
     void emitAhead(Stream &s, sim::Addr from_line,
                    std::vector<sim::Addr> &out, CostTracker &cost);
 
     SeqParams p_;
+    std::uint32_t lineShift_;
     std::vector<Stream> streams_;
-    std::deque<sim::Addr> history_;
+    sim::MissHistory history_;
     std::uint64_t streamsDetected_ = 0;
     std::uint64_t stampCounter_ = 0;
 };

@@ -99,11 +99,10 @@ Hierarchy::access(sim::Cycle when, sim::Addr addr, bool is_write)
 
     ++stats_.l1Misses;
     AccessOutcome out = accessL2(when, addr, /*count_demand=*/true);
-    fillL1(when, addr, out.complete, out.served, false);
-    if (is_write) {
-        if (mem::CacheLine *line = l1_.find(addr))
-            line->dirty = true;
-    }
+    mem::CacheLine *line =
+        fillL1(when, addr, out.complete, out.served, false);
+    if (is_write)
+        line->dirty = true;
 
     if (streamPfEnabled_) {
         pfScratch_.clear();
@@ -232,7 +231,7 @@ Hierarchy::issueCpuPrefetch(sim::Cycle when, sim::Addr addr)
     fillL1(when, addr, complete, sim::ServedBy::Memory, true);
 }
 
-void
+mem::CacheLine *
 Hierarchy::fillL1(sim::Cycle now, sim::Addr addr, sim::Cycle ready_at,
                   sim::ServedBy origin, bool cpu_prefetched)
 {
@@ -252,6 +251,7 @@ Hierarchy::fillL1(sim::Cycle now, sim::Addr addr, sim::Cycle ready_at,
                 ms_.writeback(now, l2_.lineAddr(ev.lineAddr), core_);
         }
     }
+    return line;
 }
 
 mem::CacheLine *

@@ -252,9 +252,11 @@ class Hierarchy
     /** Issue one processor-side prefetch into the L1. */
     void issueCpuPrefetch(sim::Cycle when, sim::Addr addr);
 
-    /** Fill the L1 with a line; handle the eviction. */
-    void fillL1(sim::Cycle now, sim::Addr addr, sim::Cycle ready_at,
-                sim::ServedBy origin, bool cpu_prefetched);
+    /** Fill the L1 with a line; handle the eviction.
+     *  @return the installed line */
+    mem::CacheLine *fillL1(sim::Cycle now, sim::Addr addr,
+                           sim::Cycle ready_at, sim::ServedBy origin,
+                           bool cpu_prefetched);
 
     /** Fill the L2 with a line; handle the eviction. */
     mem::CacheLine *fillL2(sim::Cycle now, sim::Addr addr,

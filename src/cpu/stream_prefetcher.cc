@@ -1,8 +1,21 @@
 #include "cpu/stream_prefetcher.hh"
 
-#include <algorithm>
+#include <bit>
+
+#include "sim/logging.hh"
 
 namespace cpu {
+
+StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &p)
+    : p_(p),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(p.lineBytes))),
+      streams_(p.numSeq), history_(p.historyDepth)
+{
+    SIM_ASSERT(std::has_single_bit(p_.lineBytes),
+               "stream prefetcher: line size must be a power of two");
+    SIM_ASSERT(p_.historyDepth >= 1,
+               "stream prefetcher: miss history depth must be at least 1");
+}
 
 StreamPrefetcher::Stream *
 StreamPrefetcher::matchStream(sim::Addr line)
@@ -34,13 +47,6 @@ StreamPrefetcher::allocStream()
     return victim;
 }
 
-bool
-StreamPrefetcher::inHistory(sim::Addr line) const
-{
-    return std::find(history_.begin(), history_.end(), line) !=
-           history_.end();
-}
-
 void
 StreamPrefetcher::emitExtend(Stream &s, std::uint32_t count,
                              std::vector<sim::Addr> &out)
@@ -51,7 +57,7 @@ StreamPrefetcher::emitExtend(Stream &s, std::uint32_t count,
         if (line < 0)
             break;
         s.nextExpected = static_cast<sim::Addr>(line);
-        out.push_back(s.nextExpected * p_.lineBytes);
+        out.push_back(addrOf(s.nextExpected));
     }
     s.stamp = ++stampCounter_;
 }
@@ -69,7 +75,7 @@ StreamPrefetcher::emitAhead(Stream &s, sim::Addr from_line,
         if (next < 0 || (target - next) * s.stride < 0)
             break;
         s.nextExpected = static_cast<sim::Addr>(next);
-        out.push_back(s.nextExpected * p_.lineBytes);
+        out.push_back(addrOf(s.nextExpected));
     }
     s.stamp = ++stampCounter_;
 }
@@ -88,23 +94,16 @@ StreamPrefetcher::observeMiss(sim::Addr addr, std::vector<sim::Addr> &out)
     }
 
     // Stream detection: the third miss of a +/-1 line sequence.
-    for (std::int64_t stride : {std::int64_t{1}, std::int64_t{-1}}) {
-        const sim::Addr prev1 = line - static_cast<sim::Addr>(stride);
-        const sim::Addr prev2 = line - static_cast<sim::Addr>(2 * stride);
-        if (inHistory(prev1) && inHistory(prev2)) {
-            Stream *s = allocStream();
-            s->valid = true;
-            s->stride = stride;
-            s->nextExpected = line;
-            ++streamsDetected_;
-            emitExtend(*s, p_.numPref, out);
-            break;
-        }
+    if (const std::int64_t stride = history_.sequenceStride(line)) {
+        Stream *s = allocStream();
+        s->valid = true;
+        s->stride = stride;
+        s->nextExpected = line;
+        ++streamsDetected_;
+        emitExtend(*s, p_.numPref, out);
     }
 
-    history_.push_back(line);
-    if (history_.size() > p_.historyDepth)
-        history_.pop_front();
+    history_.push(line);
 }
 
 void

@@ -14,10 +14,10 @@
 #define CPU_STREAM_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ckpt/state.hh"
+#include "sim/miss_history.hh"
 #include "sim/types.hh"
 
 namespace cpu {
@@ -27,18 +27,15 @@ struct StreamPrefetcherParams
 {
     std::uint32_t numSeq = 4;    //!< concurrent stream registers
     std::uint32_t numPref = 6;   //!< lines prefetched per trigger
-    std::uint32_t lineBytes = 32;
-    std::uint32_t historyDepth = 16;  //!< misses kept for detection
+    std::uint32_t lineBytes = 32;     //!< a power of two
+    std::uint32_t historyDepth = 16;  //!< misses kept for detection, >= 1
 };
 
 /** Detects sequential miss streams and emits prefetch addresses. */
 class StreamPrefetcher
 {
   public:
-    explicit StreamPrefetcher(const StreamPrefetcherParams &p) : p_(p)
-    {
-        streams_.resize(p_.numSeq);
-    }
+    explicit StreamPrefetcher(const StreamPrefetcherParams &p);
 
     /**
      * Observe a demand L1 miss.  Appends the lines to prefetch (L1-line
@@ -83,7 +80,7 @@ class StreamPrefetcher
             s.i64(st.stride);
             s.u64(st.stamp);
         }
-        s.u64s(history_);
+        history_.walk(s, "stream-prefetcher");
         s.u64(streamsDetected_, stampCounter_);
     }
 
@@ -96,11 +93,8 @@ class StreamPrefetcher
         std::uint64_t stamp = 0;     //!< LRU
     };
 
-    sim::Addr
-    lineOf(sim::Addr addr) const
-    {
-        return addr / p_.lineBytes;
-    }
+    sim::Addr lineOf(sim::Addr addr) const { return addr >> lineShift_; }
+    sim::Addr addrOf(sim::Addr line) const { return line << lineShift_; }
 
     Stream *matchStream(sim::Addr line);
     Stream *allocStream();
@@ -110,11 +104,11 @@ class StreamPrefetcher
     /** Top the stream up to numPref lines past @p from_line. */
     void emitAhead(Stream &s, sim::Addr from_line,
                    std::vector<sim::Addr> &out);
-    bool inHistory(sim::Addr line) const;
 
     StreamPrefetcherParams p_;
+    std::uint32_t lineShift_;
     std::vector<Stream> streams_;
-    std::deque<sim::Addr> history_;  //!< recent miss lines
+    sim::MissHistory history_;  //!< recent miss lines
     std::uint64_t streamsDetected_ = 0;
     std::uint64_t stampCounter_ = 0;
 };

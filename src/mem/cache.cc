@@ -14,32 +14,9 @@ Cache::Cache(std::string name, const CacheGeometry &geom)
     SIM_ASSERT(ways_.sets() > 0 && std::has_single_bit(ways_.sets()),
                "%s: set count must be a power of two", name_.c_str());
     SIM_ASSERT(geom_.assoc > 0, "%s: zero associativity", name_.c_str());
-}
-
-CacheLine *
-Cache::find(sim::Addr addr)
-{
-    const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
-    return i == Ways::npos ? nullptr : &ways_.data(i);
-}
-
-const CacheLine *
-Cache::find(sim::Addr addr) const
-{
-    return const_cast<Cache *>(this)->find(addr);
-}
-
-CacheLine *
-Cache::access(sim::Addr addr)
-{
-    const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
-    if (i == Ways::npos) {
-        ++stats_.misses;
-        return nullptr;
-    }
-    ++stats_.hits;
-    touch(i);
-    return &ways_.data(i);
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(geom_.lineBytes));
+    setMask_ = ways_.sets() - 1;
+    lineMask_ = ~static_cast<sim::Addr>(geom_.lineBytes - 1);
 }
 
 CacheLine *
@@ -47,14 +24,14 @@ Cache::insert(sim::Addr addr, sim::Cycle now, sim::Cycle ready_at,
               Eviction &evicted)
 {
     const sim::Addr line_addr = lineAddr(addr);
-    SIM_ASSERT(find(addr) == nullptr,
-               "%s: inserting already-resident line", name_.c_str());
-
     // Prefer to displace a line whose fill already completed; fall back
-    // to a pending one only when the whole set is in flight.
-    const std::size_t v = ways_.victim(
-        setIndex(addr),
+    // to a pending one only when the whole set is in flight.  The same
+    // scan of the set proves the line is not resident yet.
+    const std::size_t v = ways_.victimFor(
+        setIndex(addr), line_addr,
         [&](std::size_t i) { return ways_.data(i).readyAt <= now; });
+    SIM_ASSERT(v != Ways::npos, "%s: inserting already-resident line",
+               name_.c_str());
     CacheLine &line = ways_.data(v);
 
     evicted = Eviction{};

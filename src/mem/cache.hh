@@ -96,7 +96,7 @@ class Cache
     sim::Addr
     lineAddr(sim::Addr addr) const
     {
-        return addr & ~static_cast<sim::Addr>(geom_.lineBytes - 1);
+        return addr & lineMask_;
     }
 
     std::uint32_t lineBytes() const { return geom_.lineBytes; }
@@ -109,8 +109,18 @@ class Cache
      * Look up a line without modifying replacement state.
      * @return pointer to the resident line, or nullptr on miss.
      */
-    CacheLine *find(sim::Addr addr);
-    const CacheLine *find(sim::Addr addr) const;
+    CacheLine *
+    find(sim::Addr addr)
+    {
+        const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
+        return i == Ways::npos ? nullptr : &ways_.data(i);
+    }
+
+    const CacheLine *
+    find(sim::Addr addr) const
+    {
+        return const_cast<Cache *>(this)->find(addr);
+    }
 
     /** Promote a line to MRU. */
     void
@@ -126,7 +136,18 @@ class Cache
      * Look up and update stats/LRU: the common demand-access path.
      * @return the line on a hit (promoted to MRU), nullptr on a miss.
      */
-    CacheLine *access(sim::Addr addr);
+    CacheLine *
+    access(sim::Addr addr)
+    {
+        const std::size_t i = ways_.find(setIndex(addr), lineAddr(addr));
+        if (i == Ways::npos) {
+            ++stats_.misses;
+            return nullptr;
+        }
+        ++stats_.hits;
+        touch(i);
+        return &ways_.data(i);
+    }
 
     /**
      * Install a line, evicting the LRU victim of its set.  Victims
@@ -192,8 +213,7 @@ class Cache
     std::uint32_t
     setIndex(sim::Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr / geom_.lineBytes) &
-                                          (ways_.sets() - 1));
+        return static_cast<std::uint32_t>((addr >> lineShift_) & setMask_);
     }
 
     void
@@ -207,6 +227,11 @@ class Cache
     std::string name_;
     CacheGeometry geom_;
     Ways ways_;
+    /** Both powers of two (asserted): set index and line address are
+     *  a shift and masks. */
+    std::uint32_t lineShift_ = 0;
+    sim::Addr setMask_ = 0;
+    sim::Addr lineMask_ = 0;
     CacheStats stats_;
     CacheShadow *shadow_ = nullptr;
 };

@@ -104,27 +104,26 @@ class SetAssoc
     victim(std::uint32_t set, Eligible &&eligible,
            std::uint32_t first_way = 0) const
     {
-        const std::size_t base = index(set, 0);
-        std::size_t lru = npos;
-        std::size_t pick = npos;
-        for (std::uint32_t k = 0; k < ways_; ++k) {
-            const std::uint32_t w =
-                first_way + k < ways_ ? first_way + k : first_way + k - ways_;
-            const std::size_t i = base + w;
-            if (!valid_[i])
-                return i;
-            if (lru == npos || stamp_[i] < stamp_[lru])
-                lru = i;
-            if (eligible(i) && (pick == npos || stamp_[i] < stamp_[pick]))
-                pick = i;
-        }
-        return pick != npos ? pick : lru;
+        return scanSet<false>(set, 0, eligible, first_way);
     }
 
     std::size_t
     victim(std::uint32_t set, std::uint32_t first_way = 0) const
     {
         return victim(set, [](std::size_t) { return false; }, first_way);
+    }
+
+    /**
+     * victim() from way 0 for a @p tag about to be installed in
+     * @p set, in one scan that also proves @p tag is not resident
+     * there: npos if it is, else the entry victim() would pick.
+     */
+    template <typename Eligible>
+    std::size_t
+    victimFor(std::uint32_t set, std::uint64_t tag,
+              Eligible &&eligible) const
+    {
+        return scanSet<true>(set, tag, eligible, 0);
     }
 
     /** Claim entry @p i for @p tag as MRU.  The payload is the
@@ -269,6 +268,45 @@ class SetAssoc
 
   private:
     friend struct check::CheckTestPeer;
+
+    /** The one victim rule.  With @p CheckTag every way is scanned so
+     *  a resident @p tag is seen (npos); without it the first invalid
+     *  way ends the scan. */
+    template <bool CheckTag, typename Eligible>
+    std::size_t
+    scanSet(std::uint32_t set, std::uint64_t tag, Eligible &eligible,
+            std::uint32_t first_way) const
+    {
+        const std::size_t base = index(set, 0);
+        std::size_t invalid = npos;
+        std::size_t lru = npos;
+        std::size_t pick = npos;
+        for (std::uint32_t k = 0; k < ways_; ++k) {
+            const std::uint32_t w =
+                first_way + k < ways_ ? first_way + k : first_way + k - ways_;
+            const std::size_t i = base + w;
+            if (!valid_[i]) {
+                if constexpr (!CheckTag)
+                    return i;
+                if (invalid == npos)
+                    invalid = i;
+                continue;
+            }
+            if constexpr (CheckTag) {
+                if (tag_[i] == tag)
+                    return npos;
+                if (invalid != npos)
+                    continue;
+            }
+            if (lru == npos || stamp_[i] < stamp_[lru])
+                lru = i;
+            if (eligible(i) && (pick == npos || stamp_[i] < stamp_[pick]))
+                pick = i;
+        }
+        if (invalid != npos)
+            return invalid;
+        return pick != npos ? pick : lru;
+    }
 
     void
     clearEntries()

@@ -33,8 +33,9 @@ metaEvent(const char *what, std::uint32_t pid, std::uint32_t tid,
 
 } // namespace
 
-TraceEventWriter::TraceEventWriter(const std::string &path)
-    : path_(path)
+TraceEventWriter::TraceEventWriter(const std::string &path,
+                                   std::uint64_t budget)
+    : path_(path), budget_(budget)
 {
     file_ = std::fopen(path.c_str(), "w");
     if (!file_)
@@ -92,8 +93,14 @@ TraceEventWriter::writeProcess(const std::string &process_name,
         return;  // finished early; drop silently
     const std::uint32_t pid = nextPid_++;
 
+    const std::uint64_t room = budget_ - written_;
+    const std::size_t n =
+        buf.size() < room ? buf.size() : static_cast<std::size_t>(room);
+    written_ += n;
+    dropped_ += buf.size() - n;
+
     std::string out;
-    out.reserve(128 * (buf.size() + 8));
+    out.reserve(128 * (n + 8));
     auto sep = [&] {
         if (!firstEvent_)
             out += ",\n";
@@ -115,9 +122,9 @@ TraceEventWriter::writeProcess(const std::string &process_name,
         sep();
         out += metaEvent("thread_name", pid, t.tid, t.name);
     }
-    for (const TraceEvent &e : buf.events()) {
+    for (std::size_t i = 0; i < n; ++i) {
         sep();
-        emitEvent(out, e, pid);
+        emitEvent(out, buf.events()[i], pid);
     }
     std::fwrite(out.data(), 1, out.size(), file_);
 }
@@ -128,6 +135,22 @@ TraceEventWriter::finish()
     std::lock_guard<std::mutex> lock(mutex_);
     if (!file_)
         return;
+    if (dropped_ > 0) {
+        std::fprintf(file_,
+                     "%s{\"ph\": \"M\", \"name\": \"trace_truncated\", "
+                     "\"pid\": 0, \"tid\": 0, \"args\": {\"budget\": "
+                     "%llu, \"dropped\": %llu}}",
+                     firstEvent_ ? "" : ",\n",
+                     (unsigned long long)budget_,
+                     (unsigned long long)dropped_);
+        // Straight to stderr: the file is shared by every job of a
+        // sweep, so this is no one job's diagnostic.
+        std::fprintf(stderr,
+                     "warning: trace-event file '%s' reached its budget "
+                     "of %llu events; %llu events dropped\n",
+                     path_.c_str(), (unsigned long long)budget_,
+                     (unsigned long long)dropped_);
+    }
     std::fputs("\n]}\n", file_);
     std::fclose(file_);
     file_ = nullptr;

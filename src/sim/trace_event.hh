@@ -18,7 +18,10 @@
  *    "<workload>/<config>" process_name, so a parallel sweep lands in
  *    one file with one timeline row group per experiment.  Flushes
  *    are serialized with a mutex; buffers themselves are never
- *    shared between threads.
+ *    shared between threads.  One file holds at most
+ *    traceEventBudget recorded events: past it events are dropped,
+ *    and finish() warns on stderr and ends the file with a
+ *    "trace_truncated" metadata event giving the count.
  *
  * The span taxonomy (thread ids within each process) is documented in
  * DESIGN.md §8.  The file loads directly in Perfetto
@@ -54,6 +57,10 @@ inline constexpr std::uint32_t traceTidMemsys = 2;
 inline constexpr std::uint32_t traceTidBus = 3;
 inline constexpr std::uint32_t traceTidDram = 4;
 inline constexpr std::uint32_t traceTidSampler = 5;
+
+/** Most recorded events one trace file holds (process and thread
+ *  names aside): about 1.7 GB of JSON at ~100 bytes an event. */
+inline constexpr std::uint64_t traceEventBudget = std::uint64_t(1) << 24;
 
 /** One recorded event. */
 struct TraceEvent
@@ -143,10 +150,12 @@ class TraceEventWriter
 {
   public:
     /**
-     * Open @p path and write the trace prologue.
+     * Open @p path and write the trace prologue.  At most @p budget
+     * recorded events are written (tests pass a small one).
      * @throws std::runtime_error when the file cannot be created.
      */
-    explicit TraceEventWriter(const std::string &path);
+    explicit TraceEventWriter(const std::string &path,
+                              std::uint64_t budget = traceEventBudget);
 
     /** Finishes the file if finish() was not called. */
     ~TraceEventWriter();
@@ -161,7 +170,9 @@ class TraceEventWriter
     void writeProcess(const std::string &process_name,
                       const TraceEventBuffer &buf);
 
-    /** Write the trace epilogue and close the file (idempotent). */
+    /** Write the trace epilogue and close the file (idempotent).  If
+     *  events were dropped, first write the trace_truncated event and
+     *  one "warning:" line on stderr. */
     void finish();
 
     const std::string &path() const { return path_; }
@@ -175,6 +186,9 @@ class TraceEventWriter
     std::mutex mutex_;
     std::uint32_t nextPid_ = 1;
     bool firstEvent_ = true;
+    std::uint64_t budget_;
+    std::uint64_t written_ = 0;  //!< recorded events written
+    std::uint64_t dropped_ = 0;
 };
 
 } // namespace sim

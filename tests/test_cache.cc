@@ -201,4 +201,103 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16u * 1024u, 2u, 32u),
                       std::make_tuple(8192u, 8u, 64u)));
 
+
+/**
+ * Differential test of the fused insert scan: a Cache driven through
+ * random inserts (some with pending fills), touches and invalidations
+ * evicts exactly the line a reference sim::SetAssoc picks with
+ * find() plus victim() -- two separate scans, the settled-first rule
+ * spelled out as its eligibility callback, and a set index computed
+ * by division.
+ */
+class CacheFusedScanTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(CacheFusedScanTest, EvictsWhatVictimPlusFindPicks)
+{
+    const auto [size, assoc, line] = GetParam();
+    mem::Cache c("c", geom(size, assoc, line));
+    const std::uint32_t num_sets = c.numSets();
+    // Reference: payload = the line's readyAt.
+    sim::SetAssoc<sim::Cycle> ref(num_sets, assoc);
+    const auto set_of = [&](sim::Addr la) {
+        return static_cast<std::uint32_t>((la / line) % num_sets);
+    };
+    sim::Rng rng(7 + size + assoc + line);
+    // Four times the cache's lines, so sets overflow often.
+    const std::uint64_t span = 4ull * size;
+    sim::Cycle now = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t pending_kept = 0;
+
+    for (int i = 0; i < 200000; ++i) {
+        now += rng.below(3);
+        const sim::Addr addr = rng.below(span);
+        const sim::Addr la = addr - addr % line;
+        const std::uint32_t set = set_of(la);
+        const std::size_t hit = ref.find(set, la);
+        ASSERT_EQ(c.find(addr) != nullptr, hit != ref.npos)
+            << "addr " << addr << " iter " << i;
+
+        if (hit != ref.npos) {
+            if (rng.chance(0.1)) {
+                c.invalidate(addr);
+                ref.invalidate(hit);
+            } else {
+                ASSERT_NE(c.access(addr), nullptr);
+                ref.touch(hit);
+            }
+            continue;
+        }
+        // Half the fills stay in flight for up to a few visits to
+        // their set.
+        const sim::Cycle ready =
+            rng.chance(0.5) ? now + 1 + rng.below(16 * num_sets) : now;
+        const std::size_t v = ref.victim(
+            set, [&](std::size_t j) { return ref.data(j) <= now; });
+        const bool displaces = ref.valid(v);
+        const sim::Addr expect = ref.tag(v);
+        if (displaces && ref.data(v) > now)
+            ++pending_kept;  // the whole set was in flight
+        mem::Eviction ev;
+        mem::CacheLine *got = c.insert(addr, now, ready, ev);
+        ASSERT_EQ(ev.valid, displaces) << "iter " << i;
+        if (displaces) {
+            ++evictions;
+            ASSERT_EQ(ev.lineAddr, expect) << "iter " << i;
+        }
+        ASSERT_EQ(got, c.find(addr));
+        ASSERT_EQ(got->readyAt, ready);
+        ref.install(v, la);
+        ref.data(v) = ready;
+    }
+    // The run exercised both victim tiers.
+    EXPECT_GT(evictions, 10000u);
+    EXPECT_GT(pending_kept, 0u);
+}
+
+// The three cache geometries of the paper's machine: the main
+// processor's L1 and L2 and the memory processor's L1.
+INSTANTIATE_TEST_SUITE_P(
+    PaperGeometries, CacheFusedScanTest,
+    ::testing::Values(std::make_tuple(16u * 1024u, 2u, 32u),
+                      std::make_tuple(512u * 1024u, 4u, 64u),
+                      std::make_tuple(32u * 1024u, 2u, 32u)));
+
+TEST(CacheDeathTest, InsertingAResidentLinePanics)
+{
+    mem::Cache c("c", geom(1024, 2, 32));
+    mem::Eviction ev;
+    c.insert(0x100, 0, 0, ev);
+    // Any address of the resident line, whichever way it sits in.
+    EXPECT_DEATH(c.insert(0x11c, 0, 0, ev),
+                 "c: inserting already-resident line");
+    c.insert(0x300, 0, 0, ev);
+    EXPECT_DEATH(c.insert(0x300, 5, 9, ev),
+                 "c: inserting already-resident line");
+}
+
 } // namespace

@@ -32,6 +32,8 @@
 #include "ckpt/state.hh"
 #include "core/factory.hh"
 #include "core/pair_table.hh"
+#include "core/seq_prefetcher.hh"
+#include "cpu/stream_prefetcher.hh"
 #include "driver/experiment.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
@@ -967,6 +969,72 @@ TEST(CraftedCkpt, RemapEventWithNoVmLayerRefused)
     expectRetaggedEventRefused(
         static_cast<std::uint32_t>(sim::EventKind::VmRemap), 0, 0,
         "machine has no VM layer");
+}
+
+/**
+ * A fresh prefetcher's snapshot ends in three zero varints: the empty
+ * miss history's count and the two counters.  Splice in a history of
+ * @p n lines in their place.
+ */
+std::string
+withMissHistory(std::string payload, std::uint64_t n)
+{
+    EXPECT_EQ(payload.substr(payload.size() - 3), std::string(3, '\0'));
+    payload.resize(payload.size() - 3);
+    ckpt::StateWriter w;
+    w.u64(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        w.u64(0x100 + 7 * i);
+    w.u64(0);
+    w.u64(0);
+    return payload + w.take();
+}
+
+/** A miss history up to its depth restores; one line more is refused
+ *  naming the depth. */
+template <typename Prefetcher, typename Params>
+void
+expectOverlongMissHistoryRefused(const Params &p, const std::string &who)
+{
+    ckpt::StateWriter w;
+    ckpt::save(w, Prefetcher(p));
+    {
+        const std::string full = withMissHistory(w.buffer(), p.historyDepth);
+        Prefetcher back(p);
+        ckpt::StateReader r(full);
+        ckpt::restore(r, back);
+        r.finish();
+        ckpt::StateWriter again;
+        ckpt::save(again, back);
+        EXPECT_EQ(again.buffer(), full);
+    }
+    const std::string crafted =
+        withMissHistory(w.buffer(), p.historyDepth + 1);
+    Prefetcher back(p);
+    ckpt::StateReader r(crafted);
+    try {
+        ckpt::restore(r, back);
+        ADD_FAILURE() << "crafted " << who << " history accepted";
+    } catch (const ckpt::CkptError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  who + " miss history in checkpoint is longer than its "
+                        "depth " +
+                      std::to_string(p.historyDepth));
+    }
+}
+
+TEST(CraftedCkpt, StreamPrefetcherHistoryPastItsDepthRefused)
+{
+    expectOverlongMissHistoryRefused<cpu::StreamPrefetcher>(
+        cpu::StreamPrefetcherParams{4, 6, 32, 16}, "stream-prefetcher");
+}
+
+TEST(CraftedCkpt, SeqPrefetcherHistoryPastItsDepthRefused)
+{
+    core::SeqParams p;
+    p.historyDepth = 5;
+    expectOverlongMissHistoryRefused<core::SeqPrefetcher>(
+        p, "seq-prefetcher");
 }
 
 // ---------------------------------------------------------------------

@@ -673,6 +673,72 @@ TEST(TraceEventTest, DisabledPathLeavesNoTrace)
     EXPECT_GT(r.cycles, 0u);
 }
 
+TEST(TraceEventTest, WriterDropsEventsPastItsBudget)
+{
+    const std::string path =
+        testing::TempDir() + "trace_budget_test.json";
+    std::string err;
+    {
+        sim::TraceEventWriter writer(path, /*budget=*/5);
+        sim::TraceEventBuffer a;
+        for (sim::Cycle t = 0; t < 3; ++t)
+            a.instant("first", "cat", t, sim::traceTidUlmt);
+        sim::TraceEventBuffer b;
+        for (sim::Cycle t = 0; t < 4; ++t)
+            b.instant("second", "cat", t, sim::traceTidUlmt);
+        writer.writeProcess("A", a);
+        writer.writeProcess("B", b);  // two fit, two are dropped
+        writer.writeProcess("C", b);  // named, every event dropped
+        testing::internal::CaptureStderr();
+        writer.finish();
+        writer.finish();  // still idempotent: one warning
+        err = testing::internal::GetCapturedStderr();
+    }
+    EXPECT_EQ(err, "warning: trace-event file '" + path +
+                       "' reached its budget of 5 events; 6 events "
+                       "dropped\n");
+    const std::string text = slurp(path);
+    EXPECT_TRUE(JsonChecker(text).valid()) << text;
+    const auto count = [&](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = text.find(needle); at != std::string::npos;
+             at = text.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("\"first\""), 3u);
+    EXPECT_EQ(count("\"second\""), 2u);
+    EXPECT_EQ(count("\"process_name\""), 3u);
+    EXPECT_NE(text.find("{\"ph\": \"M\", \"name\": \"trace_truncated\", "
+                        "\"pid\": 0, \"tid\": 0, \"args\": {\"budget\": 5, "
+                        "\"dropped\": 6}}"),
+              std::string::npos)
+        << text;
+    std::remove(path.c_str());
+}
+
+TEST(TraceEventTest, WriterWithinItsBudgetWritesNoMarker)
+{
+    const std::string path =
+        testing::TempDir() + "trace_budget_fits_test.json";
+    std::string err;
+    {
+        sim::TraceEventWriter writer(path, /*budget=*/3);
+        sim::TraceEventBuffer a;
+        for (sim::Cycle t = 0; t < 3; ++t)
+            a.instant("fits", "cat", t, sim::traceTidUlmt);
+        writer.writeProcess("A", a);
+        testing::internal::CaptureStderr();
+        writer.finish();
+        err = testing::internal::GetCapturedStderr();
+    }
+    EXPECT_EQ(err, "");
+    const std::string text = slurp(path);
+    EXPECT_TRUE(JsonChecker(text).valid()) << text;
+    EXPECT_EQ(text.find("trace_truncated"), std::string::npos);
+    std::remove(path.c_str());
+}
+
 TEST(TraceEventTest, WriterThrowsOnUnwritablePath)
 {
     EXPECT_THROW(

@@ -123,4 +123,16 @@ TEST(Composite, ShortCircuitSkipsBackOnStreamHit)
     EXPECT_LE(repl_raw->insertions(), 4u);
 }
 
+TEST(SeqPrefetcherDeathTest, RefusesBadParameters)
+{
+    core::SeqParams odd_line = seqParams(1);
+    odd_line.lineBytes = 96;
+    EXPECT_DEATH(core::SeqPrefetcher{odd_line},
+                 "line size must be a power of two");
+    core::SeqParams no_history = seqParams(1);
+    no_history.historyDepth = 0;
+    EXPECT_DEATH(core::SeqPrefetcher{no_history},
+                 "history depth must be at least 1");
+}
+
 } // namespace
