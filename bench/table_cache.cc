@@ -37,9 +37,13 @@ struct Geometry
     std::string
     key() const
     {
-        return entries == 0 ? "e0"
-                            : "e" + std::to_string(entries) + "_a" +
-                                  std::to_string(assoc);
+        if (entries == 0)
+            return "e0";
+        std::string k = "e";
+        k += std::to_string(entries);
+        k += "_a";
+        k += std::to_string(assoc);
+        return k;
     }
 };
 

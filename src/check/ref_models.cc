@@ -273,11 +273,15 @@ RefPairTable::diff(const core::PairTable &table,
                 " holds " + std::to_string(rows.size()) +
                 " rows, reference model " + std::to_string(ref.size()) +
                 " [real:";
-            for (const auto &[st, rr] : rows)
-                detail += " " + check::hex(rr.tag);
+            for (const auto &[st, rr] : rows) {
+                detail += ' ';
+                detail += check::hex(rr.tag);
+            }
             detail += " | ref:";
-            for (const RefRow &rr : ref)
-                detail += " " + check::hex(rr.tag);
+            for (const RefRow &rr : ref) {
+                detail += ' ';
+                detail += check::hex(rr.tag);
+            }
             detail += "]";
             ctx.require(false, who, detail);
             continue;

@@ -11,7 +11,8 @@
  *
  * The state is a handful of stream registers that fit in the memory
  * processor's cache, so the algorithm's cost is almost pure
- * computation: very low response time for sequential patterns.
+ * computation: very low response time for sequential patterns.  The
+ * registers are a sim::StreamTable, the engine Conven4 runs too.
  */
 
 #ifndef CORE_SEQ_PREFETCHER_HH
@@ -22,7 +23,7 @@
 
 #include "core/correlation_prefetcher.hh"
 #include "core/params.hh"
-#include "sim/miss_history.hh"
+#include "sim/stream_table.hh"
 
 namespace core {
 
@@ -30,7 +31,12 @@ namespace core {
 class SeqPrefetcher : public CorrelationPrefetcher
 {
   public:
-    explicit SeqPrefetcher(const SeqParams &p);
+    explicit SeqPrefetcher(const SeqParams &p)
+        : p_(p), table_(p.numSeq, p.lineBytes, p.historyDepth,
+                        "seq-prefetcher",
+                        sim::StreamTable::Layout::WithLastMiss)
+    {
+    }
 
     std::string name() const override
     {
@@ -39,57 +45,75 @@ class SeqPrefetcher : public CorrelationPrefetcher
 
     std::uint32_t levels() const override { return p_.numPref; }
 
-    void prefetchStep(sim::Addr miss_line, std::vector<sim::Addr> &out,
-                      CostTracker &cost) override;
-    void learnStep(sim::Addr miss_line, CostTracker &cost) override;
-    void predict(sim::Addr miss_line,
-                 LevelPredictions &out) const override;
-
-    std::uint64_t streamsDetected() const { return streamsDetected_; }
-
-    /** Checkpoint walk: stream registers, miss history, counters. */
     void
-    walk(ckpt::Stream &s) override
+    prefetchStep(sim::Addr miss_line, std::vector<sim::Addr> &out,
+                 CostTracker &cost) override
     {
-        s.expect(streams_.size(),
-                 "seq-prefetcher register count in checkpoint does not "
-                 "match the configuration");
-        for (Stream &st : streams_) {
-            s.b(st.valid);
-            s.u64(st.nextExpected, st.lastMiss);
-            s.i64(st.stride);
-            s.u64(st.stamp);
+        const sim::Addr line = table_.lineOf(miss_line);
+        cost.instr(cost::seqCheck * p_.numSeq);
+        // A miss up to lookahead() lines short of a stream's next
+        // expected line keeps the stream lookahead() lines ahead of it.
+        sim::StreamTable::Stream *s =
+            table_.match(line, 0, std::int64_t(p_.lookahead()));
+        if (!s) {
+            s = table_.detect(line);
+            if (!s)
+                return;
+            cost.instr(cost::seqCheck);
         }
-        history_.walk(s, "seq-prefetcher");
-        s.u64(streamsDetected_, stampCounter_);
+        s->lastMiss = line;
+        const std::uint32_t emitted =
+            table_.emitAhead(*s, line, p_.lookahead(), out);
+        for (std::uint32_t i = 0; i < emitted; ++i)
+            cost.instr(cost::emitPrefetch);
     }
 
-  private:
-    struct Stream
+    void
+    learnStep(sim::Addr miss_line, CostTracker &cost) override
     {
-        bool valid = false;
-        sim::Addr nextExpected = 0;  //!< line index
-        sim::Addr lastMiss = 0;      //!< last observed miss on stream
-        std::int64_t stride = 0;     //!< +1 or -1, in lines
-        std::uint64_t stamp = 0;
-    };
+        cost.instr(2);
+        table_.remember(table_.lineOf(miss_line));
+    }
 
-    sim::Addr lineOf(sim::Addr addr) const { return addr >> lineShift_; }
-    sim::Addr addrOf(sim::Addr line) const { return line << lineShift_; }
+    /**
+     * The paper scores a sequential prediction as correct when the
+     * upcoming miss "matches the next address predicted by one of the
+     * streams identified" -- so every active stream predicts its next
+     * lines: from the miss if the miss belongs to the stream, else
+     * from the stream's last miss.  "Belongs" is Conven4's wide window
+     * (-1..4*NumPref lines short), not prefetchStep's 0..lookahead():
+     * Fig 5's Seq columns are scored with it.
+     */
+    void
+    predict(sim::Addr miss_line, LevelPredictions &out) const override
+    {
+        out.assign(p_.numPref, {});
+        const sim::Addr line = table_.lineOf(miss_line);
+        for (const sim::StreamTable::Stream &s : table_.streams()) {
+            if (!s.valid)
+                continue;
+            const std::int64_t dist = sim::StreamTable::distance(s, line);
+            const sim::Addr from =
+                dist >= -1 && dist <= 4 * std::int64_t(p_.numPref)
+                    ? line
+                    : s.lastMiss;
+            for (std::uint32_t lvl = 0; lvl < p_.numPref; ++lvl) {
+                const std::int64_t pred = std::int64_t(from) +
+                                          s.stride * std::int64_t(lvl + 1);
+                if (pred >= 0)
+                    out[lvl].push_back(table_.addrOf(sim::Addr(pred)));
+            }
+        }
+    }
 
-    /** Stream whose window covers @p line, or nullptr. */
-    Stream *match(sim::Addr line);
-    const Stream *match(sim::Addr line) const;
-    Stream *allocStream();
-    void emitAhead(Stream &s, sim::Addr from_line,
-                   std::vector<sim::Addr> &out, CostTracker &cost);
+    std::uint64_t streamsDetected() const { return table_.streamsDetected(); }
 
+    /** Checkpoint walk: stream registers, miss history, counters. */
+    void walk(ckpt::Stream &s) override { table_.walk(s); }
+
+  private:
     SeqParams p_;
-    std::uint32_t lineShift_;
-    std::vector<Stream> streams_;
-    sim::MissHistory history_;
-    std::uint64_t streamsDetected_ = 0;
-    std::uint64_t stampCounter_ = 0;
+    sim::StreamTable table_;
 };
 
 } // namespace core

@@ -80,16 +80,8 @@ Hierarchy::access(sim::Cycle when, sim::Addr addr, bool is_write)
                 ++stats_.cpuPfTimely;
             if (streamPfEnabled_) {
                 pfScratch_.clear();
-                streamPf_.observePrefetchedTouch(addr, late,
-                                                 pfScratch_);
-                for (sim::Addr pf : pfScratch_) {
-                    if (pageShift_ != 0 &&
-                        (pf >> pageShift_) != (addr >> pageShift_)) {
-                        ++stats_.cpuPfDroppedPageCross;
-                        continue;
-                    }
-                    issueCpuPrefetch(when, pf);
-                }
+                streamPf_.observePrefetchedTouch(addr, pfScratch_);
+                issueCpuPrefetches(when, addr);
             }
         }
         if (is_write)
@@ -107,14 +99,7 @@ Hierarchy::access(sim::Cycle when, sim::Addr addr, bool is_write)
     if (streamPfEnabled_) {
         pfScratch_.clear();
         streamPf_.observeMiss(addr, pfScratch_);
-        for (sim::Addr pf : pfScratch_) {
-            if (pageShift_ != 0 &&
-                (pf >> pageShift_) != (addr >> pageShift_)) {
-                ++stats_.cpuPfDroppedPageCross;
-                continue;
-            }
-            issueCpuPrefetch(when, pf);
-        }
+        issueCpuPrefetches(when, addr);
     }
     return out;
 }
@@ -191,6 +176,17 @@ Hierarchy::accessL2(sim::Cycle when, sim::Addr addr, bool count_demand)
     fillL2(when, line_addr, complete, sim::ServedBy::Memory, false,
            false);
     return {complete, sim::ServedBy::Memory};
+}
+
+void
+Hierarchy::issueCpuPrefetches(sim::Cycle when, sim::Addr addr)
+{
+    for (sim::Addr pf : pfScratch_) {
+        if (pageShift_ != 0 && (pf >> pageShift_) != (addr >> pageShift_))
+            ++stats_.cpuPfDroppedPageCross;
+        else
+            issueCpuPrefetch(when, pf);
+    }
 }
 
 void

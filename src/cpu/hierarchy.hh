@@ -249,6 +249,10 @@ class Hierarchy
     AccessOutcome accessL2(sim::Cycle when, sim::Addr addr,
                            bool count_demand);
 
+    /** Issue the Conven4 prefetches in pfScratch_ for a reference to
+     *  @p addr, dropping those that leave its page (VM on). */
+    void issueCpuPrefetches(sim::Cycle when, sim::Addr addr);
+
     /** Issue one processor-side prefetch into the L1. */
     void issueCpuPrefetch(sim::Cycle when, sim::Addr addr);
 

@@ -1,124 +1,29 @@
 #include "cpu/stream_prefetcher.hh"
 
-#include <bit>
-
-#include "sim/logging.hh"
-
 namespace cpu {
 
-StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &p)
-    : p_(p),
-      lineShift_(static_cast<std::uint32_t>(std::countr_zero(p.lineBytes))),
-      streams_(p.numSeq), history_(p.historyDepth)
-{
-    SIM_ASSERT(std::has_single_bit(p_.lineBytes),
-               "stream prefetcher: line size must be a power of two");
-    SIM_ASSERT(p_.historyDepth >= 1,
-               "stream prefetcher: miss history depth must be at least 1");
-}
-
-StreamPrefetcher::Stream *
-StreamPrefetcher::matchStream(sim::Addr line)
-{
-    for (auto &s : streams_) {
-        if (!s.valid)
-            continue;
-        const std::int64_t dist =
-            (static_cast<std::int64_t>(s.nextExpected) -
-             static_cast<std::int64_t>(line)) *
-            s.stride;
-        if (dist >= -1 &&
-            dist <= 4 * static_cast<std::int64_t>(p_.numPref))
-            return &s;
-    }
-    return nullptr;
-}
-
-StreamPrefetcher::Stream *
-StreamPrefetcher::allocStream()
-{
-    Stream *victim = &streams_[0];
-    for (auto &s : streams_) {
-        if (!s.valid)
-            return &s;
-        if (s.stamp < victim->stamp)
-            victim = &s;
-    }
-    return victim;
-}
-
-void
-StreamPrefetcher::emitExtend(Stream &s, std::uint32_t count,
-                             std::vector<sim::Addr> &out)
-{
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const std::int64_t line =
-            static_cast<std::int64_t>(s.nextExpected) + s.stride;
-        if (line < 0)
-            break;
-        s.nextExpected = static_cast<sim::Addr>(line);
-        out.push_back(addrOf(s.nextExpected));
-    }
-    s.stamp = ++stampCounter_;
-}
-
-void
-StreamPrefetcher::emitAhead(Stream &s, sim::Addr from_line,
-                            std::vector<sim::Addr> &out)
-{
-    const std::int64_t target =
-        static_cast<std::int64_t>(from_line) +
-        s.stride * static_cast<std::int64_t>(p_.numPref);
-    while (true) {
-        const std::int64_t next =
-            static_cast<std::int64_t>(s.nextExpected) + s.stride;
-        if (next < 0 || (target - next) * s.stride < 0)
-            break;
-        s.nextExpected = static_cast<sim::Addr>(next);
-        out.push_back(addrOf(s.nextExpected));
-    }
-    s.stamp = ++stampCounter_;
-}
+// Out of line, so Hierarchy::access, the per-reference path, stays small.
 
 void
 StreamPrefetcher::observeMiss(sim::Addr addr, std::vector<sim::Addr> &out)
 {
-    const sim::Addr line = lineOf(addr);
-
-    // An established stream missed within its window: prefetch the
-    // next NumPref lines from the miss, as with the paper's stream
-    // register.
-    if (Stream *s = matchStream(line)) {
-        emitAhead(*s, line, out);
+    const sim::Addr line = table_.lineOf(addr);
+    if (sim::StreamTable::Stream *s = table_.match(line, -1, window_)) {
+        table_.emitAhead(*s, line, numPref_, out);
         return;
     }
-
-    // Stream detection: the third miss of a +/-1 line sequence.
-    if (const std::int64_t stride = history_.sequenceStride(line)) {
-        Stream *s = allocStream();
-        s->valid = true;
-        s->stride = stride;
-        s->nextExpected = line;
-        ++streamsDetected_;
-        emitExtend(*s, p_.numPref, out);
-    }
-
-    history_.push(line);
+    if (sim::StreamTable::Stream *s = table_.detect(line))
+        table_.emitAhead(*s, line, numPref_, out);
+    table_.remember(line);
 }
 
 void
-StreamPrefetcher::observePrefetchedTouch(sim::Addr addr, bool late,
+StreamPrefetcher::observePrefetchedTouch(sim::Addr addr,
                                          std::vector<sim::Addr> &out)
 {
-    // The paper's prefetcher keeps a fixed lookahead: the stream
-    // register tops the stream up to NumPref lines past the consumed
-    // address, whether or not the line arrived on time.  (This is why
-    // its CG prefetches are accurate but only ~64% timely -- the gap
-    // the Seq1+Repl Verbose customization closes.)
-    (void)late;
-    const sim::Addr line = lineOf(addr);
-    if (Stream *s = matchStream(line))
-        emitAhead(*s, line, out);
+    const sim::Addr line = table_.lineOf(addr);
+    if (sim::StreamTable::Stream *s = table_.match(line, -1, window_))
+        table_.emitAhead(*s, line, numPref_, out);
 }
 
 } // namespace cpu

@@ -466,8 +466,9 @@ runOne(const std::string &app, const SystemConfig &cfg,
         return sys.run();
 
     // Per-run buffer, flushed as its own trace process so a parallel
-    // sweep lands in one file with one row group per experiment.
-    sim::TraceEventBuffer buf;
+    // sweep lands in one file with one row group per experiment.  It
+    // stores no more events than the file can hold.
+    sim::TraceEventBuffer buf(opt.traceEvents->budget());
     sys.setTraceEvents(&buf);
     RunResult r = sys.run();
     opt.traceEvents->writeProcess(app + "/" + cfg.label, buf);

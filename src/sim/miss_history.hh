@@ -1,11 +1,10 @@
 /**
  * @file
- * MissHistory: the last N miss lines a sequential-stream detector
- * remembers (cpu::StreamPrefetcher, core::SeqPrefetcher), as a fixed
- * ring of N entries.  A push past N overwrites the oldest line, and
- * the stream test scans the filled entries once, in place; the order
- * of the lines matters only to the checkpoint, which lists them
- * oldest first.
+ * MissHistory: the last N miss lines sim::StreamTable's stream
+ * detection remembers, as a fixed ring of N entries.  A push past N
+ * overwrites the oldest line, and the stream test scans the filled
+ * entries once, in place; the order of the lines matters only to the
+ * checkpoint, which lists them oldest first.
  */
 
 #ifndef SIM_MISS_HISTORY_HH
@@ -59,13 +58,6 @@ class MissHistory
             ++size_;
     }
 
-    void
-    clear()
-    {
-        next_ = 0;
-        size_ = 0;
-    }
-
     /**
      * Checkpoint walk: the count, then the lines oldest first.  A
      * stored history longer than the depth throws
@@ -76,20 +68,14 @@ class MissHistory
     walk(ckpt::Stream &s, const std::string &who)
     {
         std::vector<Addr> lines;
-        if (s.saving()) {
-            const std::uint32_t oldest =
-                next_ >= size_ ? next_ - size_ : next_ + depth() - size_;
-            for (std::uint32_t k = 0; k < size_; ++k) {
-                const std::uint32_t i = oldest + k;
-                lines.push_back(buf_[i < depth() ? i : i - depth()]);
-            }
-        }
+        for (std::uint32_t k = 0; s.saving() && k < size_; ++k)
+            lines.push_back(buf_[(next_ + depth() - size_ + k) % depth()]);
         const std::string too_long =
             who + " miss history in checkpoint is longer than its depth " +
             std::to_string(depth());
         s.u64s(lines, depth(), too_long.c_str());
         if (s.restoring()) {
-            clear();
+            next_ = size_ = 0;
             for (Addr line : lines)
                 push(line);
         }

@@ -93,14 +93,20 @@ TraceEventWriter::writeProcess(const std::string &process_name,
         return;  // finished early; drop silently
     const std::uint32_t pid = nextPid_++;
 
+    // A buffer stores at most its capacity; the events past it count
+    // as recorded, so they are dropped here as a full buffer's are.
     const std::uint64_t room = budget_ - written_;
+    const std::size_t stored = buf.events().size();
     const std::size_t n =
-        buf.size() < room ? buf.size() : static_cast<std::size_t>(room);
+        stored < room ? stored : static_cast<std::size_t>(room);
     written_ += n;
     dropped_ += buf.size() - n;
 
+    // Written in chunks of about chunk bytes, so a full budget's
+    // events never sit in memory twice, as events and as text.
+    constexpr std::size_t chunk = std::size_t(1) << 20;
     std::string out;
-    out.reserve(128 * (n + 8));
+    out.reserve(chunk + 4096);
     auto sep = [&] {
         if (!firstEvent_)
             out += ",\n";
@@ -125,6 +131,10 @@ TraceEventWriter::writeProcess(const std::string &process_name,
     for (std::size_t i = 0; i < n; ++i) {
         sep();
         emitEvent(out, buf.events()[i], pid);
+        if (out.size() >= chunk) {
+            std::fwrite(out.data(), 1, out.size(), file_);
+            out.clear();
+        }
     }
     std::fwrite(out.data(), 1, out.size(), file_);
 }

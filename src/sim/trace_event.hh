@@ -21,7 +21,9 @@
  *    shared between threads.  One file holds at most
  *    traceEventBudget recorded events: past it events are dropped,
  *    and finish() warns on stderr and ends the file with a
- *    "trace_truncated" metadata event giving the count.
+ *    "trace_truncated" metadata event giving the count.  A run's
+ *    buffer takes the budget as its capacity and only counts the
+ *    events past it, so a long run's trace costs bounded memory.
  *
  * The span taxonomy (thread ids within each process) is documented in
  * DESIGN.md §8.  The file loads directly in Perfetto
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -59,8 +62,8 @@ inline constexpr std::uint32_t traceTidDram = 4;
 inline constexpr std::uint32_t traceTidSampler = 5;
 
 /** Most recorded events one trace file holds (process and thread
- *  names aside): about 1.7 GB of JSON at ~100 bytes an event. */
-inline constexpr std::uint64_t traceEventBudget = std::uint64_t(1) << 24;
+ *  names aside): about 100 MB of JSON at ~100 bytes an event. */
+inline constexpr std::uint64_t traceEventBudget = std::uint64_t(1) << 20;
 
 /** One recorded event. */
 struct TraceEvent
@@ -79,10 +82,24 @@ struct TraceEvent
 class TraceEventBuffer
 {
   public:
+    /**
+     * Stores the first @p capacity events recorded and only counts
+     * the rest.  A buffer bound for a TraceEventWriter takes its
+     * budget, as no more can be written; the default stores every
+     * event (perfbench replays each span of a traced run).
+     */
+    explicit TraceEventBuffer(
+        std::uint64_t capacity = std::numeric_limits<std::uint64_t>::max())
+        : capacity_(capacity)
+    {
+    }
+
     void
     complete(std::string name, const char *cat, Cycle ts, Cycle dur,
              std::uint32_t tid)
     {
+        if (!room())
+            return;
         TraceEvent e;
         e.name = std::move(name);
         e.cat = cat;
@@ -97,6 +114,8 @@ class TraceEventBuffer
     instant(std::string name, const char *cat, Cycle ts,
             std::uint32_t tid)
     {
+        if (!room())
+            return;
         TraceEvent e;
         e.name = std::move(name);
         e.cat = cat;
@@ -110,6 +129,8 @@ class TraceEventBuffer
     counter(std::string name, Cycle ts, double value,
             std::uint32_t tid)
     {
+        if (!room())
+            return;
         TraceEvent e;
         e.name = std::move(name);
         e.cat = "metric";
@@ -124,6 +145,8 @@ class TraceEventBuffer
     void
     flow(TracePhase ph, std::uint64_t id, Cycle ts, std::uint32_t tid)
     {
+        if (!room())
+            return;
         TraceEvent e;
         e.name = "miss";
         e.cat = "flow";
@@ -137,11 +160,25 @@ class TraceEventBuffer
     /** A fresh flow correlation id (never 0). */
     std::uint64_t newFlowId() { return ++lastFlowId_; }
 
+    /** The stored events, the first min(size(), capacity) recorded. */
     const std::vector<TraceEvent> &events() const { return events_; }
-    std::size_t size() const { return events_.size(); }
+    /** Events recorded, stored or not. */
+    std::uint64_t size() const { return events_.size() + unstored_; }
 
   private:
+    /** Whether the next event is stored; counts it if not. */
+    bool
+    room()
+    {
+        if (events_.size() < capacity_)
+            return true;
+        ++unstored_;
+        return false;
+    }
+
     std::vector<TraceEvent> events_;
+    std::uint64_t capacity_;
+    std::uint64_t unstored_ = 0;  //!< events recorded past capacity_
     std::uint64_t lastFlowId_ = 0;
 };
 
@@ -176,6 +213,7 @@ class TraceEventWriter
     void finish();
 
     const std::string &path() const { return path_; }
+    std::uint64_t budget() const { return budget_; }
 
   private:
     void emitEvent(std::string &out, const TraceEvent &e,

@@ -80,11 +80,15 @@ sectionSummary(const std::string &payload, unsigned cores,
                       std::to_string(scratch.framesAllocated()) +
                       " frames";
     out += "; pages/core";
-    for (unsigned c = 0; c < cores; ++c)
-        out += " " + std::to_string(scratch.pagesMapped(c));
+    for (unsigned c = 0; c < cores; ++c) {
+        out += ' ';
+        out += std::to_string(scratch.pagesMapped(c));
+    }
     out += "; tlb valid/core";
-    for (unsigned c = 0; c < cores; ++c)
-        out += " " + std::to_string(scratch.tlbValid(c));
+    for (unsigned c = 0; c < cores; ++c) {
+        out += ' ';
+        out += std::to_string(scratch.tlbValid(c));
+    }
     return out;
 }
 

@@ -1043,8 +1043,9 @@ TEST(CraftedCkpt, SeqPrefetcherHistoryPastItsDepthRefused)
 // header), so the test reconstructs the exact configuration it was
 // taken under and compares against a live straight-through run.
 
-/** Parameter: "<file> [machine flags...]".  The flags rebuild the
- *  machine the snapshot was taken on (driver::parseMachineFlag), as
+/** Parameter: "<file> [--conven4] [machine flags...]".  The flags
+ *  rebuild the machine the snapshot was taken on (--conven4 as
+ *  ulmt-ckpt create takes it, the rest driver::parseMachineFlag), as
  *  the corpus README's ulmt-ckpt create commands give them. */
 class GoldenCkptCorpus : public ::testing::TestWithParam<const char *>
 {
@@ -1070,10 +1071,25 @@ corpusCase(const char *param)
     c.header = ckpt::CheckpointImage::readHeader(c.path);
     c.opt.scale = c.header.scale;
     c.opt.seed = c.header.seed;
-    for (std::string flag; words >> flag;)
-        EXPECT_TRUE(driver::parseMachineFlag(flag, c.opt.machine)) << flag;
-    c.cfg = driver::ulmtConfig(c.opt, core::parseUlmtAlgo(c.header.label),
-                               c.header.workload);
+    bool conven4 = false;
+    for (std::string flag; words >> flag;) {
+        if (flag == "--conven4")
+            conven4 = true;
+        else
+            EXPECT_TRUE(driver::parseMachineFlag(flag, c.opt.machine))
+                << flag;
+    }
+    if (conven4) {
+        // The label is "Conven4+<algo>".
+        const std::string prefix = "Conven4+";
+        EXPECT_EQ(c.header.label.rfind(prefix, 0), 0u) << c.header.label;
+        c.cfg = driver::conven4PlusUlmtConfig(
+            c.opt, core::parseUlmtAlgo(c.header.label.substr(prefix.size())),
+            c.header.workload);
+    } else {
+        c.cfg = driver::ulmtConfig(
+            c.opt, core::parseUlmtAlgo(c.header.label), c.header.workload);
+    }
     return c;
 }
 
@@ -1131,7 +1147,8 @@ INSTANTIATE_TEST_SUITE_P(
         "mst_chain_2c_vm_tc.ulmtckp --cores=2 --vm=on "
         "--remap-rate=100 --table-cache=256,4",
         "mst_repl_2c_vm_tc.ulmtckp --cores=2 --vm=on "
-        "--remap-rate=100 --table-cache=256,4"),
+        "--remap-rate=100 --table-cache=256,4",
+        "cg_conven4_seq1repl.ulmtckp --conven4"),
     [](const auto &info) {
         std::string n(info.param);
         n = n.substr(0, n.find(' '));

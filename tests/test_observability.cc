@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -715,6 +717,43 @@ TEST(TraceEventTest, WriterDropsEventsPastItsBudget)
               std::string::npos)
         << text;
     std::remove(path.c_str());
+}
+
+/**
+ * A buffer capped at the writer's budget stores no more than the file
+ * can take, and the file (events, truncation marker) and warning are
+ * byte for byte what an uncapped buffer gives, at every budget.
+ */
+TEST(TraceEventTest, CappedBufferWritesWhatAnUncappedOneDoes)
+{
+    const auto write = [](std::uint64_t budget, std::uint64_t capacity) {
+        const std::string path =
+            testing::TempDir() + "trace_capped_test.json";
+        std::string err;
+        {
+            sim::TraceEventWriter writer(path, budget);
+            for (int run = 0; run < 3; ++run) {
+                sim::TraceEventBuffer buf(capacity);
+                for (sim::Cycle t = 0; t < sim::Cycle(2 + 2 * run); ++t) {
+                    buf.complete("span", "cat", t, 1, sim::traceTidUlmt);
+                    buf.counter("depth", t, 1.5, sim::traceTidSampler);
+                }
+                EXPECT_EQ(buf.size(), 4u + 4 * run);
+                EXPECT_EQ(buf.events().size(),
+                          std::min<std::uint64_t>(4 + 4 * run, capacity));
+                writer.writeProcess("run" + std::to_string(run), buf);
+            }
+            testing::internal::CaptureStderr();
+            writer.finish();
+            err = testing::internal::GetCapturedStderr();
+        }
+        return slurp(path) + err;
+    };
+    for (std::uint64_t budget : {0u, 1u, 4u, 7u, 12u, 13u, 100u}) {
+        EXPECT_EQ(write(budget, budget),
+                  write(budget, std::numeric_limits<std::uint64_t>::max()))
+            << "budget " << budget;
+    }
 }
 
 TEST(TraceEventTest, WriterWithinItsBudgetWritesNoMarker)

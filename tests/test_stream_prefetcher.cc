@@ -75,12 +75,12 @@ TEST(StreamPrefetcher, TouchTopsUpFixedLookahead)
     pf.observeMiss(0x1040, out);  // emits up to 0x1100
     out.clear();
     // Consuming the first prefetched line keeps NumPref of runway.
-    pf.observePrefetchedTouch(0x1060, /*late=*/false, out);
+    pf.observePrefetchedTouch(0x1060, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 0x1120u);
-    // The lookahead is fixed: a late touch does not grow it.
+    // The lookahead is fixed: the next touch moves it one line on.
     out.clear();
-    pf.observePrefetchedTouch(0x1080, /*late=*/true, out);
+    pf.observePrefetchedTouch(0x1080, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 0x1140u);
 }
@@ -114,20 +114,8 @@ TEST(StreamPrefetcher, LruStreamReplacement)
     EXPECT_EQ(pf.streamsDetected(), 3u);
     out.clear();
     // The evicted stream no longer tops up on touches.
-    pf.observePrefetchedTouch(0x10000 + 3 * 32, false, out);
+    pf.observePrefetchedTouch(0x10000 + 3 * 32, out);
     EXPECT_TRUE(out.empty());
-}
-
-TEST(StreamPrefetcher, ResetClearsState)
-{
-    cpu::StreamPrefetcher pf(params());
-    std::vector<sim::Addr> out;
-    pf.observeMiss(0x1000, out);
-    pf.observeMiss(0x1020, out);
-    pf.reset();
-    pf.observeMiss(0x1040, out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(pf.streamsDetected(), 0u);
 }
 
 /**
@@ -290,7 +278,7 @@ TEST(StreamPrefetcher, RingHistoryMatchesDequeModel)
             got.clear();
             want.clear();
             if (rng.chance(0.3)) {
-                pf.observePrefetchedTouch(addr, rng.chance(0.5), got);
+                pf.observePrefetchedTouch(addr, got);
                 ref.observePrefetchedTouch(addr, want);
             } else {
                 pf.observeMiss(addr, got);
